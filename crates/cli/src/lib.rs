@@ -48,9 +48,11 @@ commands:
                Table-2 error drift the faults cause
   crossexam    --trace <path> [--n N] [--seed S]
                score kooza vs in-breadth vs in-depth on this trace (Table 1)
-               (with --faults <spec>: train on an internally simulated
-               fault-injected trace instead of --trace; [--shards N|auto]
-               shards that internal simulation too)
+  crossexam    --faults <spec> [--requests N] [--servers K] [--seed S]
+               [--workload read|write|mixed] [--n N] [--shards N|auto]
+               [--topology none|rack:<spr>:<oversub>]
+               the same, trained on an internally simulated fault-injected
+               trace instead of --trace
   trace convert --in <path> --out <path> [--in-format jsonl|ktc]
                [--out-format jsonl|ktc]
                convert a trace between JSONL text and KTC binary columnar
@@ -70,7 +72,7 @@ fault spec (comma-separated key=value; all keys optional):
   batch/detect re-replication batch size / failure-detection delay (secs)
   seed         fault-plan RNG stream (independent of the workload seed)
 
-trace formats (any command reading --trace or writing --out):
+trace formats (simulate, characterize, fit, validate, crossexam):
   --format     jsonl|ktc; when omitted, a .ktc extension selects KTC,
                otherwise reads sniff the KTC magic bytes (falling back to
                JSONL) and writes default to JSONL
@@ -87,11 +89,12 @@ sharded simulation (simulate, crossexam --faults):
   --shards     number of server-group shards, each with its own event
                loop, advancing in lockstep time windows; `auto` (the
                default) picks one shard per ~8 servers. Clamped so every
-               shard holds a full replica set (small clusters run the
-               single-engine path). Deterministic for a fixed shard
-               count at any --threads; 1 is bit-identical to unsharded
+               shard holds a full replica set (small clusters run on
+               one shard). Deterministic for a fixed shard count at
+               any --threads; 1 is bit-identical to unsharded
 
-global options (accepted by every command):
+global options (accepted by every command; any other option a command
+does not list above is an error):
   --threads N  worker threads for the parallel pipeline stages; results
                are bit-identical at any thread count
                (precedence: --threads > KOOZA_THREADS env > detected cores)
@@ -164,6 +167,40 @@ impl Options {
     fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Rejects any key outside `allowed` and the global `--threads` and
+    /// `--obs`, naming the first such key in sorted order.
+    fn check(&self, command: &str, allowed: &[&str]) -> Result<(), CliError> {
+        let mut keys: Vec<&str> =
+            self.values.keys().chain(&self.flags).map(String::as_str).collect();
+        keys.sort_unstable();
+        let known = |k: &&str| allowed.contains(k) || matches!(*k, "threads" | "obs");
+        match keys.into_iter().find(|k| !known(k)) {
+            Some(key) => Err(err(format!("`kooza {command}` does not take --{key}"))),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The options each command reads, beyond the global ones.
+fn command_keys(command: &str) -> Result<&'static [&'static str], CliError> {
+    Ok(match command {
+        "simulate" => &[
+            "out", "requests", "seed", "workload", "servers", "consult-master", "faults", "shards",
+            "topology", "format",
+        ],
+        "characterize" | "fit" => &["trace", "format"],
+        "validate" => {
+            &["trace", "n", "seed", "format", "faults", "requests", "servers", "workload"]
+        }
+        "crossexam" => &[
+            "trace", "n", "seed", "format", "faults", "requests", "servers", "workload", "shards",
+            "topology",
+        ],
+        "trace convert" => &["in", "out", "in-format", "out-format"],
+        "obs" => &["report", "strip"],
+        other => return Err(err(format!("unknown command `{other}`"))),
+    })
 }
 
 /// Runs a CLI invocation; returns the report to print.
@@ -186,7 +223,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     } else {
         (command.clone(), rest)
     };
+    let keys = command_keys(&command)?;
     let opts = Options::parse(rest)?;
+    opts.check(&command, keys)?;
     if let Some(v) = opts.get("threads") {
         let n: usize = v
             .parse()
@@ -211,7 +250,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "crossexam" => crossexam(&opts),
         "trace convert" => trace_convert(&opts),
         "obs" => obs_cmd(&opts),
-        other => Err(err(format!("unknown command `{other}`"))),
+        _ => unreachable!("command_keys rejects unknown commands"),
     };
     match obs_path {
         None => result,
@@ -267,8 +306,8 @@ fn parse_topology(opts: &Options) -> Result<Topology, CliError> {
 
 /// `--shards N|auto`, resolved against the cluster: `auto` (and the
 /// option's absence) picks [`kooza_gfs::default_shards`], and any request
-/// is clamped so every shard group holds a full replica set — mirroring
-/// what `run_sharded` enforces, so the report shows the real shard count.
+/// is clamped by [`kooza_gfs::effective_shards`] — the clamp `run_sharded`
+/// applies — so the report shows the real shard count.
 fn parse_shards(opts: &Options, config: &ClusterConfig) -> Result<usize, CliError> {
     let requested = match opts.get("shards") {
         None | Some("auto") => kooza_gfs::default_shards(config),
@@ -282,9 +321,7 @@ fn parse_shards(opts: &Options, config: &ClusterConfig) -> Result<usize, CliErro
             n
         }
     };
-    Ok(requested
-        .min(config.n_chunkservers / config.replication.max(1))
-        .max(1))
+    Ok(kooza_gfs::effective_shards(config, requested))
 }
 
 /// Parses a `--format`-style option into a trace format; `None` when the
@@ -678,6 +715,27 @@ mod tests {
     }
 
     #[test]
+    fn unknown_options_are_rejected_before_any_work() {
+        let path = temp_path("bogus");
+        let e = run(&args(&format!("simulate --out {path} --requests 50 --bogus 1"))).unwrap_err();
+        assert_eq!(e.to_string(), "`kooza simulate` does not take --bogus");
+        assert!(!Path::new(&path).exists(), "simulate ran despite the bad option");
+        // A flag of another command is an unknown option too.
+        let e = run(&args(&format!("simulate --out {path} --strip"))).unwrap_err();
+        assert_eq!(e.to_string(), "`kooza simulate` does not take --strip");
+        assert!(run(&args("obs --report /nonexistent --seed 1")).is_err());
+        assert!(run(&args("trace convert --in a --out b --format ktc")).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_the_options_only_simulate_and_crossexam_read() {
+        let e = run(&args("validate --faults mttf=5 --shards 4 --topology rack:4:2")).unwrap_err();
+        assert_eq!(e.to_string(), "`kooza validate` does not take --shards");
+        let e = run(&args("validate --faults mttf=5 --topology rack:4:2")).unwrap_err();
+        assert_eq!(e.to_string(), "`kooza validate` does not take --topology");
+    }
+
+    #[test]
     fn ktc_format_through_the_cli() {
         let jsonl = temp_path("ktc-src");
         let ktc = format!("{}.ktc", temp_path("ktc-bin"));
@@ -804,7 +862,7 @@ mod tests {
         cleanup(&p1);
         cleanup(&p2);
 
-        // `--shards 1` is the single-engine path, bit-identical to a run
+        // `--shards 1` is the one-shard hosting, bit-identical to a run
         // without the option; small clusters clamp any request down to it.
         let legacy = temp_path("shards-legacy");
         let one = temp_path("shards-one");

@@ -1,9 +1,15 @@
-//! The event-driven GFS cluster simulation.
+//! The event-driven GFS cluster simulation: the public API and the
+//! one-shard hosting of the protocol.
 //!
 //! Requests follow the paper's Figure 1: network in → CPU (lookup) →
 //! memory (buffer access) → disk (unless the buffer cache hits) → CPU
 //! (aggregate) → network out. Writes additionally replicate to secondary
 //! chunkservers before acknowledging.
+//!
+//! The protocol is written once, as handlers over a per-shard host context
+//! (`cluster/shard.rs`). [`Cluster::run`] hosts it on one shard that owns
+//! every server; [`Cluster::run_sharded`] hosts it on N shards advancing in
+//! lockstep time windows (`cluster/sharded.rs`).
 //!
 //! Every request is instrumented (subject to Dapper-style 1-in-N trace
 //! sampling): per-subsystem records plus a span tree land in a
@@ -11,37 +17,17 @@
 //! span, so the overhead-vs-sampling-rate experiment (Dapper's "<1.5%")
 //! has something real to measure.
 
-use std::collections::HashMap;
-
 use kooza_sim::rng::Rng64;
-use kooza_sim::{Endpoint, Engine, Fabric, ServerPool, SimDuration, SimTime, Tally, TimerHandle};
-use kooza_stats::dist::{DiscreteDistribution, Distribution, Exponential, Zipf};
-use kooza_trace::record::{CpuRecord, Direction, IoOp, MemoryRecord, NetworkRecord, StorageRecord};
-use kooza_trace::span::{Span, SpanCollector, SpanId, SpanName, TraceId};
+use kooza_sim::Tally;
 use kooza_trace::view::{ShardedTrace, TraceView};
 use kooza_trace::TraceSet;
 
-use crate::config::{ClusterConfig, Topology};
-use crate::fault::{FaultPlan, FaultSpec};
-use crate::hardware::{CpuModel, DiskModel, LinkModel, MemoryModel};
-use crate::master::{ChunkHandle, Master, LBNS_PER_CHUNK};
+use crate::config::ClusterConfig;
+use crate::master::Master;
 
+mod shard;
 mod sharded;
-pub use sharded::default_shards;
-
-/// Request ids at or above this mark are background re-replication jobs,
-/// not client requests (client ids are issued sequentially from 0).
-const REREP_BASE: u64 = 1 << 63;
-
-/// Bytes moved per re-replication: one full 64 MB chunk.
-const REREP_BYTES: u64 = 64 * 1024 * 1024;
-
-/// What kind of request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Read,
-    Write,
-}
+pub use sharded::{default_shards, effective_shards};
 
 /// One independent run specification for [`Cluster::run_trials`]: a
 /// request count plus the workload seed driving it.
@@ -254,314 +240,11 @@ impl ClusterOutcome {
     }
 }
 
-/// In-flight request state.
-#[derive(Debug)]
-struct ReqState {
-    kind: Kind,
-    size: u64,
-    mem_size: u64,
-    chunk: ChunkHandle,
-    server: usize,
-    start: SimTime,
-    lbn: u64,
-    sampled: bool,
-    cache_hit: bool,
-    cpu_busy: SimDuration,
-    pending_replicas: usize,
-    /// Completed phase intervals for span assembly: (name, start, end).
-    phases: Vec<(&'static str, SimTime, SimTime)>,
-    /// Start of the phase currently in progress.
-    phase_started: SimTime,
-    /// Current attempt number; events from older attempts are stale.
-    attempt: u32,
-    /// Retries issued so far (`attempt` minus abandoned no-target spins).
-    retries: u32,
-    /// The live attempt's timeout timer, if faults are armed.
-    timeout: Option<TimerHandle>,
-    /// Whether any of the request's disk I/O ran on a degraded disk.
-    degraded: bool,
-    /// Write-triggered re-replications riding on this write:
-    /// `(dead_replica, stand_in)` pairs awaiting the stand-in's disk ack.
-    replacements: Vec<(usize, usize)>,
-}
-
-/// One in-flight background re-replication: disk read at `from`, network
-/// transfer to `to`, disk write at `to`, then the placement commit.
-#[derive(Debug, Clone, Copy)]
-struct RerepJob {
-    chunk: ChunkHandle,
-    dead: usize,
-    from: usize,
-    to: usize,
-}
-
-/// Per-chunkserver resources.
-///
-/// Pool jobs carry what is needed to compute the service time *when the
-/// job actually starts*: CPU jobs carry their precomputed busy time
-/// (tracing overhead included), disk jobs carry `(lbn, size)` so the
-/// seek reflects the head position at start, network jobs carry the wire
-/// size.
-/// Completion events carry the attempt that issued the job and the
-/// server's crash epoch at scheduling time. A mismatched epoch means a
-/// crash already drained the station (skip entirely); a matched epoch but
-/// stale attempt means the client gave up on that attempt (do the pool
-/// bookkeeping, skip request progression).
-#[derive(Debug)]
-struct Server {
-    /// (request, stage, busy time, attempt)
-    cpu_pool: ServerPool<(u64, u8, SimDuration, u32)>,
-    /// (request, lbn, size, replica?, attempt)
-    disk_pool: ServerPool<(u64, u64, u64, bool, u32)>,
-    /// (request, wire bytes, replica?, attempt)
-    net_in_pool: ServerPool<(u64, u64, bool, u32)>,
-    /// (request, wire bytes, attempt)
-    net_out_pool: ServerPool<(u64, u64, u32)>,
-    disk: DiskModel,
-    memory: MemoryModel,
-    cpu: CpuModel,
-    link: LinkModel,
-}
-
-impl Server {
-    /// Offers a CPU job; schedules its completion if a core is free.
-    fn offer_cpu(
-        &mut self,
-        engine: &mut Engine<Ev>,
-        now: SimTime,
-        server: usize,
-        epoch: u32,
-        job: (u64, u8, SimDuration, u32),
-    ) {
-        if let Some((id, stage, busy, attempt)) = self.cpu_pool.arrive(now, job) {
-            engine.schedule(busy, Ev::CpuDone { id, server, stage, attempt, epoch });
-        }
-    }
-
-    /// Starts a disk job (computing the seek now) and schedules completion.
-    /// `slowdown` > 1 stretches the service time (degraded disk); the
-    /// exact-1.0 guard keeps the healthy path free of float round-trips.
-    fn start_disk(
-        &mut self,
-        engine: &mut Engine<Ev>,
-        server: usize,
-        epoch: u32,
-        slowdown: f64,
-        (id, lbn, size, replica, attempt): (u64, u64, u64, bool, u32),
-    ) {
-        let mut service = self.disk.access(lbn, size);
-        if slowdown > 1.0 {
-            service = SimDuration::from_secs_f64(service.as_secs_f64() * slowdown);
-        }
-        engine.schedule(service, Ev::DiskDone { id, server, replica, attempt, epoch });
-    }
-
-    /// Offers a disk job; starts it if the disk is idle.
-    fn offer_disk(
-        &mut self,
-        engine: &mut Engine<Ev>,
-        now: SimTime,
-        server: usize,
-        epoch: u32,
-        slowdown: f64,
-        job: (u64, u64, u64, bool, u32),
-    ) {
-        if let Some(started) = self.disk_pool.arrive(now, job) {
-            self.start_disk(engine, server, epoch, slowdown, started);
-        }
-    }
-
-    /// Offers an ingress transfer; schedules it if the NIC is idle.
-    fn offer_net_in(
-        &mut self,
-        engine: &mut Engine<Ev>,
-        now: SimTime,
-        server: usize,
-        epoch: u32,
-        job: (u64, u64, bool, u32),
-    ) {
-        if let Some((id, wire, replica, attempt)) = self.net_in_pool.arrive(now, job) {
-            let service = self.link.transfer(wire);
-            engine.schedule(service, Ev::NetInDone { id, server, replica, attempt, epoch });
-        }
-    }
-
-    /// Offers an egress transfer; schedules it if the NIC is idle.
-    fn offer_net_out(
-        &mut self,
-        engine: &mut Engine<Ev>,
-        now: SimTime,
-        server: usize,
-        epoch: u32,
-        job: (u64, u64, u32),
-    ) {
-        if let Some((id, wire, attempt)) = self.net_out_pool.arrive(now, job) {
-            let service = self.link.transfer(wire);
-            engine.schedule(service, Ev::NetOutDone { id, server, attempt, epoch });
-        }
-    }
-}
-
-#[derive(Debug)]
-enum Ev {
-    /// Generator tick: issue request `id`.
-    NewRequest { id: u64 },
-    /// Ingress transfer done (`replica` marks replication traffic).
-    NetInDone { id: u64, server: usize, replica: bool, attempt: u32, epoch: u32 },
-    /// CPU phase done (`stage` 1 = lookup, 2 = aggregate).
-    CpuDone { id: u64, server: usize, stage: u8, attempt: u32, epoch: u32 },
-    /// Memory access done.
-    MemDone { id: u64, server: usize, attempt: u32, epoch: u32 },
-    /// Disk access done (`replica` marks replica writes).
-    DiskDone { id: u64, server: usize, replica: bool, attempt: u32, epoch: u32 },
-    /// Egress transfer done; request complete.
-    NetOutDone { id: u64, server: usize, attempt: u32, epoch: u32 },
-    /// Master location lookup finished for this request.
-    MasterDone { id: u64 },
-    /// A chunkserver goes down (pre-scheduled from the fault plan).
-    Crash { server: usize },
-    /// A crashed chunkserver comes back up.
-    Recover { server: usize },
-    /// A client attempt's timeout fired; retry or abandon.
-    RequestTimeout { id: u64, attempt: u32 },
-    /// The master repairs a chunk that lost `dead`'s replica.
-    Rereplicate { chunk: ChunkHandle, dead: usize },
-    /// The shared-fabric wake-up: the earliest flow finish or gate
-    /// opening. Only scheduled when a rack topology is configured.
-    FabricTick,
-    /// A cross-shard message delivered at a window barrier. Only sharded
-    /// runs schedule this; the single-engine path never sees it.
-    Msg(Box<sharded::ShardMsg>),
-}
-
-/// Interned span names for the tracing hot path.
-///
-/// Every traced request creates a handful of spans whose names come from
-/// a fixed vocabulary of `&'static str` phase literals ("request",
-/// "network.in", ...). Interning through this cache makes each span name
-/// a refcount bump on a shared [`SpanName`] instead of a fresh string
-/// allocation; the vocabulary is tiny, so a linear scan beats hashing.
-#[derive(Debug, Default)]
-pub(crate) struct NameCache(Vec<(&'static str, SpanName)>);
-
-impl NameCache {
-    /// The shared interned form of `name`.
-    pub(crate) fn get(&mut self, name: &'static str) -> SpanName {
-        if let Some((_, interned)) = self.0.iter().find(|(n, _)| *n == name) {
-            return interned.clone();
-        }
-        let interned = SpanName::from(name);
-        self.0.push((name, interned.clone()));
-        interned
-    }
-}
-
-/// Shared-fabric state for one engine: the fluid-flow fabric itself, the
-/// completion event owed to each in-flight flow, and the single live
-/// wake-up timer armed at the fabric's next internal boundary.
-///
-/// Transfers that would have gone through a server's NIC pools instead
-/// become fabric flows; the stored event fires (at zero delay) when the
-/// flow drains. Completions are emitted in ascending flow id, and flow
-/// ids are issued in start order, so the schedule stays deterministic.
-#[derive(Debug)]
-struct FabricState {
-    fabric: Fabric,
-    done: HashMap<u64, Ev>,
-    tick: Option<TimerHandle>,
-    /// Reused completion buffer for [`Fabric::advance_into`] — `sync`
-    /// runs on every flow event, so it must not allocate per tick.
-    completed: Vec<u64>,
-}
-
-impl FabricState {
-    /// Builds fabric state when the config asks for a real topology;
-    /// `Topology::None` keeps the legacy fixed-service links.
-    fn build(cfg: &ClusterConfig) -> Option<FabricState> {
-        match cfg.topology {
-            Topology::None => None,
-            Topology::Rack { servers_per_rack, oversub } => Some(FabricState {
-                fabric: Fabric::new(
-                    cfg.n_chunkservers,
-                    servers_per_rack,
-                    oversub,
-                    cfg.link.bandwidth_bytes_per_sec,
-                    SimDuration::from_secs_f64(cfg.link.latency_secs),
-                ),
-                done: HashMap::new(),
-                tick: None,
-                completed: Vec::new(),
-            }),
-        }
-    }
-
-    /// Advances the fluid model to `now`, firing the completion event of
-    /// every flow that drained.
-    fn sync(&mut self, engine: &mut Engine<Ev>, now: SimTime) {
-        self.fabric.advance_into(now, &mut self.completed);
-        for &id in &self.completed {
-            if let Some(ev) = self.done.remove(&id) {
-                engine.schedule(SimDuration::ZERO, ev);
-            }
-        }
-    }
-
-    /// Re-arms the wake-up timer at the fabric's next boundary. The stale
-    /// timer is cancelled first: a leftover tick past the last completion
-    /// would stretch the measured makespan.
-    fn rearm(&mut self, engine: &mut Engine<Ev>, now: SimTime) {
-        if let Some(handle) = self.tick.take() {
-            engine.cancel(handle);
-        }
-        if let Some(at) = self.fabric.next_change() {
-            let delay = at.max(now) - now;
-            self.tick = Some(engine.schedule_cancellable(delay, Ev::FabricTick));
-        }
-    }
-
-    /// Starts a transfer; `done` fires when the flow drains.
-    fn transfer(
-        &mut self,
-        engine: &mut Engine<Ev>,
-        now: SimTime,
-        from: Endpoint,
-        to: Endpoint,
-        bytes: u64,
-        done: Ev,
-    ) {
-        self.sync(engine, now);
-        let id = self.fabric.start_flow(from, to, bytes);
-        self.done.insert(id, done);
-        self.rearm(engine, now);
-    }
-
-    /// A chunkserver crashed: every flow crossing its access links dies
-    /// with it (the completions never fire). Returns how many transfers
-    /// were lost.
-    fn fail_host(&mut self, engine: &mut Engine<Ev>, now: SimTime, host: usize) -> u64 {
-        self.sync(engine, now);
-        let dropped = self.fabric.fail_host(host);
-        for id in &dropped {
-            self.done.remove(id);
-        }
-        self.rearm(engine, now);
-        dropped.len() as u64
-    }
-
-    /// The wake-up timer fired: advance and re-arm.
-    fn on_tick(&mut self, engine: &mut Engine<Ev>, now: SimTime) {
-        self.tick = None;
-        self.sync(engine, now);
-        self.rearm(engine, now);
-    }
-}
-
 /// The cluster simulator.
 #[derive(Debug)]
 pub struct Cluster {
     config: ClusterConfig,
     master: Master,
-    rng: Rng64,
 }
 
 impl Cluster {
@@ -585,11 +268,7 @@ impl Cluster {
             config.replication,
             &mut placement_rng,
         )?;
-        Ok(Cluster {
-            config: config.clone(),
-            master,
-            rng: Rng64::new(0),
-        })
+        Ok(Cluster { config: config.clone(), master })
     }
 
     /// Runs `trials.len()` independent simulations of `config` in
@@ -625,934 +304,17 @@ impl Cluster {
     /// Runs `n_requests` requests with the given workload seed, returning
     /// the trace, statistics and per-request outcomes. Deterministic:
     /// equal `(config, n_requests, seed)` gives identical outcomes.
+    ///
+    /// This is the one-shard hosting of the protocol: one engine, the
+    /// placement from [`Cluster::new`], and a mailbox that hands every
+    /// message to its handler at once. Re-replication rewrites placement
+    /// on a copy of the master, so `run` is idempotent on the cluster.
     pub fn run(&mut self, n_requests: u64, seed: u64) -> ClusterOutcome {
-        self.rng = Rng64::new(seed);
-        let cfg = &self.config;
-        let mut engine: Engine<Ev> = Engine::new();
-        let mut servers: Vec<Server> = (0..cfg.n_chunkservers)
-            .map(|_| Server {
-                cpu_pool: ServerPool::new(cfg.cpu.cores),
-                disk_pool: ServerPool::new(1),
-                net_in_pool: ServerPool::new(1),
-                net_out_pool: ServerPool::new(1),
-                disk: DiskModel::new(cfg.disk),
-                memory: MemoryModel::new(cfg.memory),
-                cpu: CpuModel::new(cfg.cpu),
-                link: LinkModel::new(cfg.link),
-            })
-            .collect();
-        let zipf = Zipf::new(cfg.workload.n_chunks, cfg.workload.zipf_skew)
-            .expect("validated config");
-        let gap = Exponential::with_mean(cfg.workload.mean_interarrival_secs)
-            .expect("validated config");
-        let mut collector = SpanCollector::with_sampling(cfg.trace_sampling);
-        let mut names = NameCache::default();
-        let trace_overhead = SimDuration::from_secs_f64(cfg.tracing_overhead_secs);
-
-        let mut states: HashMap<u64, ReqState> = HashMap::new();
-        // Master metadata path (optional).
-        let mut master_pool: ServerPool<(u64, SimDuration)> = ServerPool::new(1);
-        let mut metadata_caches: Vec<std::collections::VecDeque<ChunkHandle>> =
-            vec![std::collections::VecDeque::new(); cfg.n_clients];
-        let mut metadata_lookups = 0u64;
-        let mut metadata_hits = 0u64;
-        let master_service = SimDuration::from_secs_f64(
-            2.0 * cfg.link.latency_secs + cfg.master_lookup_secs,
-        );
-        let mut trace = TraceSet::new();
-        // Request ids are issued sequentially, so a flat table maps each
-        // request to the chunkserver that served it; the per-server split
-        // is a single partition of the finished trace instead of a second
-        // copy of every record in the hot loop.
-        let mut server_of: Vec<usize> = vec![0; n_requests as usize];
-        let mut outcomes = Vec::with_capacity(n_requests as usize);
-        let mut latency = Tally::new();
-        let mut tracing_busy = SimDuration::ZERO;
-        let mut total_cpu_busy = SimDuration::ZERO;
-        // Re-replication rewrites placements during the run; mutate a local
-        // copy so `run` stays idempotent on the cluster.
-        let mut master = self.master.clone();
-        let fault_spec = self.config.faults;
-        let plan = fault_spec.map(|f| {
-            // The fault horizon derives only from the run parameters —
-            // never from elapsed wall time or event counts — so the plan
-            // is identical at any thread count. Twice the expected
-            // workload span plus slack covers retry-stretched tails.
-            let horizon = SimDuration::from_secs_f64(
-                n_requests as f64 * cfg.workload.mean_interarrival_secs * 2.0 + 120.0,
-            );
-            FaultPlan::generate(&f, cfg.n_chunkservers, horizon)
-        });
-        // Fault-path randomness (retry targets, link drops) lives on its
-        // own stream keyed by the trial seed: the workload stream stays
-        // byte-identical whether or not faults are armed.
-        let mut fault_rng = fault_spec.map(|f| Rng64::for_stream(f.seed, seed));
-        let mut alive = vec![true; cfg.n_chunkservers];
-        let mut epochs = vec![0u32; cfg.n_chunkservers];
-        let mut fstats = FaultStats::default();
-        let mut rerep_jobs: HashMap<u64, RerepJob> = HashMap::new();
-        let mut rerep_seq: u64 = 0;
-        let mut finished: u64 = 0;
-        // Rack topology: network transfers share link bandwidth through
-        // the fluid fabric instead of the per-server NIC pools. `None`
-        // (the default) keeps the legacy path byte-identical.
-        let mut fabric = FabricState::build(cfg);
-        let rng = &mut self.rng;
-
-        if let Some(p) = &plan {
-            for s in 0..cfg.n_chunkservers {
-                for w in p.windows(s) {
-                    engine.schedule_at(w.down, Ev::Crash { server: s });
-                    engine.schedule_at(w.up, Ev::Recover { server: s });
-                }
-            }
-        }
-        if n_requests > 0 {
-            engine.schedule(
-                SimDuration::from_secs_f64(gap.sample(rng)),
-                Ev::NewRequest { id: 0 },
-            );
-        }
-
-        while let Some((now, ev)) = engine.next() {
-            match ev {
-                Ev::NewRequest { id } => {
-                    if id + 1 < n_requests {
-                        engine.schedule(
-                            SimDuration::from_secs_f64(gap.sample(rng)),
-                            Ev::NewRequest { id: id + 1 },
-                        );
-                    }
-                    let kind = if rng.chance(cfg.workload.read_fraction) {
-                        Kind::Read
-                    } else {
-                        Kind::Write
-                    };
-                    let size = match kind {
-                        Kind::Read => cfg.workload.read_size,
-                        Kind::Write => cfg.workload.write_size,
-                    };
-                    let chunk = ChunkHandle(zipf.sample(rng) - 1);
-                    // With faults armed, only live replicas are candidate
-                    // targets; `None` means every replica is down right now
-                    // and the attempt waits for its timeout to retry.
-                    let target: Option<usize> = match kind {
-                        Kind::Read => {
-                            if plan.is_none() {
-                                Some(master.read_target(chunk, rng))
-                            } else {
-                                let live: Vec<usize> = master
-                                    .replicas(chunk)
-                                    .iter()
-                                    .copied()
-                                    .filter(|&s| alive[s])
-                                    .collect();
-                                if live.is_empty() {
-                                    None
-                                } else {
-                                    Some(*rng.choose(&live))
-                                }
-                            }
-                        }
-                        Kind::Write => {
-                            if plan.is_none() {
-                                Some(master.primary(chunk))
-                            } else {
-                                // First live replica acts as primary.
-                                master.replicas(chunk).iter().copied().find(|&s| alive[s])
-                            }
-                        }
-                    };
-                    // Offset within the chunk, 512 B aligned, leaving room
-                    // for the access itself.
-                    let blocks = size.div_ceil(512).max(1);
-                    let span_lbns = LBNS_PER_CHUNK.saturating_sub(blocks).max(1);
-                    let lbn = master.chunk_base_lbn(chunk) + rng.next_bounded(span_lbns);
-                    let sampled = collector.should_record(TraceId(id));
-                    let mem_size = match kind {
-                        // Metadata plus a slice of the buffer: the request's
-                        // memory footprint is a fixed fraction of payload
-                        // (¼ for reads, 1/16 for writes), reproducing the
-                        // 16 KB / 256 KB rows of the paper's Table 2.
-                        Kind::Read => (size / 4).max(64),
-                        Kind::Write => (size / 16).max(64),
-                    };
-                    states.insert(
-                        id,
-                        ReqState {
-                            kind,
-                            size,
-                            mem_size,
-                            chunk,
-                            server: target.unwrap_or(0),
-                            start: now,
-                            lbn,
-                            sampled,
-                            cache_hit: false,
-                            cpu_busy: SimDuration::ZERO,
-                            pending_replicas: 0,
-                            phases: Vec::new(),
-                            phase_started: now,
-                            attempt: 0,
-                            retries: 0,
-                            timeout: None,
-                            degraded: false,
-                            replacements: Vec::new(),
-                        },
-                    );
-                    // Metadata path: consult the master unless the client's
-                    // location cache already knows the chunk.
-                    let client = (id % cfg.n_clients as u64) as usize;
-                    let cached = !cfg.consult_master || {
-                        metadata_lookups += 1;
-                        let cache = &mut metadata_caches[client];
-                        if let Some(pos) = cache.iter().position(|&c| c == chunk) {
-                            cache.remove(pos);
-                            cache.push_back(chunk);
-                            metadata_hits += 1;
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    let st = states.get_mut(&id).expect("just inserted");
-                    // A request with no reachable replica (`target` None)
-                    // skips the master path: there is nothing to look up a
-                    // location for, it just waits on its retry timer.
-                    if cached || target.is_none() {
-                        Self::send_attempt(
-                            &mut engine,
-                            &mut servers,
-                            &mut fabric,
-                            &mut trace,
-                            &mut server_of,
-                            st,
-                            id,
-                            now,
-                            target,
-                            &fault_spec,
-                            &mut fault_rng,
-                            &alive,
-                            &epochs,
-                            &mut fstats,
-                        );
-                    } else {
-                        // Arm the attempt timer over the master wait too.
-                        if let Some(f) = &fault_spec {
-                            st.timeout = Some(engine.schedule_cancellable(
-                                f.timeout_for_attempt(0),
-                                Ev::RequestTimeout { id, attempt: 0 },
-                            ));
-                        }
-                        if let Some((job, service)) =
-                            master_pool.arrive(now, (id, master_service))
-                        {
-                            engine.schedule(service, Ev::MasterDone { id: job });
-                        }
-                    }
-                }
-                Ev::MasterDone { id } => {
-                    if let Some((job, service)) = master_pool.complete(now) {
-                        engine.schedule(service, Ev::MasterDone { id: job });
-                    }
-                    // The request may have failed or moved on to a retry
-                    // while the lookup was queued; the pool bookkeeping
-                    // above still had to happen.
-                    let Some(st) = states.get_mut(&id) else { continue };
-                    if st.attempt != 0 {
-                        continue;
-                    }
-                    st.phases.push(("master.lookup", st.phase_started, now));
-                    st.phase_started = now;
-                    // Cache the location for this client (LRU).
-                    let client = (id % cfg.n_clients as u64) as usize;
-                    let cache = &mut metadata_caches[client];
-                    cache.push_back(st.chunk);
-                    while cache.len() > cfg.client_metadata_cache.max(1) {
-                        cache.pop_front();
-                    }
-                    let target = Some(st.server);
-                    Self::send_attempt(
-                        &mut engine,
-                        &mut servers,
-                        &mut fabric,
-                        &mut trace,
-                        &mut server_of,
-                        st,
-                        id,
-                        now,
-                        target,
-                        &fault_spec,
-                        &mut fault_rng,
-                        &alive,
-                        &epochs,
-                        &mut fstats,
-                    );
-                }
-                Ev::NetInDone { id, server, replica, attempt, epoch } => {
-                    if epoch != epochs[server] {
-                        continue; // a crash drained this station
-                    }
-                    // Free the NIC; start the next queued ingress. (The
-                    // fabric path never touches the NIC pools.)
-                    if fabric.is_none() {
-                        if let Some((job, wire, is_rep, job_attempt)) =
-                            servers[server].net_in_pool.complete(now)
-                        {
-                            let service = servers[server].link.transfer(wire);
-                            engine.schedule(
-                                service,
-                                Ev::NetInDone { id: job, server, replica: is_rep, attempt: job_attempt, epoch },
-                            );
-                        }
-                    }
-                    if id >= REREP_BASE {
-                        // The chunk copy landed on its new home: write it
-                        // out. A missing job means a crash aborted it.
-                        if let Some(job) = rerep_jobs.get(&id) {
-                            let lbn = master.chunk_base_lbn(job.chunk);
-                            let slow = Self::disk_slowdown(&plan, server, now);
-                            servers[server].offer_disk(
-                                &mut engine,
-                                now,
-                                server,
-                                epochs[server],
-                                slow,
-                                (id, lbn, REREP_BYTES, true, 0),
-                            );
-                        }
-                        continue;
-                    }
-                    if replica {
-                        // Replica data landed: write it to the replica disk.
-                        let Some(st) = states.get(&id) else { continue };
-                        if st.attempt != attempt {
-                            continue;
-                        }
-                        let (lbn, size) = (st.lbn, st.size);
-                        let slow = Self::disk_slowdown(&plan, server, now);
-                        servers[server].offer_disk(
-                            &mut engine,
-                            now,
-                            server,
-                            epochs[server],
-                            slow,
-                            (id, lbn, size, true, attempt),
-                        );
-                        continue;
-                    }
-                    let Some(st) = states.get_mut(&id) else { continue };
-                    if st.attempt != attempt {
-                        continue;
-                    }
-                    st.phases.push(("network.in", st.phase_started, now));
-                    st.phase_started = now;
-                    // CPU stage 1: lookup/verify over the request header.
-                    let mut busy = servers[server].cpu.phase(1024);
-                    if st.sampled {
-                        busy += trace_overhead;
-                        tracing_busy += trace_overhead;
-                    }
-                    st.cpu_busy += busy;
-                    total_cpu_busy += busy;
-                    servers[server].offer_cpu(&mut engine, now, server, epochs[server], (id, 1, busy, attempt));
-                }
-                Ev::CpuDone { id, server, stage, attempt, epoch } => {
-                    if epoch != epochs[server] {
-                        continue;
-                    }
-                    if let Some((job, next_stage, busy, job_attempt)) =
-                        servers[server].cpu_pool.complete(now)
-                    {
-                        engine.schedule(
-                            busy,
-                            Ev::CpuDone { id: job, server, stage: next_stage, attempt: job_attempt, epoch },
-                        );
-                    }
-                    let Some(st) = states.get_mut(&id) else { continue };
-                    if st.attempt != attempt {
-                        continue;
-                    }
-                    if stage == 1 {
-                        st.phases.push(("cpu.lookup", st.phase_started, now));
-                        st.phase_started = now;
-                        // Memory access (buffer cache + bank traffic).
-                        let bank = servers[server].memory.bank_of(st.chunk);
-                        let hit = servers[server].memory.cache_access(st.chunk);
-                        st.cache_hit = st.kind == Kind::Read && hit;
-                        let service = servers[server].memory.access(bank, st.mem_size);
-                        let rec = MemoryRecord {
-                            ts_nanos: now.as_nanos(),
-                            bank,
-                            size: st.mem_size,
-                            op: match st.kind {
-                                Kind::Read => IoOp::Read,
-                                Kind::Write => IoOp::Write,
-                            },
-                            request_id: id,
-                        };
-                        trace.memory.push(rec);
-                        engine.schedule(service, Ev::MemDone { id, server, attempt, epoch });
-                    } else {
-                        // Aggregation done → respond over the network.
-                        st.phases.push(("cpu.aggregate", st.phase_started, now));
-                        st.phase_started = now;
-                        let wire = match st.kind {
-                            Kind::Read => st.size,
-                            Kind::Write => 1024,
-                        };
-                        let rec = NetworkRecord {
-                            ts_nanos: now.as_nanos(),
-                            size: wire,
-                            direction: Direction::Egress,
-                            request_id: id,
-                        };
-                        trace.network.push(rec);
-                        if let Some(fab) = fabric.as_mut() {
-                            fab.transfer(
-                                &mut engine,
-                                now,
-                                Endpoint::Host(server),
-                                Endpoint::Client,
-                                wire,
-                                Ev::NetOutDone { id, server, attempt, epoch: epochs[server] },
-                            );
-                        } else {
-                            servers[server].offer_net_out(&mut engine, now, server, epochs[server], (id, wire, attempt));
-                        }
-                    }
-                }
-                Ev::MemDone { id, server, attempt, epoch } => {
-                    if epoch != epochs[server] {
-                        continue;
-                    }
-                    let Some(st) = states.get_mut(&id) else { continue };
-                    if st.attempt != attempt {
-                        continue;
-                    }
-                    st.phases.push(("memory", st.phase_started, now));
-                    st.phase_started = now;
-                    if st.kind == Kind::Read && st.cache_hit {
-                        // Buffer cache absorbed the read: skip the disk.
-                        Self::schedule_cpu_aggregate(
-                            &mut engine,
-                            &mut servers[server],
-                            st,
-                            id,
-                            server,
-                            now,
-                            epochs[server],
-                            trace_overhead,
-                            &mut tracing_busy,
-                            &mut total_cpu_busy,
-                        );
-                    } else {
-                        let op = match st.kind {
-                            Kind::Read => IoOp::Read,
-                            Kind::Write => IoOp::Write,
-                        };
-                        let rec = StorageRecord {
-                            ts_nanos: now.as_nanos(),
-                            lbn: st.lbn,
-                            size: st.size,
-                            op,
-                            request_id: id,
-                        };
-                        trace.storage.push(rec);
-                        let (lbn, size) = (st.lbn, st.size);
-                        let slow = Self::disk_slowdown(&plan, server, now);
-                        if slow > 1.0 {
-                            st.degraded = true;
-                        }
-                        servers[server].offer_disk(
-                            &mut engine,
-                            now,
-                            server,
-                            epochs[server],
-                            slow,
-                            (id, lbn, size, false, attempt),
-                        );
-                    }
-                }
-                Ev::DiskDone { id, server, replica, attempt, epoch } => {
-                    if epoch != epochs[server] {
-                        continue;
-                    }
-                    if let Some(job) = servers[server].disk_pool.complete(now) {
-                        let slow = Self::disk_slowdown(&plan, server, now);
-                        servers[server].start_disk(&mut engine, server, epochs[server], slow, job);
-                    }
-                    if id >= REREP_BASE {
-                        if !replica {
-                            // Source read done: ship the chunk to its new
-                            // home over that server's ingress link.
-                            if let Some(job) = rerep_jobs.get(&id) {
-                                let to = job.to;
-                                if let Some(fab) = fabric.as_mut() {
-                                    fab.transfer(
-                                        &mut engine,
-                                        now,
-                                        Endpoint::Host(server),
-                                        Endpoint::Host(to),
-                                        REREP_BYTES,
-                                        Ev::NetInDone {
-                                            id,
-                                            server: to,
-                                            replica: true,
-                                            attempt: 0,
-                                            epoch: epochs[to],
-                                        },
-                                    );
-                                } else {
-                                    servers[to].offer_net_in(
-                                        &mut engine,
-                                        now,
-                                        to,
-                                        epochs[to],
-                                        (id, REREP_BYTES, true, 0),
-                                    );
-                                }
-                            }
-                        } else if let Some(job) = rerep_jobs.remove(&id) {
-                            // Replacement copy is durable: commit it.
-                            master.replace_replica(job.chunk, job.dead, job.to);
-                            fstats.rereplications += 1;
-                        }
-                        continue;
-                    }
-                    if replica {
-                        let Some(st) = states.get_mut(&id) else { continue };
-                        if st.attempt != attempt {
-                            continue;
-                        }
-                        st.pending_replicas -= 1;
-                        // Write-triggered re-replication: this ack may come
-                        // from a stand-in for a dead replica — commit the
-                        // placement change before (possibly) acking.
-                        if let Some(pos) =
-                            st.replacements.iter().position(|&(_, stand_in)| stand_in == server)
-                        {
-                            let (dead, stand_in) = st.replacements.remove(pos);
-                            master.replace_replica(st.chunk, dead, stand_in);
-                            fstats.rereplications += 1;
-                        }
-                        if st.pending_replicas == 0 {
-                            let primary = st.server;
-                            st.phases.push(("replicate", st.phase_started, now));
-                            st.phase_started = now;
-                            // The primary may have died while the replicas
-                            // acked; if so the client's timeout retries.
-                            if alive[primary] {
-                                Self::schedule_cpu_aggregate(
-                                    &mut engine,
-                                    &mut servers[primary],
-                                    st,
-                                    id,
-                                    primary,
-                                    now,
-                                    epochs[primary],
-                                    trace_overhead,
-                                    &mut tracing_busy,
-                                    &mut total_cpu_busy,
-                                );
-                            }
-                        }
-                        continue;
-                    }
-                    let Some(st) = states.get_mut(&id) else { continue };
-                    if st.attempt != attempt {
-                        continue;
-                    }
-                    st.phases.push(("disk", st.phase_started, now));
-                    st.phase_started = now;
-                    let replicas: Vec<usize> = master
-                        .replicas(st.chunk)
-                        .iter()
-                        .copied()
-                        .filter(|&s| s != server)
-                        .collect();
-                    if st.kind == Kind::Write && !replicas.is_empty() {
-                        let mut fanout: Vec<usize> =
-                            replicas.iter().copied().filter(|&s| alive[s]).collect();
-                        if plan.is_some() {
-                            // Each dead secondary gets a live stand-in so
-                            // the write re-acks at full replication.
-                            for &dead in replicas.iter().filter(|&&s| !alive[s]) {
-                                let stand_in = (0..cfg.n_chunkservers).find(|&s| {
-                                    alive[s]
-                                        && s != server
-                                        && !master.replicas(st.chunk).contains(&s)
-                                        && !fanout.contains(&s)
-                                });
-                                if let Some(stand_in) = stand_in {
-                                    st.replacements.push((dead, stand_in));
-                                    fanout.push(stand_in);
-                                }
-                            }
-                        }
-                        if fanout.is_empty() {
-                            // No secondary is reachable and no stand-in
-                            // exists: acknowledge the degraded write.
-                            Self::schedule_cpu_aggregate(
-                                &mut engine,
-                                &mut servers[server],
-                                st,
-                                id,
-                                server,
-                                now,
-                                epochs[server],
-                                trace_overhead,
-                                &mut tracing_busy,
-                                &mut total_cpu_busy,
-                            );
-                        } else {
-                            st.pending_replicas = fanout.len();
-                            let size = st.size;
-                            for rep in fanout {
-                                if let Some(fab) = fabric.as_mut() {
-                                    fab.transfer(
-                                        &mut engine,
-                                        now,
-                                        Endpoint::Host(server),
-                                        Endpoint::Host(rep),
-                                        size,
-                                        Ev::NetInDone {
-                                            id,
-                                            server: rep,
-                                            replica: true,
-                                            attempt,
-                                            epoch: epochs[rep],
-                                        },
-                                    );
-                                } else {
-                                    servers[rep].offer_net_in(
-                                        &mut engine,
-                                        now,
-                                        rep,
-                                        epochs[rep],
-                                        (id, size, true, attempt),
-                                    );
-                                }
-                            }
-                        }
-                    } else {
-                        Self::schedule_cpu_aggregate(
-                            &mut engine,
-                            &mut servers[server],
-                            st,
-                            id,
-                            server,
-                            now,
-                            epochs[server],
-                            trace_overhead,
-                            &mut tracing_busy,
-                            &mut total_cpu_busy,
-                        );
-                    }
-                }
-                Ev::NetOutDone { id, server, attempt, epoch } => {
-                    if epoch != epochs[server] {
-                        continue;
-                    }
-                    if fabric.is_none() {
-                        if let Some((job, wire, job_attempt)) =
-                            servers[server].net_out_pool.complete(now)
-                        {
-                            let service = servers[server].link.transfer(wire);
-                            engine.schedule(
-                                service,
-                                Ev::NetOutDone { id: job, server, attempt: job_attempt, epoch },
-                            );
-                        }
-                    }
-                    match states.get(&id) {
-                        Some(st) if st.attempt == attempt => {}
-                        _ => continue, // a stale attempt's zombie response
-                    }
-                    let mut st = states.remove(&id).expect("present above");
-                    if let Some(handle) = st.timeout.take() {
-                        engine.cancel(handle);
-                    }
-                    finished += 1;
-                    st.phases.push(("network.out", st.phase_started, now));
-                    let total = now - st.start;
-                    latency.record(total.as_secs_f64());
-                    let rec = CpuRecord {
-                        ts_nanos: now.as_nanos(),
-                        utilization: st.cpu_busy.as_nanos() as f64 / total.as_nanos().max(1) as f64,
-                        busy_nanos: st.cpu_busy.as_nanos(),
-                        request_id: id,
-                    };
-                    trace.cpu.push(rec);
-                    outcomes.push(RequestOutcome {
-                        id,
-                        is_read: st.kind == Kind::Read,
-                        size: st.size,
-                        latency_nanos: total.as_nanos(),
-                        sampled: st.sampled,
-                        cpu_busy_nanos: st.cpu_busy.as_nanos(),
-                        cache_hit: st.cache_hit,
-                        retries: st.retries,
-                        faulted: st.retries > 0 || st.degraded,
-                        failed: false,
-                    });
-                    if st.sampled {
-                        let tid = TraceId(id);
-                        let root = Span::new(
-                            tid,
-                            SpanId(0),
-                            None,
-                            names.get("request"),
-                            st.start.as_nanos(),
-                            now.as_nanos(),
-                        );
-                        collector.record(root);
-                        for (span_idx, (name, s, e)) in (1u64..).zip(st.phases.iter()) {
-                            let span = Span::new(
-                                tid,
-                                SpanId(span_idx),
-                                Some(SpanId(0)),
-                                names.get(name),
-                                s.as_nanos(),
-                                e.as_nanos(),
-                            );
-                            collector.record(span);
-                        }
-                    }
-                }
-                Ev::Crash { server } => {
-                    alive[server] = false;
-                    epochs[server] += 1;
-                    let s = &mut servers[server];
-                    let lost = s.cpu_pool.fail_all(now)
-                        + s.disk_pool.fail_all(now)
-                        + s.net_in_pool.fail_all(now)
-                        + s.net_out_pool.fail_all(now);
-                    fstats.jobs_lost += lost as u64;
-                    if let Some(fab) = fabric.as_mut() {
-                        // Flows crossing the dead server's access links
-                        // are lost with it.
-                        fstats.jobs_lost += fab.fail_host(&mut engine, now, server);
-                    }
-                    fstats.crashes += 1;
-                    // In-flight re-replications touching the dead server
-                    // are lost with it.
-                    rerep_jobs.retain(|_, j| j.from != server && j.to != server);
-                    // The master notices after its detection delay and
-                    // repairs a batch of the under-replicated chunks.
-                    if let Some(f) = &fault_spec {
-                        let detect = SimDuration::from_secs_f64(f.detect_secs);
-                        for chunk in
-                            master.chunks_on(server).into_iter().take(f.rereplicate_batch)
-                        {
-                            engine.schedule(detect, Ev::Rereplicate { chunk, dead: server });
-                        }
-                    }
-                }
-                Ev::Recover { server } => {
-                    alive[server] = true;
-                    let s = &mut servers[server];
-                    s.cpu_pool.set_up();
-                    s.disk_pool.set_up();
-                    s.net_in_pool.set_up();
-                    s.net_out_pool.set_up();
-                    fstats.recoveries += 1;
-                }
-                Ev::Rereplicate { chunk, dead } => {
-                    // Source and target resolve at fire time: the cluster
-                    // may have changed since the crash was detected.
-                    if alive[dead] {
-                        continue; // recovered before detection finished
-                    }
-                    let reps = master.replicas(chunk);
-                    if !reps.contains(&dead) {
-                        continue; // a write-triggered repair already won
-                    }
-                    let Some(from) = reps.iter().copied().find(|&s| s != dead && alive[s])
-                    else {
-                        continue; // no live source holds the chunk
-                    };
-                    let Some(to) =
-                        (0..cfg.n_chunkservers).find(|&s| alive[s] && !reps.contains(&s))
-                    else {
-                        continue; // nowhere to put a new replica
-                    };
-                    let rid = REREP_BASE + rerep_seq;
-                    rerep_seq += 1;
-                    let lbn = master.chunk_base_lbn(chunk);
-                    rerep_jobs.insert(rid, RerepJob { chunk, dead, from, to });
-                    let slow = Self::disk_slowdown(&plan, from, now);
-                    servers[from].offer_disk(
-                        &mut engine,
-                        now,
-                        from,
-                        epochs[from],
-                        slow,
-                        (rid, lbn, REREP_BYTES, false, 0),
-                    );
-                }
-                Ev::RequestTimeout { id, attempt } => {
-                    let f = fault_spec.as_ref().expect("timeouts only exist under faults");
-                    let give_up = {
-                        let Some(st) = states.get_mut(&id) else { continue };
-                        if st.attempt != attempt {
-                            continue; // stale timer
-                        }
-                        st.timeout = None;
-                        st.retries >= f.max_retries
-                    };
-                    fstats.timeouts += 1;
-                    if give_up {
-                        let mut st = states.remove(&id).expect("present above");
-                        st.phases.push(("fault.abandon", st.phase_started, now));
-                        fstats.requests_failed += 1;
-                        finished += 1;
-                        let total = now - st.start;
-                        outcomes.push(RequestOutcome {
-                            id,
-                            is_read: st.kind == Kind::Read,
-                            size: st.size,
-                            latency_nanos: total.as_nanos(),
-                            sampled: st.sampled,
-                            cpu_busy_nanos: st.cpu_busy.as_nanos(),
-                            cache_hit: st.cache_hit,
-                            retries: st.retries,
-                            faulted: true,
-                            failed: true,
-                        });
-                        continue;
-                    }
-                    let st = states.get_mut(&id).expect("present above");
-                    st.retries += 1;
-                    st.attempt += 1;
-                    fstats.retries += 1;
-                    st.phases.push(("fault.retry", st.phase_started, now));
-                    st.phase_started = now;
-                    // Any in-flight work from the old attempt is now a
-                    // zombie: its completions carry a stale attempt.
-                    st.pending_replicas = 0;
-                    st.replacements.clear();
-                    let prev = st.server;
-                    // Failover: pick among the currently live replicas,
-                    // drawing from the fault stream so the workload stream
-                    // stays untouched.
-                    let target = match st.kind {
-                        Kind::Read => {
-                            let live: Vec<usize> = master
-                                .replicas(st.chunk)
-                                .iter()
-                                .copied()
-                                .filter(|&s| alive[s])
-                                .collect();
-                            if live.is_empty() {
-                                None
-                            } else {
-                                let frng = fault_rng.as_mut().expect("fault mode");
-                                Some(*frng.choose(&live))
-                            }
-                        }
-                        Kind::Write => {
-                            master.replicas(st.chunk).iter().copied().find(|&s| alive[s])
-                        }
-                    };
-                    if let Some(t) = target {
-                        if t != prev {
-                            fstats.failovers += 1;
-                        }
-                    }
-                    Self::send_attempt(
-                        &mut engine,
-                        &mut servers,
-                        &mut fabric,
-                        &mut trace,
-                        &mut server_of,
-                        st,
-                        id,
-                        now,
-                        target,
-                        &fault_spec,
-                        &mut fault_rng,
-                        &alive,
-                        &epochs,
-                        &mut fstats,
-                    );
-                }
-                Ev::FabricTick => {
-                    let fab = fabric.as_mut().expect("fabric ticks only exist with a topology");
-                    fab.on_tick(&mut engine, now);
-                }
-                Ev::Msg(_) => unreachable!("cross-shard messages only exist in sharded runs"),
-            }
-            // With faults armed the heap still holds pre-scheduled
-            // crash/recover events long past the workload; stop once every
-            // request resolved and no repair is mid-flight. (The healthy
-            // path drains the heap exactly as before.)
-            if plan.is_some() && finished == n_requests && rerep_jobs.is_empty() {
-                break;
-            }
-        }
-
-        let end = engine.now();
-        let mut requests_per_server = vec![0u64; cfg.n_chunkservers];
-        for &s in &server_of {
-            requests_per_server[s] += 1;
-        }
-        let queue_high_water_per_server: Vec<u64> = servers
-            .iter()
-            .map(|s| {
-                s.cpu_pool
-                    .queue_high_water()
-                    .max(s.disk_pool.queue_high_water())
-                    .max(s.net_in_pool.queue_high_water())
-                    .max(s.net_out_pool.queue_high_water()) as u64
-            })
-            .collect();
-        fstats.degraded_requests =
-            outcomes.iter().filter(|o| o.faulted && !o.failed).count() as u64;
-        let stats = ClusterStats {
-            completed: outcomes.iter().filter(|o| !o.failed).count() as u64,
-            latency_secs: latency,
-            makespan_secs: end.as_secs_f64(),
-            cpu_utilization: servers.iter().map(|s| s.cpu_pool.utilization(end)).collect(),
-            disk_utilization: servers.iter().map(|s| s.disk_pool.utilization(end)).collect(),
-            cache_hit_ratio: servers.iter().map(|s| s.memory.hit_ratio()).collect(),
-            total_cpu_busy_secs: total_cpu_busy.as_secs_f64(),
-            tracing_busy_secs: tracing_busy.as_secs_f64(),
-            master_utilization: master_pool.utilization(end),
-            metadata_hit_ratio: if metadata_lookups == 0 {
-                1.0
-            } else {
-                metadata_hits as f64 / metadata_lookups as f64
-            },
-            events_processed: engine.processed(),
-            pending_high_water: engine.pending_high_water() as u64,
-            requests_per_server,
-            queue_high_water_per_server,
-            faults: fstats,
-        };
-        self.publish_metrics(&stats, &outcomes);
-        if let Some(fab) = &fabric {
-            Self::publish_fabric_metrics(
-                fab.fabric.flows_started(),
-                fab.fabric.rerates(),
-                fab.fabric.bottleneck_busy(),
-                &fab.fabric.link_utilization(end),
-            );
-        }
-        trace.spans = collector.spans().to_vec();
-        trace.sort_by_time();
-        // Partitioning the time-sorted trace keeps each server's records
-        // time-sorted, matching what the old per-record duplication
-        // produced — without a second copy in the event loop.
-        let per_server = ShardedTrace::partition(&trace, cfg.n_chunkservers, |rid| {
-            server_of[rid as usize]
-        });
-        ClusterOutcome {
-            trace,
-            per_server,
-            stats,
-            requests: outcomes,
-        }
+        let all = 0..self.config.n_chunkservers;
+        let mut shards =
+            shard::Shard::build(&self.config, self.master.clone(), n_requests, seed, &[all], None);
+        shards[0].run_alone();
+        shard::finish(self, shards)
     }
 
     /// Publishes one finished run's aggregate metrics to the global
@@ -1620,155 +382,15 @@ impl Cluster {
             }
         });
     }
-
-    /// Publishes one fabric's counters and per-link utilization to the
-    /// observability registry. Separate from [`Cluster::publish_metrics`]
-    /// so `--topology none` reports stay byte-identical to the
-    /// pre-fabric format. Commutative operations only (counter adds,
-    /// histogram records): sharded runs call this once per shard fabric
-    /// and totals are order-independent.
-    pub(crate) fn publish_fabric_metrics(
-        flows: u64,
-        rerates: u64,
-        bottleneck_busy: SimDuration,
-        utilization: &[f64],
-    ) {
-        if !kooza_obs::global::is_enabled() {
-            return;
-        }
-        /// Per-link utilization buckets, percent of capacity.
-        const UTIL_BOUNDS: &[u64] = &[1, 5, 10, 25, 50, 75, 90, 99, 100];
-        kooza_obs::global::with_registry(|reg| {
-            reg.counter_add("net.fabric.flows", flows);
-            reg.counter_add("net.fabric.rerates", rerates);
-            reg.counter_add("net.fabric.bottleneck_busy", bottleneck_busy.as_nanos());
-            let links = reg.histogram_mut("net.fabric.link_utilization", UTIL_BOUNDS);
-            for &u in utilization {
-                links.record((u * 100.0).round() as u64);
-            }
-        });
-    }
-
-    /// Enqueues CPU stage 2 (aggregate/checksum) for a request.
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_cpu_aggregate(
-        engine: &mut Engine<Ev>,
-        server_state: &mut Server,
-        st: &mut ReqState,
-        id: u64,
-        server: usize,
-        now: SimTime,
-        epoch: u32,
-        trace_overhead: SimDuration,
-        tracing_busy: &mut SimDuration,
-        total_cpu_busy: &mut SimDuration,
-    ) {
-        let mut busy = server_state.cpu.phase(st.size);
-        if st.sampled {
-            busy += trace_overhead;
-            *tracing_busy += trace_overhead;
-        }
-        st.cpu_busy += busy;
-        *total_cpu_busy += busy;
-        server_state.offer_cpu(engine, now, server, epoch, (id, 2, busy, st.attempt));
-    }
-
-    /// Disk service-time multiplier for a server right now (1 = healthy).
-    fn disk_slowdown(plan: &Option<FaultPlan>, server: usize, now: SimTime) -> f64 {
-        plan.as_ref().map_or(1.0, |p| p.disk_slowdown(server, now))
-    }
-
-    /// Dispatches one client attempt: records the ingress, offers the
-    /// transfer to the target's NIC (unless the link drops the packet or
-    /// no live target exists), and arms the attempt's timeout when faults
-    /// are on. The healthy path (`fault_spec` None, target always live)
-    /// reduces to exactly the record-and-offer it always did.
-    #[allow(clippy::too_many_arguments)]
-    fn send_attempt(
-        engine: &mut Engine<Ev>,
-        servers: &mut [Server],
-        fabric: &mut Option<FabricState>,
-        trace: &mut TraceSet,
-        server_of: &mut [usize],
-        st: &mut ReqState,
-        id: u64,
-        now: SimTime,
-        target: Option<usize>,
-        fault_spec: &Option<FaultSpec>,
-        fault_rng: &mut Option<Rng64>,
-        alive: &[bool],
-        epochs: &[u32],
-        fstats: &mut FaultStats,
-    ) {
-        // The target may have crashed between selection and dispatch
-        // (master lookups take time); an unreachable target just leaves
-        // the timer to drive the retry.
-        let target = target.filter(|&s| alive[s]);
-        if let Some(server) = target {
-            st.server = server;
-            server_of[id as usize] = server;
-            // Ingress: a small header for reads, the payload for writes.
-            // The record carries the wire size — the payload a read moves
-            // shows up on egress, so recording the payload here would
-            // double-count it in replay.
-            let wire = match st.kind {
-                Kind::Read => 1024,
-                Kind::Write => st.size,
-            };
-            let dropped = match (fault_spec, fault_rng.as_mut()) {
-                (Some(f), Some(frng)) if f.link_drop > 0.0 => frng.chance(f.link_drop),
-                _ => false,
-            };
-            if dropped {
-                fstats.link_drops += 1;
-            } else {
-                trace.network.push(NetworkRecord {
-                    ts_nanos: now.as_nanos(),
-                    size: wire,
-                    direction: Direction::Ingress,
-                    request_id: id,
-                });
-                if let Some(fab) = fabric {
-                    fab.transfer(
-                        engine,
-                        now,
-                        Endpoint::Client,
-                        Endpoint::Host(server),
-                        wire,
-                        Ev::NetInDone {
-                            id,
-                            server,
-                            replica: false,
-                            attempt: st.attempt,
-                            epoch: epochs[server],
-                        },
-                    );
-                } else {
-                    servers[server].offer_net_in(
-                        engine,
-                        now,
-                        server,
-                        epochs[server],
-                        (id, wire, false, st.attempt),
-                    );
-                }
-            }
-        }
-        if let Some(f) = fault_spec {
-            if st.timeout.is_none() {
-                st.timeout = Some(engine.schedule_cancellable(
-                    f.timeout_for_attempt(st.attempt),
-                    Ev::RequestTimeout { id, attempt: st.attempt },
-                ));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::WorkloadMix;
+    use crate::config::{Topology, WorkloadMix};
+    use crate::fault::FaultPlan;
+    use kooza_sim::SimDuration;
+    use kooza_trace::record::IoOp;
 
     fn run_small(mix: WorkloadMix, n: u64, seed: u64) -> ClusterOutcome {
         let mut config = ClusterConfig::small();
@@ -2180,6 +802,23 @@ mod tests {
             assert_eq!(r.retries, 2, "failed before exhausting retries");
             assert!(r.faulted);
         }
+    }
+
+    #[test]
+    fn abandoning_the_last_request_runs_on_to_the_next_crash_or_recovery() {
+        // The one-shard hosting keeps the single engine's stop rule:
+        // quiescence is checked after completions, crashes, recoveries
+        // and fabric ticks, not after an abandonment.
+        let config = faulty_config("mttf=0.5,mttr=60,timeout=0.2,retries=2,backoff=1");
+        let out = Cluster::new(&config).unwrap().run(300, 17);
+        assert!(out.requests.last().unwrap().failed, "the run must end on an abandonment");
+        let horizon = SimDuration::from_secs_f64(300.0 * 0.1 * 2.0 + 120.0);
+        let plan = FaultPlan::generate(&config.faults.unwrap(), 4, horizon);
+        let end = (out.stats.makespan_secs * 1e9).round() as u64;
+        let on_boundary = (0..4)
+            .flat_map(|s| plan.windows(s).iter().flat_map(|w| [w.down, w.up]))
+            .any(|t| t.as_nanos().abs_diff(end) <= 1);
+        assert!(on_boundary, "makespan {end} ns is not a crash or recovery instant");
     }
 
     #[test]

@@ -1,21 +1,17 @@
-//! Sharded execution of the GFS cluster simulation: per-server-group
-//! shards, each owning its own [`Engine`] event loop, advancing in
-//! lockstep time windows with cross-shard interactions exchanged as
-//! messages at the window barrier (see [`kooza_sim::ShardedEngine`]).
+//! The N-shard hosting of the GFS protocol: per-server-group shards, each
+//! owning its own engine, advancing in lockstep time windows, with
+//! cross-shard mail exchanged at the window barrier (see
+//! [`kooza_sim::ShardedEngine`]).
 //!
 //! # Roles
 //!
 //! Servers are split into contiguous *groups* ([`kooza_sim::shard_ranges`]);
-//! shard `g` owns group `g`'s chunkservers — their station pools, hardware
-//! models and in-flight request state. Shard 0 additionally runs the
-//! **control plane**: the workload generator (the only consumer of the
-//! workload RNG stream), the master (metadata, placement, re-replication
-//! decisions), client metadata caches, attempt timeouts and the
-//! per-request outcome ledger. Placement is *group-aligned*
-//! ([`Master::place_grouped`]): every replica set lives inside one group,
-//! so write fanout and re-replication pipelines never leave their shard —
-//! only the client↔server hops (`Attempt`/`Done`), repair commands and
-//! placement commits cross shard boundaries.
+//! shard `g` owns group `g`'s chunkservers. Shard 0 additionally runs the
+//! control plane. Placement is *group-aligned* ([`Master::place_grouped`]):
+//! every replica set lives inside one group, so write fanout and
+//! re-replication pipelines never leave their shard — only client↔server
+//! hops (`Attempt`/`Cancel`/`Done`), repair commands and placement commits
+//! cross shard boundaries.
 //!
 //! # Determinism
 //!
@@ -28,60 +24,39 @@
 //! may be stepped serially or by [`kooza_exec::par_for_each_mut`] on the
 //! persistent pool, and nothing observable changes.
 //!
-//! # Semantics relative to the single-engine path
+//! # Semantics relative to one shard
 //!
-//! `shards == 1` (or a request that clamps to 1) delegates to
-//! [`Cluster::run`] and reproduces today's single-engine results exactly,
-//! byte for byte. `shards > 1` is a *different deterministic simulation*
-//! of the same cluster, not a re-ordering of the same one: group-aligned
-//! placement changes which servers hold which chunk, and a cross-shard
-//! hop (client→server, server→client) lands at the next window boundary,
-//! adding up to one window width of deterministic latency per hop. Three
-//! further documented divergences, all bounded to fault runs: a cancelled
-//! attempt's serving-side phase intervals are dropped from its span tree
-//! (the control plane never sees them); write fanout uses the replica set
-//! snapshot taken at dispatch rather than the master's live placement;
-//! and a request that completes in the same window its timeout fires is
-//! retried (the single engine cancels the timer atomically).
+//! The handlers are the one-shard hosting's; a request that clamps to one
+//! shard runs [`Cluster::run`] itself. At N shards, group-aligned
+//! placement changes which servers hold which chunk, and each cross-shard
+//! hop lands at the next window boundary. The remaining differences come
+//! from the mailbox and the per-attempt serving records and are listed,
+//! each next to the test that pins it, in DESIGN.md §11.
 //!
 //! The window width is derived from the configuration alone
 //! (≈50 mean interarrival gaps, clamped to [0.2 ms, 20 ms]) so the
 //! simulation — not the host — decides the barrier cadence.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use kooza_sim::{shard_ranges, ShardedEngine, SimDuration};
 
-use kooza_sim::rng::Rng64;
-use kooza_sim::{
-    shard_ranges, Endpoint, Engine, Outbox, ServerPool, ShardedEngine, SimDuration, SimTime,
-    Tally,
-};
-use kooza_stats::dist::{DiscreteDistribution, Distribution, Exponential, Zipf};
-use kooza_trace::record::{CpuRecord, Direction, IoOp, MemoryRecord, NetworkRecord, StorageRecord};
-use kooza_trace::span::{Span, SpanCollector, SpanId, TraceId};
-use kooza_trace::view::ShardedTrace;
-use kooza_trace::TraceSet;
-
-use super::{
-    Cluster, ClusterOutcome, ClusterStats, Ev, FabricState, FaultStats, Kind, NameCache,
-    ReqState, RequestOutcome, Server, REREP_BASE, REREP_BYTES,
-};
+use super::shard::{self, Shard, ShardMsg};
+use super::{Cluster, ClusterOutcome};
 use crate::config::ClusterConfig;
-use crate::fault::FaultPlan;
-use crate::hardware::{CpuModel, DiskModel, LinkModel, MemoryModel};
-use crate::master::{ChunkHandle, Master, LBNS_PER_CHUNK};
+use crate::master::Master;
 
 /// The default shard count for a cluster: one shard per ~8 chunkservers,
 /// capped at 8 — small clusters (including [`ClusterConfig::small`]) stay
-/// on the single-engine path. Derived from the configuration only, never
-/// from the host, so "auto" is the same simulation on every machine.
-/// [`Cluster::run_sharded`] further clamps to what replication allows.
+/// on one shard. Derived from the configuration only, never from the
+/// host, so "auto" is the same simulation on every machine.
+/// [`effective_shards`] further clamps to what replication allows.
 pub fn default_shards(config: &ClusterConfig) -> usize {
     (config.n_chunkservers / 8).clamp(1, 8)
 }
 
-/// The shard count a request actually runs with: every group must hold a
-/// full replica set, so at most `n_chunkservers / replication` groups.
-pub(crate) fn effective_shards(config: &ClusterConfig, requested: usize) -> usize {
+/// The shard count [`Cluster::run_sharded`] actually runs a request for
+/// `requested` shards with: every group must hold a full replica set, so
+/// at most `n_chunkservers / replication` groups, and at least one.
+pub fn effective_shards(config: &ClusterConfig, requested: usize) -> usize {
     requested
         .min(config.n_chunkservers / config.replication.max(1))
         .max(1)
@@ -97,1228 +72,24 @@ fn window_width(config: &ClusterConfig) -> SimDuration {
     )
 }
 
-/// A cross-shard message. `Attempt`/`Cancel`/`Rerep` flow control→serving;
-/// `Done`/`Commit`/`RerepDone` flow serving→control (shard 0).
-#[derive(Debug)]
-pub(crate) enum ShardMsg {
-    /// Dispatch one client attempt to its primary/target server.
-    Attempt {
-        id: u64,
-        attempt: u32,
-        server: usize,
-        kind: Kind,
-        size: u64,
-        mem_size: u64,
-        lbn: u64,
-        chunk: ChunkHandle,
-        sampled: bool,
-        /// Ingress wire bytes (request header for reads, payload for writes).
-        wire: u64,
-        /// Request birth time (for serving-side CPU records).
-        start: SimTime,
-        /// Where the control plane's last phase ended; the serving side's
-        /// first phase starts here.
-        phase_started: SimTime,
-        /// Replica set snapshot (primary first), all within one group.
-        replicas: Vec<usize>,
-    },
-    /// The client timed out attempt `attempt`; drop its serving state.
-    Cancel { id: u64, attempt: u32 },
-    /// Master repair command: copy `chunk` from `from` to `to` (both in
-    /// the same group), replacing dead replica `dead`.
-    Rerep { rid: u64, chunk: ChunkHandle, lbn: u64, dead: usize, from: usize, to: usize },
-    /// A request attempt completed (its egress transfer finished).
-    Done {
-        id: u64,
-        attempt: u32,
-        done_at: SimTime,
-        cache_hit: bool,
-        cpu_busy: SimDuration,
-        degraded: bool,
-        /// Serving-side phase intervals for span assembly.
-        phases: Vec<(&'static str, SimTime, SimTime)>,
-    },
-    /// A write-triggered stand-in replica became durable: commit the
-    /// placement change on the master.
-    Commit { chunk: ChunkHandle, dead: usize, stand_in: usize },
-    /// A master-driven repair finished (`committed`) or was destroyed by
-    /// a crash (`!committed`); either way it leaves the in-flight ledger.
-    RerepDone { rid: u64, chunk: ChunkHandle, dead: usize, to: usize, committed: bool },
-}
-
-/// Serving-side state of one in-flight attempt (the shard that owns the
-/// target server). The control plane keeps its own [`ReqState`]; this is
-/// the subset the Figure-1 pipeline needs, plus the replica snapshot.
-#[derive(Debug)]
-struct SrvState {
-    kind: Kind,
-    size: u64,
-    mem_size: u64,
-    chunk: ChunkHandle,
-    lbn: u64,
-    sampled: bool,
-    /// The primary serving this attempt.
-    server: usize,
-    start: SimTime,
-    cache_hit: bool,
-    cpu_busy: SimDuration,
-    pending_replicas: usize,
-    phases: Vec<(&'static str, SimTime, SimTime)>,
-    phase_started: SimTime,
-    attempt: u32,
-    degraded: bool,
-    /// `(dead_replica, stand_in)` pairs awaiting the stand-in's disk ack.
-    replacements: Vec<(usize, usize)>,
-    /// Replica set snapshot from the `Attempt` message.
-    replicas: Vec<usize>,
-}
-
-/// One in-flight repair pipeline on its serving shard.
-#[derive(Debug, Clone, Copy)]
-struct SRerep {
-    chunk: ChunkHandle,
-    dead: usize,
-    from: usize,
-    to: usize,
-    lbn: u64,
-}
-
-/// The control plane (shard 0 only): workload generation, master
-/// metadata, client timeouts and the outcome ledger.
-#[derive(Debug)]
-struct Control {
-    cfg: ClusterConfig,
-    n_requests: u64,
-    rng: Rng64,
-    fault_rng: Option<Rng64>,
-    zipf: Zipf,
-    gap: Exponential,
-    master: Master,
-    states: HashMap<u64, ReqState>,
-    master_pool: ServerPool<(u64, SimDuration)>,
-    metadata_caches: Vec<VecDeque<ChunkHandle>>,
-    metadata_lookups: u64,
-    metadata_hits: u64,
-    master_service: SimDuration,
-    collector: SpanCollector,
-    /// Interned span-name vocabulary shared across all traced requests.
-    names: NameCache,
-    server_of: Vec<usize>,
-    outcomes: Vec<RequestOutcome>,
-    latency: Tally,
-    /// Liveness of every server in the cluster (the control plane sees
-    /// all crash/recover events; serving shards only their own range).
-    alive_all: Vec<bool>,
-    fstats: FaultStats,
-    rerep_seq: u64,
-    /// Master-driven repairs dispatched but not yet acknowledged.
-    rerep_inflight: HashSet<u64>,
-    finished: u64,
-    shard_of: Vec<usize>,
-    ranges: Vec<std::ops::Range<usize>>,
-}
-
-/// One shard: a server group plus (on shard 0) the control plane.
-#[derive(Debug)]
-struct Shard {
-    range: std::ops::Range<usize>,
-    engine: Engine<Ev>,
-    /// Owned servers, indexed by `server - range.start`.
-    servers: Vec<Server>,
-    /// Liveness / crash epochs of owned servers only.
-    alive: Vec<bool>,
-    epochs: Vec<u32>,
-    trace: TraceSet,
-    srv_states: HashMap<u64, SrvState>,
-    rerep_jobs: HashMap<u64, SRerep>,
-    outbox: Outbox<ShardMsg>,
-    plan: Option<FaultPlan>,
-    trace_overhead: SimDuration,
-    tracing_busy: SimDuration,
-    total_cpu_busy: SimDuration,
-    jobs_lost: u64,
-    /// Rack-topology fabric for this shard's server group. Built over the
-    /// global host index space so rack boundaries match the single-engine
-    /// path; group-aligned placement keeps every host↔host flow inside
-    /// the shard, and client hops attach at the spine. Cross-shard
-    /// message delivery happens at window barriers, so flow start times
-    /// (and therefore all fair-share rates) are barrier-deterministic.
-    fabric: Option<FabricState>,
-    control: Option<Control>,
-}
-
-impl Shard {
-    /// Processes every local event strictly before `until`.
-    fn step(&mut self, until: SimTime) {
-        while self.engine.peek_time().is_some_and(|t| t < until) {
-            let (now, ev) = self.engine.next().expect("peeked above");
-            self.handle(now, ev);
-        }
-    }
-
-    /// One event, serving role and (on shard 0) control role combined.
-    /// Mirrors the single-engine handlers in `Cluster::run`, with the
-    /// client↔server and master↔server interactions replaced by messages.
-    fn handle(&mut self, now: SimTime, ev: Ev) {
-        let lo = self.range.start;
-        match ev {
-            Ev::Msg(msg) => self.handle_msg(now, *msg),
-            Ev::NewRequest { id } => control_new_request(self, now, id),
-            Ev::MasterDone { id } => control_master_done(self, now, id),
-            Ev::RequestTimeout { id, attempt } => control_timeout(self, now, id, attempt),
-            Ev::Rereplicate { chunk, dead } => control_rereplicate(self, now, chunk, dead),
-            Ev::NetInDone { id, server, replica, attempt, epoch } => {
-                let local = server - lo;
-                if epoch != self.epochs[local] {
-                    return;
-                }
-                if self.fabric.is_none() {
-                    if let Some((job, wire, is_rep, job_attempt)) =
-                        self.servers[local].net_in_pool.complete(now)
-                    {
-                        let service = self.servers[local].link.transfer(wire);
-                        self.engine.schedule(
-                            service,
-                            Ev::NetInDone {
-                                id: job,
-                                server,
-                                replica: is_rep,
-                                attempt: job_attempt,
-                                epoch,
-                            },
-                        );
-                    }
-                }
-                if id >= REREP_BASE {
-                    if let Some(job) = self.rerep_jobs.get(&id).copied() {
-                        let tl = job.to - lo;
-                        let slow = Cluster::disk_slowdown(&self.plan, job.to, now);
-                        self.servers[tl].offer_disk(
-                            &mut self.engine,
-                            now,
-                            job.to,
-                            self.epochs[tl],
-                            slow,
-                            (id, job.lbn, REREP_BYTES, true, 0),
-                        );
-                    }
-                    return;
-                }
-                if replica {
-                    let Some(st) = self.srv_states.get(&id) else { return };
-                    if st.attempt != attempt {
-                        return;
-                    }
-                    let (job_lbn, size) = (st.lbn, st.size);
-                    let slow = Cluster::disk_slowdown(&self.plan, server, now);
-                    self.servers[local].offer_disk(
-                        &mut self.engine,
-                        now,
-                        server,
-                        self.epochs[local],
-                        slow,
-                        (id, job_lbn, size, true, attempt),
-                    );
-                    return;
-                }
-                let Some(st) = self.srv_states.get_mut(&id) else { return };
-                if st.attempt != attempt {
-                    return;
-                }
-                st.phases.push(("network.in", st.phase_started, now));
-                st.phase_started = now;
-                let mut busy = self.servers[local].cpu.phase(1024);
-                if st.sampled {
-                    busy += self.trace_overhead;
-                    self.tracing_busy += self.trace_overhead;
-                }
-                st.cpu_busy += busy;
-                self.total_cpu_busy += busy;
-                self.servers[local].offer_cpu(
-                    &mut self.engine,
-                    now,
-                    server,
-                    self.epochs[local],
-                    (id, 1, busy, attempt),
-                );
-            }
-            Ev::CpuDone { id, server, stage, attempt, epoch } => {
-                let local = server - lo;
-                if epoch != self.epochs[local] {
-                    return;
-                }
-                if let Some((job, next_stage, busy, job_attempt)) =
-                    self.servers[local].cpu_pool.complete(now)
-                {
-                    self.engine.schedule(
-                        busy,
-                        Ev::CpuDone {
-                            id: job,
-                            server,
-                            stage: next_stage,
-                            attempt: job_attempt,
-                            epoch,
-                        },
-                    );
-                }
-                let Some(st) = self.srv_states.get_mut(&id) else { return };
-                if st.attempt != attempt {
-                    return;
-                }
-                if stage == 1 {
-                    st.phases.push(("cpu.lookup", st.phase_started, now));
-                    st.phase_started = now;
-                    let bank = self.servers[local].memory.bank_of(st.chunk);
-                    let hit = self.servers[local].memory.cache_access(st.chunk);
-                    st.cache_hit = st.kind == Kind::Read && hit;
-                    let service = self.servers[local].memory.access(bank, st.mem_size);
-                    self.trace.memory.push(MemoryRecord {
-                        ts_nanos: now.as_nanos(),
-                        bank,
-                        size: st.mem_size,
-                        op: match st.kind {
-                            Kind::Read => IoOp::Read,
-                            Kind::Write => IoOp::Write,
-                        },
-                        request_id: id,
-                    });
-                    self.engine.schedule(service, Ev::MemDone { id, server, attempt, epoch });
-                } else {
-                    st.phases.push(("cpu.aggregate", st.phase_started, now));
-                    st.phase_started = now;
-                    let wire = match st.kind {
-                        Kind::Read => st.size,
-                        Kind::Write => 1024,
-                    };
-                    self.trace.network.push(NetworkRecord {
-                        ts_nanos: now.as_nanos(),
-                        size: wire,
-                        direction: Direction::Egress,
-                        request_id: id,
-                    });
-                    if let Some(fab) = self.fabric.as_mut() {
-                        fab.transfer(
-                            &mut self.engine,
-                            now,
-                            Endpoint::Host(server),
-                            Endpoint::Client,
-                            wire,
-                            Ev::NetOutDone { id, server, attempt, epoch: self.epochs[local] },
-                        );
-                    } else {
-                        self.servers[local].offer_net_out(
-                            &mut self.engine,
-                            now,
-                            server,
-                            self.epochs[local],
-                            (id, wire, attempt),
-                        );
-                    }
-                }
-            }
-            Ev::MemDone { id, server, attempt, epoch } => {
-                let local = server - lo;
-                if epoch != self.epochs[local] {
-                    return;
-                }
-                let Some(st) = self.srv_states.get_mut(&id) else { return };
-                if st.attempt != attempt {
-                    return;
-                }
-                st.phases.push(("memory", st.phase_started, now));
-                st.phase_started = now;
-                if st.kind == Kind::Read && st.cache_hit {
-                    srv_cpu_aggregate(
-                        &mut self.engine,
-                        &mut self.servers[local],
-                        st,
-                        id,
-                        server,
-                        now,
-                        self.epochs[local],
-                        self.trace_overhead,
-                        &mut self.tracing_busy,
-                        &mut self.total_cpu_busy,
-                    );
-                } else {
-                    self.trace.storage.push(StorageRecord {
-                        ts_nanos: now.as_nanos(),
-                        lbn: st.lbn,
-                        size: st.size,
-                        op: match st.kind {
-                            Kind::Read => IoOp::Read,
-                            Kind::Write => IoOp::Write,
-                        },
-                        request_id: id,
-                    });
-                    let (job_lbn, size) = (st.lbn, st.size);
-                    let slow = Cluster::disk_slowdown(&self.plan, server, now);
-                    if slow > 1.0 {
-                        st.degraded = true;
-                    }
-                    self.servers[local].offer_disk(
-                        &mut self.engine,
-                        now,
-                        server,
-                        self.epochs[local],
-                        slow,
-                        (id, job_lbn, size, false, attempt),
-                    );
-                }
-            }
-            Ev::DiskDone { id, server, replica, attempt, epoch } => {
-                self.disk_done(now, id, server, replica, attempt, epoch);
-            }
-            Ev::NetOutDone { id, server, attempt, epoch } => {
-                let local = server - lo;
-                if epoch != self.epochs[local] {
-                    return;
-                }
-                if self.fabric.is_none() {
-                    if let Some((job, wire, job_attempt)) =
-                        self.servers[local].net_out_pool.complete(now)
-                    {
-                        let service = self.servers[local].link.transfer(wire);
-                        self.engine.schedule(
-                            service,
-                            Ev::NetOutDone { id: job, server, attempt: job_attempt, epoch },
-                        );
-                    }
-                }
-                match self.srv_states.get(&id) {
-                    Some(st) if st.attempt == attempt => {}
-                    _ => return, // a stale attempt's zombie response
-                }
-                let mut st = self.srv_states.remove(&id).expect("present above");
-                st.phases.push(("network.out", st.phase_started, now));
-                let total = now - st.start;
-                self.trace.cpu.push(CpuRecord {
-                    ts_nanos: now.as_nanos(),
-                    utilization: st.cpu_busy.as_nanos() as f64 / total.as_nanos().max(1) as f64,
-                    busy_nanos: st.cpu_busy.as_nanos(),
-                    request_id: id,
-                });
-                self.outbox.send(
-                    0,
-                    now,
-                    ShardMsg::Done {
-                        id,
-                        attempt,
-                        done_at: now,
-                        cache_hit: st.cache_hit,
-                        cpu_busy: st.cpu_busy,
-                        degraded: st.degraded,
-                        phases: st.phases,
-                    },
-                );
-            }
-            Ev::Crash { server } => {
-                if self.range.contains(&server) {
-                    let local = server - lo;
-                    self.alive[local] = false;
-                    self.epochs[local] += 1;
-                    let s = &mut self.servers[local];
-                    let lost = s.cpu_pool.fail_all(now)
-                        + s.disk_pool.fail_all(now)
-                        + s.net_in_pool.fail_all(now)
-                        + s.net_out_pool.fail_all(now);
-                    self.jobs_lost += lost as u64;
-                    if let Some(fab) = self.fabric.as_mut() {
-                        // Flows crossing the dead server's access links
-                        // are lost with it.
-                        self.jobs_lost += fab.fail_host(&mut self.engine, now, server);
-                    }
-                    // Repair pipelines touching the dead server die with
-                    // it; tell control in ascending-rid order so the
-                    // outbox sequence is deterministic.
-                    let mut dead_rids: Vec<u64> = self
-                        .rerep_jobs
-                        .iter()
-                        .filter(|(_, j)| j.from == server || j.to == server)
-                        .map(|(&rid, _)| rid)
-                        .collect();
-                    dead_rids.sort_unstable();
-                    for rid in dead_rids {
-                        let j = self.rerep_jobs.remove(&rid).expect("collected above");
-                        self.outbox.send(
-                            0,
-                            now,
-                            ShardMsg::RerepDone {
-                                rid,
-                                chunk: j.chunk,
-                                dead: j.dead,
-                                to: j.to,
-                                committed: false,
-                            },
-                        );
-                    }
-                }
-                if let Some(ctl) = self.control.as_mut() {
-                    ctl.alive_all[server] = false;
-                    ctl.fstats.crashes += 1;
-                    if let Some(f) = &ctl.cfg.faults {
-                        let detect = SimDuration::from_secs_f64(f.detect_secs);
-                        for chunk in
-                            ctl.master.chunks_on(server).into_iter().take(f.rereplicate_batch)
-                        {
-                            self.engine.schedule(detect, Ev::Rereplicate { chunk, dead: server });
-                        }
-                    }
-                }
-            }
-            Ev::Recover { server } => {
-                if self.range.contains(&server) {
-                    let local = server - lo;
-                    self.alive[local] = true;
-                    let s = &mut self.servers[local];
-                    s.cpu_pool.set_up();
-                    s.disk_pool.set_up();
-                    s.net_in_pool.set_up();
-                    s.net_out_pool.set_up();
-                }
-                if let Some(ctl) = self.control.as_mut() {
-                    ctl.alive_all[server] = true;
-                    ctl.fstats.recoveries += 1;
-                }
-            }
-            Ev::FabricTick => {
-                let fab = self.fabric.as_mut().expect("fabric ticks only exist with a topology");
-                fab.on_tick(&mut self.engine, now);
-            }
-        }
-    }
-
-    /// `Ev::DiskDone`: the one handler with both client and repair
-    /// traffic plus the write-fanout logic, split out for size.
-    fn disk_done(
-        &mut self,
-        now: SimTime,
-        id: u64,
-        server: usize,
-        replica: bool,
-        attempt: u32,
-        epoch: u32,
-    ) {
-        let lo = self.range.start;
-        let local = server - lo;
-        if epoch != self.epochs[local] {
-            return;
-        }
-        if let Some(job) = self.servers[local].disk_pool.complete(now) {
-            let slow = Cluster::disk_slowdown(&self.plan, server, now);
-            self.servers[local].start_disk(
-                &mut self.engine,
-                server,
-                self.epochs[local],
-                slow,
-                job,
-            );
-        }
-        if id >= REREP_BASE {
-            if !replica {
-                // Source read done: ship the chunk to its new home.
-                if let Some(job) = self.rerep_jobs.get(&id).copied() {
-                    let tl = job.to - lo;
-                    if let Some(fab) = self.fabric.as_mut() {
-                        fab.transfer(
-                            &mut self.engine,
-                            now,
-                            Endpoint::Host(server),
-                            Endpoint::Host(job.to),
-                            REREP_BYTES,
-                            Ev::NetInDone {
-                                id,
-                                server: job.to,
-                                replica: true,
-                                attempt: 0,
-                                epoch: self.epochs[tl],
-                            },
-                        );
-                    } else {
-                        self.servers[tl].offer_net_in(
-                            &mut self.engine,
-                            now,
-                            job.to,
-                            self.epochs[tl],
-                            (id, REREP_BYTES, true, 0),
-                        );
-                    }
-                }
-            } else if let Some(job) = self.rerep_jobs.remove(&id) {
-                // Replacement copy is durable: ask control to commit it.
-                self.outbox.send(
-                    0,
-                    now,
-                    ShardMsg::RerepDone {
-                        rid: id,
-                        chunk: job.chunk,
-                        dead: job.dead,
-                        to: job.to,
-                        committed: true,
-                    },
-                );
-            }
-            return;
-        }
-        if replica {
-            let Some(st) = self.srv_states.get_mut(&id) else { return };
-            if st.attempt != attempt {
-                return;
-            }
-            st.pending_replicas -= 1;
-            if let Some(pos) =
-                st.replacements.iter().position(|&(_, stand_in)| stand_in == server)
-            {
-                let (dead, stand_in) = st.replacements.remove(pos);
-                self.outbox.send(
-                    0,
-                    now,
-                    ShardMsg::Commit { chunk: st.chunk, dead, stand_in },
-                );
-            }
-            if st.pending_replicas == 0 {
-                let primary = st.server;
-                st.phases.push(("replicate", st.phase_started, now));
-                st.phase_started = now;
-                // The primary may have died while the replicas acked; if
-                // so the client's timeout retries.
-                if self.alive[primary - lo] {
-                    srv_cpu_aggregate(
-                        &mut self.engine,
-                        &mut self.servers[primary - lo],
-                        st,
-                        id,
-                        primary,
-                        now,
-                        self.epochs[primary - lo],
-                        self.trace_overhead,
-                        &mut self.tracing_busy,
-                        &mut self.total_cpu_busy,
-                    );
-                }
-            }
-            return;
-        }
-        let Some(st) = self.srv_states.get_mut(&id) else { return };
-        if st.attempt != attempt {
-            return;
-        }
-        st.phases.push(("disk", st.phase_started, now));
-        st.phase_started = now;
-        let secondaries: Vec<usize> =
-            st.replicas.iter().copied().filter(|&s| s != server).collect();
-        if st.kind == Kind::Write && !secondaries.is_empty() {
-            let mut fanout: Vec<usize> =
-                secondaries.iter().copied().filter(|&s| self.alive[s - lo]).collect();
-            if self.plan.is_some() {
-                // Each dead secondary gets a live in-group stand-in so the
-                // write re-acks at full replication. The snapshot (not the
-                // master's live placement) is the dedup reference: the
-                // control plane owns the authoritative commit.
-                for &dead in secondaries.iter().filter(|&&s| !self.alive[s - lo]) {
-                    let stand_in = self.range.clone().find(|&s| {
-                        self.alive[s - lo]
-                            && s != server
-                            && !st.replicas.contains(&s)
-                            && !fanout.contains(&s)
-                    });
-                    if let Some(stand_in) = stand_in {
-                        st.replacements.push((dead, stand_in));
-                        fanout.push(stand_in);
-                    }
-                }
-            }
-            if fanout.is_empty() {
-                srv_cpu_aggregate(
-                    &mut self.engine,
-                    &mut self.servers[local],
-                    st,
-                    id,
-                    server,
-                    now,
-                    self.epochs[local],
-                    self.trace_overhead,
-                    &mut self.tracing_busy,
-                    &mut self.total_cpu_busy,
-                );
-            } else {
-                st.pending_replicas = fanout.len();
-                let size = st.size;
-                for rep in fanout {
-                    let rl = rep - lo;
-                    if let Some(fab) = self.fabric.as_mut() {
-                        fab.transfer(
-                            &mut self.engine,
-                            now,
-                            Endpoint::Host(server),
-                            Endpoint::Host(rep),
-                            size,
-                            Ev::NetInDone {
-                                id,
-                                server: rep,
-                                replica: true,
-                                attempt,
-                                epoch: self.epochs[rl],
-                            },
-                        );
-                    } else {
-                        self.servers[rl].offer_net_in(
-                            &mut self.engine,
-                            now,
-                            rep,
-                            self.epochs[rl],
-                            (id, size, true, attempt),
-                        );
-                    }
-                }
-            }
-        } else {
-            srv_cpu_aggregate(
-                &mut self.engine,
-                &mut self.servers[local],
-                st,
-                id,
-                server,
-                now,
-                self.epochs[local],
-                self.trace_overhead,
-                &mut self.tracing_busy,
-                &mut self.total_cpu_busy,
-            );
-        }
-    }
-
-    /// A barrier-delivered message: serving commands on any shard,
-    /// completion reports on the control shard.
-    fn handle_msg(&mut self, now: SimTime, msg: ShardMsg) {
-        let lo = self.range.start;
-        match msg {
-            ShardMsg::Attempt {
-                id,
-                attempt,
-                server,
-                kind,
-                size,
-                mem_size,
-                lbn,
-                chunk,
-                sampled,
-                wire,
-                start,
-                phase_started,
-                replicas,
-            } => {
-                let local = server - lo;
-                if !self.alive[local] {
-                    return; // crashed within the window; the timeout retries
-                }
-                self.srv_states.insert(
-                    id,
-                    SrvState {
-                        kind,
-                        size,
-                        mem_size,
-                        chunk,
-                        lbn,
-                        sampled,
-                        server,
-                        start,
-                        cache_hit: false,
-                        cpu_busy: SimDuration::ZERO,
-                        pending_replicas: 0,
-                        phases: Vec::new(),
-                        phase_started,
-                        attempt,
-                        degraded: false,
-                        replacements: Vec::new(),
-                        replicas,
-                    },
-                );
-                if let Some(fab) = self.fabric.as_mut() {
-                    fab.transfer(
-                        &mut self.engine,
-                        now,
-                        Endpoint::Client,
-                        Endpoint::Host(server),
-                        wire,
-                        Ev::NetInDone {
-                            id,
-                            server,
-                            replica: false,
-                            attempt,
-                            epoch: self.epochs[local],
-                        },
-                    );
-                } else {
-                    self.servers[local].offer_net_in(
-                        &mut self.engine,
-                        now,
-                        server,
-                        self.epochs[local],
-                        (id, wire, false, attempt),
-                    );
-                }
-            }
-            ShardMsg::Cancel { id, attempt } => {
-                if self.srv_states.get(&id).is_some_and(|st| st.attempt == attempt) {
-                    self.srv_states.remove(&id);
-                }
-            }
-            ShardMsg::Rerep { rid, chunk, lbn, dead, from, to } => {
-                let local = from - lo;
-                if !self.alive[local] {
-                    // The source died in transit; report the repair lost so
-                    // the control ledger doesn't leak.
-                    self.outbox.send(
-                        0,
-                        now,
-                        ShardMsg::RerepDone { rid, chunk, dead, to, committed: false },
-                    );
-                    return;
-                }
-                self.rerep_jobs.insert(rid, SRerep { chunk, dead, from, to, lbn });
-                let slow = Cluster::disk_slowdown(&self.plan, from, now);
-                self.servers[local].offer_disk(
-                    &mut self.engine,
-                    now,
-                    from,
-                    self.epochs[local],
-                    slow,
-                    (rid, lbn, REREP_BYTES, false, 0),
-                );
-            }
-            ShardMsg::Done { id, attempt, done_at, cache_hit, cpu_busy, degraded, phases } => {
-                let ctl = self.control.as_mut().expect("Done is routed to shard 0");
-                if ctl.states.get(&id).is_none_or(|st| st.attempt != attempt) {
-                    return; // timed out (and retried/failed) before the ack landed
-                }
-                let mut st = ctl.states.remove(&id).expect("present above");
-                if let Some(handle) = st.timeout.take() {
-                    self.engine.cancel(handle);
-                }
-                ctl.finished += 1;
-                st.phases.extend(phases);
-                let total = done_at - st.start;
-                ctl.latency.record(total.as_secs_f64());
-                ctl.outcomes.push(RequestOutcome {
-                    id,
-                    is_read: st.kind == Kind::Read,
-                    size: st.size,
-                    latency_nanos: total.as_nanos(),
-                    sampled: st.sampled,
-                    cpu_busy_nanos: cpu_busy.as_nanos(),
-                    cache_hit,
-                    retries: st.retries,
-                    faulted: st.retries > 0 || degraded,
-                    failed: false,
-                });
-                if st.sampled {
-                    let tid = TraceId(id);
-                    ctl.collector.record(Span::new(
-                        tid,
-                        SpanId(0),
-                        None,
-                        ctl.names.get("request"),
-                        st.start.as_nanos(),
-                        done_at.as_nanos(),
-                    ));
-                    for (span_idx, (name, s, e)) in (1u64..).zip(st.phases.iter()) {
-                        ctl.collector.record(Span::new(
-                            tid,
-                            SpanId(span_idx),
-                            Some(SpanId(0)),
-                            ctl.names.get(name),
-                            s.as_nanos(),
-                            e.as_nanos(),
-                        ));
-                    }
-                }
-            }
-            ShardMsg::Commit { chunk, dead, stand_in } => {
-                let ctl = self.control.as_mut().expect("Commit is routed to shard 0");
-                ctl.master.replace_replica(chunk, dead, stand_in);
-                ctl.fstats.rereplications += 1;
-            }
-            ShardMsg::RerepDone { rid, chunk, dead, to, committed } => {
-                let ctl = self.control.as_mut().expect("RerepDone is routed to shard 0");
-                ctl.rerep_inflight.remove(&rid);
-                if committed {
-                    ctl.master.replace_replica(chunk, dead, to);
-                    ctl.fstats.rereplications += 1;
-                }
-            }
-        }
-    }
-}
-
-/// CPU stage 2 (aggregate/checksum), serving side. The [`SrvState`] twin
-/// of `Cluster::schedule_cpu_aggregate`.
-#[allow(clippy::too_many_arguments)]
-fn srv_cpu_aggregate(
-    engine: &mut Engine<Ev>,
-    server_state: &mut Server,
-    st: &mut SrvState,
-    id: u64,
-    server: usize,
-    now: SimTime,
-    epoch: u32,
-    trace_overhead: SimDuration,
-    tracing_busy: &mut SimDuration,
-    total_cpu_busy: &mut SimDuration,
-) {
-    let mut busy = server_state.cpu.phase(st.size);
-    if st.sampled {
-        busy += trace_overhead;
-        *tracing_busy += trace_overhead;
-    }
-    st.cpu_busy += busy;
-    *total_cpu_busy += busy;
-    server_state.offer_cpu(engine, now, server, epoch, (id, 2, busy, st.attempt));
-}
-
-/// `Ev::NewRequest` on the control shard: draw the request (identical
-/// draw sequence to the single-engine generator), then dispatch or queue
-/// behind the master lookup.
-fn control_new_request(shard: &mut Shard, now: SimTime, id: u64) {
-    let ctl = shard.control.as_mut().expect("NewRequest fires on shard 0");
-    if id + 1 < ctl.n_requests {
-        let gap = SimDuration::from_secs_f64(ctl.gap.sample(&mut ctl.rng));
-        shard.engine.schedule(gap, Ev::NewRequest { id: id + 1 });
-    }
-    let cfg = &ctl.cfg;
-    let kind = if ctl.rng.chance(cfg.workload.read_fraction) {
-        Kind::Read
-    } else {
-        Kind::Write
-    };
-    let size = match kind {
-        Kind::Read => cfg.workload.read_size,
-        Kind::Write => cfg.workload.write_size,
-    };
-    let chunk = ChunkHandle(ctl.zipf.sample(&mut ctl.rng) - 1);
-    let target: Option<usize> = match kind {
-        Kind::Read => {
-            if cfg.faults.is_none() {
-                Some(ctl.master.read_target(chunk, &mut ctl.rng))
-            } else {
-                let live: Vec<usize> = ctl
-                    .master
-                    .replicas(chunk)
-                    .iter()
-                    .copied()
-                    .filter(|&s| ctl.alive_all[s])
-                    .collect();
-                if live.is_empty() {
-                    None
-                } else {
-                    Some(*ctl.rng.choose(&live))
-                }
-            }
-        }
-        Kind::Write => {
-            if cfg.faults.is_none() {
-                Some(ctl.master.primary(chunk))
-            } else {
-                ctl.master.replicas(chunk).iter().copied().find(|&s| ctl.alive_all[s])
-            }
-        }
-    };
-    let blocks = size.div_ceil(512).max(1);
-    let span_lbns = LBNS_PER_CHUNK.saturating_sub(blocks).max(1);
-    let lbn = ctl.master.chunk_base_lbn(chunk) + ctl.rng.next_bounded(span_lbns);
-    let sampled = ctl.collector.should_record(TraceId(id));
-    let mem_size = match kind {
-        Kind::Read => (size / 4).max(64),
-        Kind::Write => (size / 16).max(64),
-    };
-    ctl.states.insert(
-        id,
-        ReqState {
-            kind,
-            size,
-            mem_size,
-            chunk,
-            server: target.unwrap_or(0),
-            start: now,
-            lbn,
-            sampled,
-            cache_hit: false,
-            cpu_busy: SimDuration::ZERO,
-            pending_replicas: 0,
-            phases: Vec::new(),
-            phase_started: now,
-            attempt: 0,
-            retries: 0,
-            timeout: None,
-            degraded: false,
-            replacements: Vec::new(),
-        },
-    );
-    let client = (id % ctl.cfg.n_clients as u64) as usize;
-    let cached = !ctl.cfg.consult_master || {
-        ctl.metadata_lookups += 1;
-        let cache = &mut ctl.metadata_caches[client];
-        if let Some(pos) = cache.iter().position(|&c| c == chunk) {
-            cache.remove(pos);
-            cache.push_back(chunk);
-            ctl.metadata_hits += 1;
-            true
-        } else {
-            false
-        }
-    };
-    if cached || target.is_none() {
-        dispatch_attempt(ctl, &mut shard.trace, &mut shard.outbox, &mut shard.engine, id, now, target);
-    } else {
-        if let Some(f) = &ctl.cfg.faults {
-            let st = ctl.states.get_mut(&id).expect("just inserted");
-            st.timeout = Some(shard.engine.schedule_cancellable(
-                f.timeout_for_attempt(0),
-                Ev::RequestTimeout { id, attempt: 0 },
-            ));
-        }
-        let master_service = ctl.master_service;
-        if let Some((job, service)) = ctl.master_pool.arrive(now, (id, master_service)) {
-            shard.engine.schedule(service, Ev::MasterDone { id: job });
-        }
-    }
-}
-
-/// `Ev::MasterDone` on the control shard.
-fn control_master_done(shard: &mut Shard, now: SimTime, id: u64) {
-    let ctl = shard.control.as_mut().expect("MasterDone fires on shard 0");
-    if let Some((job, service)) = ctl.master_pool.complete(now) {
-        shard.engine.schedule(service, Ev::MasterDone { id: job });
-    }
-    let Some(st) = ctl.states.get_mut(&id) else { return };
-    if st.attempt != 0 {
-        return;
-    }
-    st.phases.push(("master.lookup", st.phase_started, now));
-    st.phase_started = now;
-    let chunk = st.chunk;
-    let target = Some(st.server);
-    let client = (id % ctl.cfg.n_clients as u64) as usize;
-    let limit = ctl.cfg.client_metadata_cache.max(1);
-    let cache = &mut ctl.metadata_caches[client];
-    cache.push_back(chunk);
-    while cache.len() > limit {
-        cache.pop_front();
-    }
-    dispatch_attempt(ctl, &mut shard.trace, &mut shard.outbox, &mut shard.engine, id, now, target);
-}
-
-/// `Ev::RequestTimeout` on the control shard: cancel the zombie attempt's
-/// serving state, then retry (with failover) or abandon — mirroring the
-/// single-engine handler.
-fn control_timeout(shard: &mut Shard, now: SimTime, id: u64, attempt: u32) {
-    let ctl = shard.control.as_mut().expect("RequestTimeout fires on shard 0");
-    let f = ctl.cfg.faults.expect("timeouts only exist under faults");
-    let give_up = {
-        let Some(st) = ctl.states.get_mut(&id) else { return };
-        if st.attempt != attempt {
-            return; // stale timer
-        }
-        st.timeout = None;
-        st.retries >= f.max_retries
-    };
-    ctl.fstats.timeouts += 1;
-    // Whatever the old attempt left on its serving shard is now a zombie.
-    let prev_server = ctl.states.get(&id).expect("present above").server;
-    let prev_shard = ctl.shard_of[prev_server];
-    shard.outbox.send(prev_shard, now, ShardMsg::Cancel { id, attempt });
-    if give_up {
-        let mut st = ctl.states.remove(&id).expect("present above");
-        st.phases.push(("fault.abandon", st.phase_started, now));
-        ctl.fstats.requests_failed += 1;
-        ctl.finished += 1;
-        let total = now - st.start;
-        ctl.outcomes.push(RequestOutcome {
-            id,
-            is_read: st.kind == Kind::Read,
-            size: st.size,
-            latency_nanos: total.as_nanos(),
-            sampled: st.sampled,
-            cpu_busy_nanos: st.cpu_busy.as_nanos(),
-            cache_hit: st.cache_hit,
-            retries: st.retries,
-            faulted: true,
-            failed: true,
-        });
-        return;
-    }
-    let st = ctl.states.get_mut(&id).expect("present above");
-    st.retries += 1;
-    st.attempt += 1;
-    ctl.fstats.retries += 1;
-    st.phases.push(("fault.retry", st.phase_started, now));
-    st.phase_started = now;
-    st.pending_replicas = 0;
-    st.replacements.clear();
-    let prev = st.server;
-    let kind = st.kind;
-    let chunk = st.chunk;
-    let target = match kind {
-        Kind::Read => {
-            let live: Vec<usize> = ctl
-                .master
-                .replicas(chunk)
-                .iter()
-                .copied()
-                .filter(|&s| ctl.alive_all[s])
-                .collect();
-            if live.is_empty() {
-                None
-            } else {
-                let frng = ctl.fault_rng.as_mut().expect("fault mode");
-                Some(*frng.choose(&live))
-            }
-        }
-        Kind::Write => {
-            ctl.master.replicas(chunk).iter().copied().find(|&s| ctl.alive_all[s])
-        }
-    };
-    if let Some(t) = target {
-        if t != prev {
-            ctl.fstats.failovers += 1;
-        }
-    }
-    dispatch_attempt(ctl, &mut shard.trace, &mut shard.outbox, &mut shard.engine, id, now, target);
-}
-
-/// `Ev::Rereplicate` on the control shard: resolve source and target at
-/// fire time (within the dead server's group) and dispatch the repair.
-fn control_rereplicate(shard: &mut Shard, now: SimTime, chunk: ChunkHandle, dead: usize) {
-    let ctl = shard.control.as_mut().expect("Rereplicate fires on shard 0");
-    if ctl.alive_all[dead] {
-        return; // recovered before detection finished
-    }
-    let reps = ctl.master.replicas(chunk).to_vec();
-    if !reps.contains(&dead) {
-        return; // a write-triggered repair already won
-    }
-    let Some(from) = reps.iter().copied().find(|&s| s != dead && ctl.alive_all[s]) else {
-        return; // no live source holds the chunk
-    };
-    let group = ctl.shard_of[dead];
-    let Some(to) = ctl.ranges[group]
-        .clone()
-        .find(|&s| ctl.alive_all[s] && !reps.contains(&s))
-    else {
-        return; // nowhere in the group to put a new replica
-    };
-    let rid = REREP_BASE + ctl.rerep_seq;
-    ctl.rerep_seq += 1;
-    ctl.rerep_inflight.insert(rid);
-    let lbn = ctl.master.chunk_base_lbn(chunk);
-    let from_shard = ctl.shard_of[from];
-    shard
-        .outbox
-        .send(from_shard, now, ShardMsg::Rerep { rid, chunk, lbn, dead, from, to });
-}
-
-/// Dispatches one client attempt from the control plane: records the
-/// ingress, sends the `Attempt` message (unless the link drops it or no
-/// live target exists) and arms the attempt's timeout. The message-based
-/// twin of `Cluster::send_attempt`.
-fn dispatch_attempt(
-    ctl: &mut Control,
-    trace: &mut TraceSet,
-    outbox: &mut Outbox<ShardMsg>,
-    engine: &mut Engine<Ev>,
-    id: u64,
-    now: SimTime,
-    target: Option<usize>,
-) {
-    let Control {
-        states,
-        fault_rng,
-        master,
-        alive_all,
-        fstats,
-        server_of,
-        shard_of,
-        cfg,
-        ..
-    } = ctl;
-    let st = states.get_mut(&id).expect("caller holds a live request");
-    let target = target.filter(|&s| alive_all[s]);
-    if let Some(server) = target {
-        st.server = server;
-        server_of[id as usize] = server;
-        let wire = match st.kind {
-            Kind::Read => 1024,
-            Kind::Write => st.size,
-        };
-        let dropped = match (&cfg.faults, fault_rng.as_mut()) {
-            (Some(f), Some(frng)) if f.link_drop > 0.0 => frng.chance(f.link_drop),
-            _ => false,
-        };
-        if dropped {
-            fstats.link_drops += 1;
-        } else {
-            trace.network.push(NetworkRecord {
-                ts_nanos: now.as_nanos(),
-                size: wire,
-                direction: Direction::Ingress,
-                request_id: id,
-            });
-            outbox.send(
-                shard_of[server],
-                now,
-                ShardMsg::Attempt {
-                    id,
-                    attempt: st.attempt,
-                    server,
-                    kind: st.kind,
-                    size: st.size,
-                    mem_size: st.mem_size,
-                    lbn: st.lbn,
-                    chunk: st.chunk,
-                    sampled: st.sampled,
-                    wire,
-                    start: st.start,
-                    phase_started: st.phase_started,
-                    replicas: master.replicas(st.chunk).to_vec(),
-                },
-            );
-        }
-    }
-    if let Some(f) = &cfg.faults {
-        if st.timeout.is_none() {
-            st.timeout = Some(engine.schedule_cancellable(
-                f.timeout_for_attempt(st.attempt),
-                Ev::RequestTimeout { id, attempt: st.attempt },
-            ));
-        }
-    }
-}
-
 impl Cluster {
     /// Runs `n_requests` requests with the given workload seed on a
     /// sharded, time-windowed multi-engine simulation (see the module
-    /// docs). `shards` is clamped so every shard's server group holds a
-    /// full replica set; a request that clamps to 1 delegates to
-    /// [`Cluster::run`] and is bit-identical to the single-engine path.
+    /// docs). `shards` is clamped by [`effective_shards`]; a request that
+    /// clamps to 1 is [`Cluster::run`].
     ///
     /// Deterministic: equal `(config, n_requests, seed, shards)` gives
     /// identical outcomes at any worker-thread count.
     pub fn run_sharded(&mut self, n_requests: u64, seed: u64, shards: usize) -> ClusterOutcome {
-        let cfg = self.config.clone();
-        let n_shards = effective_shards(&cfg, shards);
+        let cfg = &self.config;
+        let n_shards = effective_shards(cfg, shards);
         if n_shards <= 1 {
             return self.run(n_requests, seed);
         }
         let ranges = shard_ranges(cfg.n_chunkservers, n_shards);
-        let mut shard_of = vec![0usize; cfg.n_chunkservers];
-        for (g, range) in ranges.iter().enumerate() {
-            for s in range.clone() {
-                shard_of[s] = g;
-            }
-        }
         // Group-aligned placement is part of the sharded cluster identity;
-        // like the single-engine path, its seed derives from structure so
-        // `seed` controls only the workload.
+        // like `Cluster::new`, its seed derives from structure so `seed`
+        // controls only the workload.
         let master = Master::place_grouped(
             cfg.workload.n_chunks,
             cfg.n_chunkservers,
@@ -1327,217 +98,28 @@ impl Cluster {
             0xC0FF_EE00 ^ cfg.n_chunkservers as u64,
         )
         .expect("config validated and shards clamped");
-        let plan = cfg.faults.map(|f| {
-            let horizon = SimDuration::from_secs_f64(
-                n_requests as f64 * cfg.workload.mean_interarrival_secs * 2.0 + 120.0,
-            );
-            FaultPlan::generate(&f, cfg.n_chunkservers, horizon)
-        });
-        let trace_overhead = SimDuration::from_secs_f64(cfg.tracing_overhead_secs);
-        let width = window_width(&cfg);
-        let mut barrier: ShardedEngine<ShardMsg> = ShardedEngine::new(n_shards, width);
-        let outboxes = barrier.outboxes();
-
-        let mut shards_vec: Vec<Shard> = Vec::with_capacity(n_shards);
-        for (g, outbox) in outboxes.into_iter().enumerate() {
-            let range = ranges[g].clone();
-            let mut engine: Engine<Ev> = Engine::new();
-            let servers: Vec<Server> = range
-                .clone()
-                .map(|_| Server {
-                    cpu_pool: ServerPool::new(cfg.cpu.cores),
-                    disk_pool: ServerPool::new(1),
-                    net_in_pool: ServerPool::new(1),
-                    net_out_pool: ServerPool::new(1),
-                    disk: DiskModel::new(cfg.disk),
-                    memory: MemoryModel::new(cfg.memory),
-                    cpu: CpuModel::new(cfg.cpu),
-                    link: LinkModel::new(cfg.link),
-                })
-                .collect();
-            if let Some(p) = &plan {
-                // The control shard schedules every server's transitions
-                // (it tracks cluster-wide liveness and drives repair);
-                // serving shards only their own range's.
-                let watched: Vec<usize> = if g == 0 {
-                    (0..cfg.n_chunkservers).collect()
-                } else {
-                    range.clone().collect()
-                };
-                for s in watched {
-                    for w in p.windows(s) {
-                        engine.schedule_at(w.down, Ev::Crash { server: s });
-                        engine.schedule_at(w.up, Ev::Recover { server: s });
-                    }
-                }
-            }
-            let control = (g == 0).then(|| {
-                let mut rng = Rng64::new(seed);
-                let zipf = Zipf::new(cfg.workload.n_chunks, cfg.workload.zipf_skew)
-                    .expect("validated config");
-                let gap = Exponential::with_mean(cfg.workload.mean_interarrival_secs)
-                    .expect("validated config");
-                if n_requests > 0 {
-                    engine.schedule(
-                        SimDuration::from_secs_f64(gap.sample(&mut rng)),
-                        Ev::NewRequest { id: 0 },
-                    );
-                }
-                Control {
-                    n_requests,
-                    rng,
-                    fault_rng: cfg.faults.map(|f| Rng64::for_stream(f.seed, seed)),
-                    zipf,
-                    gap,
-                    master: master.clone(),
-                    states: HashMap::new(),
-                    master_pool: ServerPool::new(1),
-                    metadata_caches: vec![VecDeque::new(); cfg.n_clients],
-                    metadata_lookups: 0,
-                    metadata_hits: 0,
-                    master_service: SimDuration::from_secs_f64(
-                        2.0 * cfg.link.latency_secs + cfg.master_lookup_secs,
-                    ),
-                    collector: SpanCollector::with_sampling(cfg.trace_sampling),
-                    names: NameCache::default(),
-                    server_of: vec![0; n_requests as usize],
-                    outcomes: Vec::with_capacity(n_requests as usize),
-                    latency: Tally::new(),
-                    alive_all: vec![true; cfg.n_chunkservers],
-                    fstats: FaultStats::default(),
-                    rerep_seq: 0,
-                    rerep_inflight: HashSet::new(),
-                    finished: 0,
-                    shard_of: shard_of.clone(),
-                    ranges: ranges.clone(),
-                    cfg: cfg.clone(),
-                }
-            });
-            shards_vec.push(Shard {
-                range,
-                engine,
-                servers,
-                alive: vec![true; ranges[g].len()],
-                epochs: vec![0; ranges[g].len()],
-                trace: TraceSet::new(),
-                srv_states: HashMap::new(),
-                rerep_jobs: HashMap::new(),
-                outbox,
-                plan: plan.clone(),
-                trace_overhead,
-                tracing_busy: SimDuration::ZERO,
-                total_cpu_busy: SimDuration::ZERO,
-                jobs_lost: 0,
-                fabric: FabricState::build(&cfg),
-                control,
-            });
-        }
+        let mut barrier: ShardedEngine<ShardMsg> = ShardedEngine::new(n_shards, window_width(cfg));
+        let outboxes = Some(barrier.outboxes());
+        let mut shards = Shard::build(cfg, master, n_requests, seed, &ranges, outboxes);
 
         // The window loop: step every shard (in parallel — each only
         // touches its own state), exchange mailboxes at the barrier in
         // canonical order, deliver at the boundary instant, repeat until
         // the cluster is quiescent. Pre-scheduled fault-horizon events
-        // past the workload are abandoned, like the single-engine path.
+        // past that point are abandoned, like the one-shard early break.
         loop {
             let until = barrier.window_end();
-            kooza_exec::par_for_each_mut(&mut shards_vec, |_, shard| shard.step(until));
-            let inboxes = barrier.exchange(shards_vec.iter_mut().map(|s| &mut s.outbox));
-            let delivered: usize = inboxes.iter().map(Vec::len).sum();
-            for (shard, inbox) in shards_vec.iter_mut().zip(inboxes) {
+            kooza_exec::par_for_each_mut(&mut shards, |_, shard| shard.step(until));
+            let inboxes = barrier.exchange(shards.iter_mut().map(Shard::outbox));
+            let mut delivered = 0;
+            for (shard, inbox) in shards.iter_mut().zip(inboxes) {
+                delivered += inbox.len();
                 for env in inbox {
-                    shard.engine.schedule_at(until, Ev::Msg(Box::new(env.msg)));
+                    shard.post(until, env.msg);
                 }
             }
-            let ctl = shards_vec[0].control.as_ref().expect("shard 0 is control");
-            let control_done = ctl.finished == n_requests && ctl.rerep_inflight.is_empty();
-            let serving_done = shards_vec
-                .iter()
-                .all(|s| s.srv_states.is_empty() && s.rerep_jobs.is_empty());
-            if delivered == 0 && control_done && serving_done {
+            if delivered == 0 && shards[0].quiescent() && shards.iter().all(Shard::idle) {
                 break;
-            }
-        }
-
-        // Assemble the outcome: merge shard-local traces in shard order
-        // (then time-sort, exactly like the single-engine path), combine
-        // per-server stats from each shard's disjoint range, and take the
-        // request ledger from the control plane.
-        let end = shards_vec
-            .iter()
-            .map(|s| s.engine.now())
-            .max()
-            .expect("at least one shard");
-        let mut ctl = shards_vec[0].control.take().expect("shard 0 is control");
-        let mut requests_per_server = vec![0u64; cfg.n_chunkservers];
-        for &s in &ctl.server_of {
-            requests_per_server[s] += 1;
-        }
-        let mut cpu_utilization = vec![0.0; cfg.n_chunkservers];
-        let mut disk_utilization = vec![0.0; cfg.n_chunkservers];
-        let mut cache_hit_ratio = vec![0.0; cfg.n_chunkservers];
-        let mut queue_high_water_per_server = vec![0u64; cfg.n_chunkservers];
-        let mut total_cpu_busy = SimDuration::ZERO;
-        let mut tracing_busy = SimDuration::ZERO;
-        let mut events_processed = 0u64;
-        let mut pending_high_water = 0u64;
-        let mut fstats = ctl.fstats;
-        let mut trace = TraceSet::new();
-        for shard in &mut shards_vec {
-            for (local, s) in shard.servers.iter().enumerate() {
-                let g = shard.range.start + local;
-                cpu_utilization[g] = s.cpu_pool.utilization(end);
-                disk_utilization[g] = s.disk_pool.utilization(end);
-                cache_hit_ratio[g] = s.memory.hit_ratio();
-                queue_high_water_per_server[g] = s
-                    .cpu_pool
-                    .queue_high_water()
-                    .max(s.disk_pool.queue_high_water())
-                    .max(s.net_in_pool.queue_high_water())
-                    .max(s.net_out_pool.queue_high_water())
-                    as u64;
-            }
-            total_cpu_busy += shard.total_cpu_busy;
-            tracing_busy += shard.tracing_busy;
-            events_processed += shard.engine.processed();
-            pending_high_water = pending_high_water.max(shard.engine.pending_high_water() as u64);
-            fstats.merge(&FaultStats { jobs_lost: shard.jobs_lost, ..FaultStats::default() });
-            trace.merge(std::mem::take(&mut shard.trace));
-        }
-        let outcomes = std::mem::take(&mut ctl.outcomes);
-        fstats.degraded_requests =
-            outcomes.iter().filter(|o| o.faulted && !o.failed).count() as u64;
-        let stats = ClusterStats {
-            completed: outcomes.iter().filter(|o| !o.failed).count() as u64,
-            latency_secs: ctl.latency.clone(),
-            makespan_secs: end.as_secs_f64(),
-            cpu_utilization,
-            disk_utilization,
-            cache_hit_ratio,
-            total_cpu_busy_secs: total_cpu_busy.as_secs_f64(),
-            tracing_busy_secs: tracing_busy.as_secs_f64(),
-            master_utilization: ctl.master_pool.utilization(end),
-            metadata_hit_ratio: if ctl.metadata_lookups == 0 {
-                1.0
-            } else {
-                ctl.metadata_hits as f64 / ctl.metadata_lookups as f64
-            },
-            events_processed,
-            pending_high_water,
-            requests_per_server,
-            queue_high_water_per_server,
-            faults: fstats,
-        };
-        self.publish_metrics(&stats, &outcomes);
-        // One fabric per shard: counter adds and histogram records are
-        // commutative, so publishing in shard order is order-independent.
-        for shard in &shards_vec {
-            if let Some(fab) = &shard.fabric {
-                Cluster::publish_fabric_metrics(
-                    fab.fabric.flows_started(),
-                    fab.fabric.rerates(),
-                    fab.fabric.bottleneck_busy(),
-                    &fab.fabric.link_utilization(end),
-                );
             }
         }
         if kooza_obs::global::is_enabled() {
@@ -1547,17 +129,7 @@ impl Cluster {
                 reg.counter_add("sim.shard.messages", barrier.messages());
             });
         }
-        trace.spans = ctl.collector.spans().to_vec();
-        trace.sort_by_time();
-        let per_server = ShardedTrace::partition(&trace, cfg.n_chunkservers, |rid| {
-            ctl.server_of[rid as usize]
-        });
-        ClusterOutcome {
-            trace,
-            per_server,
-            stats,
-            requests: outcomes,
-        }
+        shard::finish(self, shards)
     }
 }
 
@@ -1566,6 +138,10 @@ mod tests {
     use super::*;
     use crate::config::WorkloadMix;
     use crate::fault::FaultSpec;
+    use std::collections::HashMap;
+
+    use crate::{ClusterStats, CpuModel, FaultStats, RequestOutcome};
+    use kooza_sim::Tally;
 
     /// A cluster big enough for 4 groups of 3 (replication 3).
     fn sharded_config() -> ClusterConfig {
@@ -1786,10 +362,119 @@ mod tests {
         let b = Cluster::new(&config).unwrap().run_sharded(300, 51, 4);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.requests, b.requests);
-        // One shard delegates to the single-engine fabric path.
+        // One shard is the one-shard hosting, fabric included.
         let legacy = Cluster::new(&config).unwrap().run(300, 51);
         let one = Cluster::new(&config).unwrap().run_sharded(300, 51, 1);
         assert_eq!(legacy.trace, one.trace);
+    }
+
+    #[test]
+    fn repair_whose_target_crashed_in_transit_is_reported_lost() {
+        // Control picks a live repair target that crashes before the
+        // barrier delivers the command; the source shard must report the
+        // repair lost instead of shipping the chunk to a down NIC.
+        let mut config = sharded_config();
+        config.faults = Some(FaultSpec::parse("mttf=5,mttr=2,timeout=0.5,retries=8").unwrap());
+        let out = Cluster::new(&config).unwrap().run_sharded(1000, 1, 2);
+        assert_eq!(out.stats.completed + out.stats.faults.requests_failed, 1000);
+        let mut ids: Vec<u64> = out.requests.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..1000).collect::<Vec<u64>>());
+    }
+
+    /// Timeouts that race service times: attempts time out mid-pipeline or
+    /// just after finishing, and some requests exhaust their retries.
+    fn racing_config() -> ClusterConfig {
+        let mut config = sharded_config();
+        config.workload.mean_interarrival_secs = 0.01;
+        let spec = "mttf=1000,mttr=1,timeout=0.05,retries=2,backoff=1";
+        config.faults = Some(FaultSpec::parse(spec).unwrap());
+        config
+    }
+
+    /// `racing_config` hosted on one shard and on two.
+    fn racing_runs() -> [ClusterOutcome; 2] {
+        let config = racing_config();
+        [1, 2].map(|shards| Cluster::new(&config).unwrap().run_sharded(600, 3, shards))
+    }
+
+    #[test]
+    fn retried_request_cpu_counts_every_attempt_at_one_shard_and_the_last_at_n() {
+        let config = racing_config();
+        let cpu = CpuModel::new(config.cpu);
+        let overhead = SimDuration::from_secs_f64(config.tracing_overhead_secs);
+        // Both CPU stages of one complete attempt, with tracing overhead.
+        let one_attempt = |r: &RequestOutcome| {
+            let stages = cpu.phase(1024) + cpu.phase(r.size);
+            (stages + if r.sampled { overhead + overhead } else { SimDuration::ZERO }).as_nanos()
+        };
+        let [one, two] = racing_runs();
+        let retried = |out: &ClusterOutcome| -> Vec<(u64, u64)> {
+            let done = out.requests.iter().filter(|r| !r.failed && r.retries > 0);
+            done.map(|r| (r.cpu_busy_nanos, one_attempt(r))).collect()
+        };
+        // One shard bills the CPU stages cancelled attempts reached.
+        assert!(retried(&one).iter().any(|&(busy, attempt)| busy > attempt));
+        // N shards report the completing attempt's serving record only.
+        let at_n = retried(&two);
+        assert!(!at_n.is_empty());
+        assert!(at_n.iter().all(|&(busy, attempt)| busy == attempt), "{at_n:?}");
+    }
+
+    #[test]
+    fn failed_request_reports_serving_cpu_and_cache_hit_only_at_one_shard() {
+        let [one, two] = racing_runs();
+        assert!(one.requests.iter().any(|r| r.failed && r.cpu_busy_nanos > 0));
+        // At N shards the control plane's record never sees the serving side.
+        let failed: Vec<&RequestOutcome> = two.requests.iter().filter(|r| r.failed).collect();
+        assert!(!failed.is_empty());
+        assert!(failed.iter().all(|r| r.cpu_busy_nanos == 0 && !r.cache_hit));
+    }
+
+    #[test]
+    fn cancelled_attempt_phases_stay_in_the_span_tree_only_at_one_shard() {
+        // Trees with a serving phase before the last retry: phases of a
+        // cancelled attempt.
+        let cancelled = |out: &ClusterOutcome| {
+            let trees = out.trace.span_trees();
+            let with = trees.iter().filter(|t| {
+                let phases = t.phase_sequence();
+                let last_retry = phases.iter().rposition(|&p| p == "fault.retry");
+                last_retry.is_some_and(|i| phases[..i].contains(&"network.in"))
+            });
+            with.count()
+        };
+        let [one, two] = racing_runs();
+        assert!(cancelled(&one) > 0);
+        assert!(two.requests.iter().any(|r| r.sampled && !r.failed && r.retries > 0));
+        assert_eq!(cancelled(&two), 0);
+    }
+
+    #[test]
+    fn completion_racing_its_timeout_in_one_window_retries_only_at_n() {
+        let config = racing_config();
+        let timeout = config.faults.unwrap().timeout_for_attempt(0).as_nanos();
+        // Completed requests that retried although an attempt finished
+        // serving (its CPU record) before the first attempt's timer fired.
+        let raced = |out: &ClusterOutcome| {
+            let mut served: HashMap<u64, Vec<u64>> = HashMap::new();
+            for c in &out.trace.cpu {
+                served.entry(c.request_id).or_default().push(c.ts_nanos);
+            }
+            let retried = out.requests.iter().filter(|r| !r.failed && r.retries > 0);
+            let raced = retried.filter(|r| {
+                let ts = &served[&r.id];
+                let start = ts.iter().max().expect("completed") - r.latency_nanos;
+                ts.iter().any(|&t| t < start + timeout)
+            });
+            raced.count()
+        };
+        let [one, two] = racing_runs();
+        // One shard: a completion cancels its timer in the same instant.
+        assert_eq!(raced(&one), 0);
+        // N shards: `Done` waits for the barrier, so a timer firing later
+        // in the same window retries a completed attempt.
+        assert!(raced(&two) > 0);
     }
 
     #[test]

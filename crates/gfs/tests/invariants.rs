@@ -2,9 +2,9 @@
 //! configurations, on the deterministic in-repo `kooza-check` harness.
 
 use kooza_check::gen::{choice, u32_range, u64_range, zip2, zip5};
-use kooza_check::{checker, ensure, ensure_eq};
+use kooza_check::{checker, ensure, ensure_eq, PropResult};
 
-use kooza_gfs::{Cluster, ClusterConfig, WorkloadMix};
+use kooza_gfs::{Cluster, ClusterConfig, ClusterOutcome, FaultSpec, Topology, WorkloadMix};
 
 /// Conservation and well-formedness across random workloads: every
 /// request completes exactly once, record counts line up, span trees
@@ -99,4 +99,66 @@ fn replication_conserves_requests() {
             Ok(())
         },
     );
+}
+
+/// Every request id in `0..n` resolves exactly once, completed or failed.
+fn resolves_once(out: &ClusterOutcome, n: u64) -> PropResult {
+    ensure_eq!(out.stats.completed + out.stats.faults.requests_failed, n);
+    let mut ids: Vec<u64> = out.requests.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    ensure!(ids.iter().copied().eq(0..n), "ids resolved other than once each: {ids:?}");
+    Ok(())
+}
+
+/// Runs one configuration on `shards` shards and through both one-shard
+/// entry points: every hosting returns and resolves every request once,
+/// and `run` and `run_sharded(.., 1)` are the same simulation.
+fn hostings_agree(config: &ClusterConfig, n: u64, seed: u64, shards: usize) -> PropResult {
+    let sharded = Cluster::new(config).unwrap().run_sharded(n, seed, shards);
+    resolves_once(&sharded, n)?;
+    let one = Cluster::new(config).unwrap().run(n, seed);
+    resolves_once(&one, n)?;
+    let via_sharded = Cluster::new(config).unwrap().run_sharded(n, seed, 1);
+    ensure!(one.trace == via_sharded.trace, "run and run_sharded(.., 1) traces differ");
+    ensure_eq!(one.requests, via_sharded.requests);
+    Ok(())
+}
+
+/// Both hostings resolve every request exactly once across cluster size,
+/// shard count, topology and fault injection.
+#[test]
+fn every_hosting_resolves_every_request_once() {
+    checker("every_hosting_resolves_every_request_once").cases(12).run(
+        zip5(
+            choice(vec![3usize, 6, 9, 12]), // servers
+            choice(vec![1usize, 2, 4]),     // shards
+            choice(vec![false, true]),      // rack topology
+            choice(vec![false, true]),      // faults
+            u64_range(0, 1_000),            // seed
+        ),
+        |&(servers, shards, rack, faults, seed)| {
+            let mut config = ClusterConfig::cluster(servers);
+            config.workload = WorkloadMix::mixed();
+            if rack {
+                config.topology = Topology::Rack { servers_per_rack: 3, oversub: 1.5 };
+            }
+            if faults {
+                let spec = "mttf=3,mttr=0.5,timeout=0.4,retries=10,detect=0.1";
+                config.faults = Some(FaultSpec::parse(spec).unwrap());
+            }
+            hostings_agree(&config, 300, seed, shards)
+        },
+    );
+}
+
+/// The sharded repair race as a fixed case: a repair target that crashes
+/// before the barrier delivers the repair command.
+#[test]
+fn repair_race_resolves_every_request_once() {
+    let mut config = ClusterConfig::cluster(12);
+    config.workload = WorkloadMix::mixed();
+    config.faults = Some(FaultSpec::parse("mttf=5,mttr=2,timeout=0.5,retries=8").unwrap());
+    if let Err(e) = hostings_agree(&config, 1000, 1, 2) {
+        panic!("{e:?}");
+    }
 }

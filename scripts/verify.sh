@@ -34,6 +34,8 @@ echo "== tier-1: offline release build =="
 cargo build --release --offline --workspace
 
 echo "== tier-1: full test suite =="
+# Also runs the KTC property, corruption and golden-fixture suites, the
+# trace round trip and the fabric property suite.
 cargo test -q --offline --workspace
 
 echo "== lint gate: clippy clean at -D warnings =="
@@ -62,16 +64,6 @@ if echo "$simcore_out" | grep -q "REGRESSION"; then
     exit 1
 fi
 
-echo "== KTC trace format: property, corruption and golden-fixture suites =="
-# The binary columnar format is gated on the JSONL oracle: round-trip
-# identity and oracle agreement (properties), typed errors on every
-# truncation/mutation of the stream (corruption sweep), and committed
-# fixture bytes pinned exactly (golden).
-cargo test -q --offline -p kooza-trace --test ktc_properties
-cargo test -q --offline -p kooza-trace --test ktc_corrupt
-cargo test -q --offline -p kooza-trace --test ktc_golden
-cargo test -q --offline --test trace_roundtrip
-
 echo "== thread-count determinism: tables identical at KOOZA_THREADS=8 =="
 # The test itself sweeps 1/2/8 via the thread override (and, since the
 # KTC format landed, direct vs JSONL vs KTC ingest at each count);
@@ -93,15 +85,13 @@ KOOZA_THREADS=8 cargo test -q --offline --test fault_determinism
 echo "== shard determinism: sharded tables/logs/obs identical at KOOZA_THREADS=8 =="
 # The test sweeps 1/2/8 threads x 1/4 shards (healthy and fault-injected)
 # internally; the env var exercises the sizing path on top. Shards=1 also
-# pins the sharded entry point bit-identical to the single-engine path.
+# pins the sharded entry point bit-identical to the one-shard hosting.
 KOOZA_THREADS=8 cargo test -q --offline --test shard_determinism
 
 echo "== fabric determinism: rack topology identical at KOOZA_THREADS=8, legacy path pinned to golden =="
 # Rack mode sweeps 1/2/8 threads x 1/4 shards internally; --topology none
 # is compared byte-for-byte against fixtures generated before the fabric
-# landed (tests/fixtures/pre_fabric_*.golden), plus the fabric property
-# suite (capacity bounds, permutation invariance, legacy-link agreement).
+# landed (tests/fixtures/pre_fabric_*.golden).
 KOOZA_THREADS=8 cargo test -q --offline --test fabric_determinism
-cargo test -q --offline --test fabric_properties
 
 echo "verify: OK"
