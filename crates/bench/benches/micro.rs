@@ -5,6 +5,8 @@
 
 use std::hint::black_box;
 
+use kooza::fleet::observations_by_server;
+use kooza::kooza::KoozaOptions;
 use kooza::{Kooza, KoozaFleet, WorkloadModel};
 use kooza_bench::harness::Harness;
 use kooza_exec::Pool;
@@ -228,11 +230,12 @@ fn bench_exec_par_map(h: &mut Harness) {
 }
 
 fn bench_fleet_train(h: &mut Harness) {
-    // Per-server KOOZA training on a 4-server replicated cluster. The
-    // serial baseline fits each server's view in a loop; the parallel
-    // variant is the production `KoozaFleet::fit_views` path. The ratio of
-    // their medians is the fleet-training speedup (reported in the
-    // KOOZA_BENCH_JSON output; ~1.0 on a single-core host).
+    // Per-server KOOZA training on a 4-server replicated cluster. Both
+    // variants join and group the observations once; the serial baseline
+    // then fits each server's group in a loop, and the parallel variant is
+    // the production `KoozaFleet::fit` path. The ratio of their medians is
+    // the fleet-training speedup (reported in the KOOZA_BENCH_JSON output;
+    // ~1.0 on a single-core host).
     let n_servers = 4;
     let mut config = ClusterConfig::cluster(n_servers);
     config.workload = WorkloadMix {
@@ -243,16 +246,18 @@ fn bench_fleet_train(h: &mut Harness) {
         ..WorkloadMix::read_heavy()
     };
     let outcome = Cluster::new(&config).unwrap().run(2_000, 14);
-    let views = outcome.server_views();
     h.bench_function("fleet_serial_train", |b| {
         b.iter(|| {
-            let fleet: Vec<Kooza> =
-                views.iter().map(|v| Kooza::fit_view(v).unwrap()).collect();
+            let groups = observations_by_server(&outcome).unwrap();
+            let fleet: Vec<Kooza> = groups
+                .iter()
+                .map(|g| Kooza::fit_observations(g, KoozaOptions::default()).unwrap())
+                .collect();
             black_box(fleet.len())
         })
     });
     h.bench_function("fleet_parallel_train", |b| {
-        b.iter(|| black_box(KoozaFleet::fit_views(&views).unwrap().len()))
+        b.iter(|| black_box(KoozaFleet::fit(&outcome).unwrap().len()))
     });
 }
 

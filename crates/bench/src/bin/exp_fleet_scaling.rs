@@ -7,7 +7,7 @@
 //! arrival rate and latency — and that fleet model size grows linearly
 //! (the Table-1 scalability column, measured).
 
-use kooza::class::assemble_observations_view;
+use kooza::fleet::observations_by_server;
 use kooza::{KoozaFleet, ReplayConfig};
 use kooza_bench::{banner, section, EXPERIMENT_SEED};
 use kooza_gfs::{Cluster, ClusterConfig, WorkloadMix};
@@ -28,10 +28,9 @@ fn main() {
     let mut cluster = Cluster::new(&config).expect("config");
     let outcome = cluster.run(4000, EXPERIMENT_SEED);
 
-    // Per-server training reads borrowed views over the single owned trace
-    // (no per-server clones) and fits the instances in parallel.
-    let views = outcome.server_views();
-    let fleet = KoozaFleet::fit_views(&views).expect("fleet trains");
+    // The fleet joins the run's trace into per-request observations,
+    // groups them by serving chunkserver and fits the instances in parallel.
+    let fleet = KoozaFleet::fit(&outcome).expect("fleet trains");
     let mut rng = Rng64::new(EXPERIMENT_SEED + 4);
     let streams = fleet.generate_per_server(1000, &mut rng);
 
@@ -40,8 +39,8 @@ fn main() {
         "{:>8} {:>12} {:>12} {:>14} {:>14}",
         "server", "rate orig", "rate model", "lat orig (ms)", "lat model (ms)"
     );
-    for (i, view) in views.iter().enumerate() {
-        let obs = assemble_observations_view(view).expect("assembles");
+    let groups = observations_by_server(&outcome).expect("assembles");
+    for (i, obs) in groups.iter().enumerate() {
         let span_secs = (obs.last().unwrap().arrival_nanos - obs[0].arrival_nanos) as f64 / 1e9;
         let orig_rate = (obs.len() - 1) as f64 / span_secs;
         let orig_lat = obs.iter().map(|o| o.latency_nanos as f64 / 1e6).sum::<f64>()

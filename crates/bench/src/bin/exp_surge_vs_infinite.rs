@@ -3,7 +3,7 @@
 //!
 //! §2.1.3: Joo et al. "conclude that results for the two models vary
 //! greatly, therefore the accuracy of the model in capturing user behavior
-//! ... [is] instrumental for the fidelity of the observed results." We
+//! ... \[is\] instrumental for the fidelity of the observed results." We
 //! drive the same M/M/c service tier with (a) an infinite-source constant-
 //! rate model and (b) a user-equivalent model with heavy-tailed think
 //! times, at matched mean rates, and compare the latency the two predict.

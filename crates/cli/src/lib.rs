@@ -19,6 +19,7 @@ use std::path::Path;
 
 use kooza::class::assemble_observations;
 use kooza::crossexam::cross_examine;
+use kooza::kooza::KoozaOptions;
 use kooza::validate::validate;
 use kooza::{fault_drift, InBreadthModel, InDepthModel, Kooza, ReplayConfig, WorkloadModel};
 use kooza_gfs::{Cluster, ClusterConfig, FaultSpec, Topology, WorkloadMix};
@@ -526,7 +527,8 @@ fn validate_cmd(opts: &Options) -> Result<String, CliError> {
     let n: usize = opts.parse_num("n", 1000)?;
     let seed: u64 = opts.parse_num("seed", 1)?;
     let observations = assemble_observations(&trace).map_err(|e| err(e.to_string()))?;
-    let model = Kooza::fit(&trace).map_err(|e| err(e.to_string()))?;
+    let model = Kooza::fit_observations(&observations, KoozaOptions::default())
+        .map_err(|e| err(e.to_string()))?;
     let mut rng = Rng64::new(seed);
     let synthetic = model.generate(n, &mut rng);
     let report = validate(&model, &observations, &synthetic, ReplayConfig::default());
@@ -558,7 +560,8 @@ fn crossexam(opts: &Options) -> Result<String, CliError> {
         load_trace(opts)?
     };
     let observations = assemble_observations(&trace).map_err(|e| err(e.to_string()))?;
-    let kooza = Kooza::fit(&trace).map_err(|e| err(e.to_string()))?;
+    let kooza = Kooza::fit_observations(&observations, KoozaOptions::default())
+        .map_err(|e| err(e.to_string()))?;
     let inb = InBreadthModel::fit(&trace).map_err(|e| err(e.to_string()))?;
     let ind = InDepthModel::fit(&trace).map_err(|e| err(e.to_string()))?;
     let table = cross_examine(

@@ -10,7 +10,6 @@
 use std::collections::{BTreeMap, HashMap};
 
 use kooza_trace::record::{Direction, IoOp};
-use kooza_trace::view::TraceView;
 use kooza_trace::{Span, TraceSet};
 
 use crate::{ModelError, Result};
@@ -104,17 +103,6 @@ fn majority_suffix(ops: impl Iterator<Item = IoOp>) -> &'static str {
 /// records, or [`ModelError::InsufficientRequests`] if no request has a
 /// complete span tree.
 pub fn assemble_observations(trace: &TraceSet) -> Result<Vec<RequestObservation>> {
-    assemble_observations_view(&trace.as_view())
-}
-
-/// [`assemble_observations`] over a borrowed [`TraceView`] — the zero-copy
-/// path parallel per-server training uses (each worker gets a slice of the
-/// one owned cluster trace, never a cloned `TraceSet`).
-///
-/// # Errors
-///
-/// Same as [`assemble_observations`].
-pub fn assemble_observations_view(trace: &TraceView<'_>) -> Result<Vec<RequestObservation>> {
     if trace.network.is_empty() {
         return Err(ModelError::MissingStream("network"));
     }
@@ -125,7 +113,7 @@ pub fn assemble_observations_view(trace: &TraceView<'_>) -> Result<Vec<RequestOb
     // and the tree-validity checks are needed here, and all three fall out
     // of one pass over the borrowed group.
     let mut by_trace: HashMap<u64, Vec<&Span>> = HashMap::new();
-    for span in trace.spans {
+    for span in &trace.spans {
         by_trace.entry(span.trace_id.0).or_default().push(span);
     }
     let mut by_request: HashMap<u64, RequestObservation> = HashMap::with_capacity(by_trace.len());
@@ -137,7 +125,7 @@ pub fn assemble_observations_view(trace: &TraceView<'_>) -> Result<Vec<RequestOb
     if by_request.is_empty() {
         return Err(ModelError::InsufficientRequests { needed: 1, got: 0 });
     }
-    for r in trace.network {
+    for r in &trace.network {
         if let Some(obs) = by_request.get_mut(&r.request_id) {
             match r.direction {
                 Direction::Ingress => obs.network_in_bytes += r.size,
@@ -145,18 +133,18 @@ pub fn assemble_observations_view(trace: &TraceView<'_>) -> Result<Vec<RequestOb
             }
         }
     }
-    for r in trace.cpu {
+    for r in &trace.cpu {
         if let Some(obs) = by_request.get_mut(&r.request_id) {
             obs.cpu_busy_nanos += r.busy_nanos;
             obs.cpu_utilization = r.utilization;
         }
     }
-    for r in trace.memory {
+    for r in &trace.memory {
         if let Some(obs) = by_request.get_mut(&r.request_id) {
             obs.memory.push((r.bank, r.size, r.op));
         }
     }
-    for r in trace.storage {
+    for r in &trace.storage {
         if let Some(obs) = by_request.get_mut(&r.request_id) {
             obs.storage.push((r.lbn, r.size, r.op));
         }

@@ -2,21 +2,42 @@
 //!
 //! §4: "Scaling to multiple servers in order to simulate real-application
 //! scenarios requires multiple instances of the model." A [`KoozaFleet`]
-//! trains one [`Kooza`] per server from the per-server trace split the GFS
-//! simulator provides, and generates per-server synthetic streams — the
-//! unit of large-scale DC simulation §5 argues for.
+//! trains one [`Kooza`] per server of a GFS cluster run and generates
+//! per-server synthetic streams — the unit of large-scale DC simulation §5
+//! argues for.
+//!
+//! The run's trace is joined into per-request observations once; the
+//! observations are then grouped by the chunkserver that served each
+//! request ([`ClusterOutcome::server_of`]). Every record of a request
+//! belongs to that request's server, so a group is exactly what joining
+//! only that server's records would give — without copying any record.
 //!
 //! Training and generation fan out over `kooza-exec`: each server is an
 //! independent task, per-task randomness comes from serially pre-forked
 //! child generators, and results merge in server order — so the fleet is
 //! bit-identical at any thread count.
 
+use kooza_gfs::ClusterOutcome;
 use kooza_sim::rng::Rng64;
-use kooza_trace::view::TraceView;
-use kooza_trace::TraceSet;
 
-use crate::kooza::Kooza;
-use crate::{ModelError, Result, SyntheticRequest, WorkloadModel};
+use crate::class::{assemble_observations, RequestObservation};
+use crate::kooza::{Kooza, KoozaOptions};
+use crate::{Result, SyntheticRequest, WorkloadModel};
+
+/// Joins a cluster run's trace into per-request observations and groups
+/// them by the chunkserver that served each request: one group per
+/// chunkserver, each in arrival order.
+///
+/// # Errors
+///
+/// Same as [`assemble_observations`] on the whole-cluster trace.
+pub fn observations_by_server(outcome: &ClusterOutcome) -> Result<Vec<Vec<RequestObservation>>> {
+    let mut groups = vec![Vec::new(); outcome.stats.requests_per_server.len()];
+    for obs in assemble_observations(&outcome.trace)? {
+        groups[outcome.server_of[obs.request_id as usize]].push(obs);
+    }
+    Ok(groups)
+}
 
 /// One trained model per server.
 #[derive(Debug)]
@@ -25,37 +46,27 @@ pub struct KoozaFleet {
 }
 
 impl KoozaFleet {
-    /// Trains one model per server trace.
+    /// Trains one model per chunkserver of a cluster run, each on the
+    /// requests that server served. Per-server fits run in parallel;
+    /// fitting draws no randomness, so the result is identical at any
+    /// thread count.
     ///
-    /// Every server must have a trainable trace; a server that saw no
-    /// requests is a configuration problem the caller should see, not
-    /// silently drop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-server training failure, or errors on an
-    /// empty fleet.
-    pub fn fit(per_server_traces: &[TraceSet]) -> Result<Self> {
-        let views: Vec<TraceView<'_>> = per_server_traces.iter().map(TraceSet::as_view).collect();
-        Self::fit_views(&views)
-    }
-
-    /// Trains one model per borrowed server view — the zero-copy path for
-    /// [`kooza_gfs::ClusterOutcome::server_views`]: the cluster trace is
-    /// stored once and each training task reads its server's slice.
-    /// Per-server fits run in parallel; fitting draws no randomness, so
-    /// the result is identical at any thread count.
+    /// Every server must have trainable observations; a server that saw
+    /// no (sampled) requests is a configuration problem the caller should
+    /// see, not silently drop.
     ///
     /// # Errors
     ///
-    /// Propagates the first per-server training failure, or errors on an
-    /// empty fleet.
-    pub fn fit_views(views: &[TraceView<'_>]) -> Result<Self> {
-        if views.is_empty() {
-            return Err(ModelError::InsufficientRequests { needed: 1, got: 0 });
-        }
+    /// Propagates the observation-join failure or the first per-server
+    /// training failure.
+    pub fn fit(outcome: &ClusterOutcome) -> Result<Self> {
         let servers: Result<Vec<Kooza>> = kooza_obs::global::stage("fleet.train", || {
-            kooza_exec::par_map(views, Kooza::fit_view).into_iter().collect()
+            let groups = observations_by_server(outcome)?;
+            kooza_exec::par_map(&groups, |group| {
+                Kooza::fit_observations(group, KoozaOptions::default())
+            })
+            .into_iter()
+            .collect()
         });
         let fleet = KoozaFleet { servers: servers? };
         kooza_obs::global::counter_add("fleet.servers_trained", fleet.len() as u64);
@@ -123,8 +134,9 @@ impl KoozaFleet {
 mod tests {
     use super::*;
     use kooza_gfs::{Cluster, ClusterConfig, WorkloadMix};
+    use kooza_trace::TraceSet;
 
-    fn multi_server_outcome() -> kooza_gfs::ClusterOutcome {
+    fn multi_server_outcome() -> ClusterOutcome {
         let mut config = ClusterConfig::cluster(3);
         config.workload = WorkloadMix {
             read_fraction: 1.0,
@@ -136,25 +148,69 @@ mod tests {
         Cluster::new(&config).unwrap().run(3000, 2200)
     }
 
+    /// An 8-server mixed-workload run tracing 1 request in 7.
+    fn sampled_outcome() -> ClusterOutcome {
+        let mut config = ClusterConfig::cluster(8);
+        config.trace_sampling = 7;
+        config.workload = WorkloadMix { mean_interarrival_secs: 0.005, ..WorkloadMix::mixed() };
+        Cluster::new(&config).unwrap().run(4000, 2201)
+    }
+
+    /// The records of the requests `server_of` assigns to `server`.
+    fn server_trace(outcome: &ClusterOutcome, server: usize) -> TraceSet {
+        let mine = |id: u64| outcome.server_of[id as usize] == server;
+        let t = &outcome.trace;
+        TraceSet {
+            storage: t.storage.iter().filter(|r| mine(r.request_id)).copied().collect(),
+            cpu: t.cpu.iter().filter(|r| mine(r.request_id)).copied().collect(),
+            memory: t.memory.iter().filter(|r| mine(r.request_id)).copied().collect(),
+            network: t.network.iter().filter(|r| mine(r.request_id)).copied().collect(),
+            spans: t.spans.iter().filter(|s| mine(s.trace_id.0)).cloned().collect(),
+        }
+    }
+
     #[test]
-    fn per_server_views_partition_the_cluster_trace() {
+    fn server_groups_partition_the_cluster_observations() {
         let outcome = multi_server_outcome();
-        let views = outcome.server_views();
-        assert_eq!(views.len(), 3);
-        let total_net: usize = views.iter().map(|v| v.network.len()).sum();
-        assert_eq!(total_net, outcome.trace.network.len());
-        let total_cpu: usize = views.iter().map(|v| v.cpu.len()).sum();
-        assert_eq!(total_cpu, outcome.trace.cpu.len());
-        // Reads spread across replicas: every server served a share.
-        for v in &views {
-            assert!(v.cpu.len() > 300, "server saw only {} requests", v.cpu.len());
+        let groups = observations_by_server(&outcome).unwrap();
+        assert_eq!(groups.len(), 3);
+        let total: usize = groups.iter().map(Vec::len).sum();
+        assert_eq!(total, assemble_observations(&outcome.trace).unwrap().len());
+        for (server, group) in groups.iter().enumerate() {
+            // Reads spread across replicas: every server served a share.
+            assert!(group.len() > 300, "server {server} saw only {} requests", group.len());
+            assert!(group.iter().all(|o| outcome.server_of[o.request_id as usize] == server));
+            assert!(group.windows(2).all(|w| w[0].arrival_nanos <= w[1].arrival_nanos));
+        }
+    }
+
+    #[test]
+    fn fleet_models_match_models_fit_on_each_servers_own_trace() {
+        for outcome in [multi_server_outcome(), sampled_outcome()] {
+            let fleet = KoozaFleet::fit(&outcome).unwrap();
+            let own: Vec<Kooza> = (0..outcome.stats.requests_per_server.len())
+                .map(|server| Kooza::fit(&server_trace(&outcome, server)).unwrap())
+                .collect();
+            assert_eq!(fleet.len(), own.len());
+            for (server, model) in own.iter().enumerate() {
+                assert_eq!(format!("{:?}", fleet.server(server)), format!("{model:?}"));
+            }
+            // Generation forks one child per server, in server order.
+            let mut rng = Rng64::new(5);
+            let streams = fleet.generate_per_server(100, &mut rng);
+            let mut own_rng = Rng64::new(5);
+            let mut children: Vec<Rng64> = own.iter().map(|_| own_rng.fork()).collect();
+            for ((model, child), stream) in own.iter().zip(&mut children).zip(&streams) {
+                assert_eq!(&model.generate(100, child), stream);
+            }
+            assert_eq!(rng, own_rng);
         }
     }
 
     #[test]
     fn fleet_trains_and_generates() {
         let outcome = multi_server_outcome();
-        let fleet = KoozaFleet::fit_views(&outcome.server_views()).unwrap();
+        let fleet = KoozaFleet::fit(&outcome).unwrap();
         assert_eq!(fleet.len(), 3);
         assert!(!fleet.is_empty());
         let mut rng = Rng64::new(1);
@@ -169,7 +225,7 @@ mod tests {
     #[test]
     fn parallel_generation_is_deterministic() {
         let outcome = multi_server_outcome();
-        let fleet = KoozaFleet::fit_views(&outcome.server_views()).unwrap();
+        let fleet = KoozaFleet::fit(&outcome).unwrap();
         // Same seed → identical streams, and the caller's RNG leaves in
         // the same state (children are forked serially before the fan-
         // out). Thread-count invariance of the whole pipeline is pinned
@@ -185,7 +241,7 @@ mod tests {
     #[test]
     fn aggregate_rate_matches_cluster_rate() {
         let outcome = multi_server_outcome();
-        let fleet = KoozaFleet::fit_views(&outcome.server_views()).unwrap();
+        let fleet = KoozaFleet::fit(&outcome).unwrap();
         // Cluster offered 100 req/s; per-server models should sum back.
         let agg = fleet.aggregate_rate();
         assert!((agg - 100.0).abs() < 12.0, "aggregate rate {agg}");
@@ -194,7 +250,7 @@ mod tests {
     #[test]
     fn per_server_models_reflect_per_server_load() {
         let outcome = multi_server_outcome();
-        let fleet = KoozaFleet::fit_views(&outcome.server_views()).unwrap();
+        let fleet = KoozaFleet::fit(&outcome).unwrap();
         for (i, model) in fleet.iter().enumerate() {
             let rate = model.network().mean_rate();
             // 3-way-replicated reads split roughly evenly.
@@ -203,23 +259,15 @@ mod tests {
     }
 
     #[test]
-    fn owned_trace_fit_still_works() {
-        // The owned-TraceSet entry point stays as a thin wrapper.
-        let outcome = multi_server_outcome();
-        let owned: Vec<TraceSet> =
-            outcome.server_views().iter().map(|v| v.to_owned_set()).collect();
-        let fleet = KoozaFleet::fit(&owned).unwrap();
-        assert_eq!(fleet.len(), 3);
-    }
-
-    #[test]
     fn empty_fleet_rejected() {
-        assert!(KoozaFleet::fit(&[]).is_err());
-        assert!(KoozaFleet::fit_views(&[]).is_err());
-        // A server with an empty trace fails loudly.
-        let outcome = multi_server_outcome();
-        let mut views = outcome.server_views();
-        views.push(TraceView::default());
-        assert!(KoozaFleet::fit_views(&views).is_err());
+        // A server that served no requests fails the whole fleet loudly.
+        let mut outcome = multi_server_outcome();
+        for server in &mut outcome.server_of {
+            if *server == 2 {
+                *server = 0;
+            }
+        }
+        assert!(observations_by_server(&outcome).unwrap()[2].is_empty());
+        assert!(KoozaFleet::fit(&outcome).is_err());
     }
 }

@@ -3,10 +3,9 @@
 use kooza_sim::rng::Rng64;
 use kooza_stats::dist::Distribution;
 use kooza_trace::record::IoOp;
-use kooza_trace::view::TraceView;
 use kooza_trace::TraceSet;
 
-use crate::class::assemble_observations_view;
+use crate::class::{assemble_observations, RequestObservation};
 use crate::structure::StructureModel;
 use crate::subsystem::{CpuChainModel, MemoryChainModel, NetworkModel, StorageChainModel};
 use crate::{PhaseDemand, Result, SyntheticRequest, WorkloadModel};
@@ -89,36 +88,31 @@ impl Kooza {
     ///
     /// Same as [`fit`](Kooza::fit), plus invalid (zero) knob values.
     pub fn fit_with(trace: &TraceSet, options: KoozaOptions) -> Result<Self> {
-        Self::fit_with_view(&trace.as_view(), options)
+        Self::fit_observations(&assemble_observations(trace)?, options)
     }
 
-    /// Trains on a borrowed [`TraceView`] with default detail — the
-    /// zero-copy path [`crate::KoozaFleet`] uses to train one model per
-    /// server-slice of a single owned cluster trace.
+    /// Trains on per-request observations already joined from a trace (by
+    /// [`assemble_observations`]), in arrival order. Callers that also
+    /// validate against the observations, and the per-server
+    /// [`crate::KoozaFleet`], assemble once and fit from the result.
     ///
     /// # Errors
     ///
-    /// Same as [`fit`](Kooza::fit).
-    pub fn fit_view(trace: &TraceView<'_>) -> Result<Self> {
-        Self::fit_with_view(trace, KoozaOptions::default())
-    }
-
-    /// Trains on a borrowed [`TraceView`] with explicit detail knobs.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`fit_with`](Kooza::fit_with).
-    pub fn fit_with_view(trace: &TraceView<'_>, options: KoozaOptions) -> Result<Self> {
+    /// Same as [`fit_with`](Kooza::fit_with), including too few
+    /// observations.
+    pub fn fit_observations(
+        observations: &[RequestObservation],
+        options: KoozaOptions,
+    ) -> Result<Self> {
         kooza_obs::global::stage("train", || {
-            let observations = assemble_observations_view(trace)?;
-            let network = NetworkModel::fit(&observations)?;
-            let cpu = CpuChainModel::fit_with_bins(&observations, options.cpu_bins)?;
+            let network = NetworkModel::fit(observations)?;
+            let cpu = CpuChainModel::fit_with_bins(observations, options.cpu_bins)?;
             // Memory/storage streams may legitimately be absent (e.g. a fully
             // cache-resident workload never touches disk).
-            let memory = MemoryChainModel::fit(&observations).ok();
+            let memory = MemoryChainModel::fit(observations).ok();
             let storage =
-                StorageChainModel::fit_with_buckets(&observations, options.lbn_buckets).ok();
-            let structure = StructureModel::fit(&observations)?;
+                StorageChainModel::fit_with_buckets(observations, options.lbn_buckets).ok();
+            let structure = StructureModel::fit(observations)?;
             kooza_obs::global::counter_add("train.models", 1);
             kooza_obs::global::counter_add("train.requests", observations.len() as u64);
             Ok(Kooza {

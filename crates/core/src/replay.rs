@@ -13,8 +13,9 @@
 //! single-request Table 2 experiments; hardware state (disk head, memory
 //! bank) persists across requests so locality still matters.
 
-use kooza_gfs::{CpuModel, DiskModel, LinkModel, MemoryModel};
 use kooza_gfs::{ClusterConfig, CpuParams, DiskParams, LinkParams, MemoryParams};
+use kooza_gfs::{DiskModel, LinkModel, MemoryModel};
+use kooza_sim::SimDuration;
 
 use crate::{PhaseDemand, SyntheticRequest};
 
@@ -53,8 +54,6 @@ pub struct Replayer {
     disk: DiskModel,
     memory: MemoryModel,
     link: LinkModel,
-    #[allow(dead_code)]
-    cpu: CpuModel,
 }
 
 impl Replayer {
@@ -64,7 +63,6 @@ impl Replayer {
             disk: DiskModel::new(config.disk),
             memory: MemoryModel::new(config.memory),
             link: LinkModel::new(config.link),
-            cpu: CpuModel::new(config.cpu),
         }
     }
 
@@ -73,21 +71,24 @@ impl Replayer {
     pub fn latency_secs(&mut self, request: &SyntheticRequest) -> f64 {
         let mut total = 0.0f64;
         for phase in &request.phases {
-            total += match phase {
-                PhaseDemand::NetworkIn { bytes } | PhaseDemand::NetworkOut { bytes } => {
-                    self.link.transfer(*bytes).as_secs_f64()
-                }
-                PhaseDemand::Cpu { busy_nanos } => *busy_nanos as f64 / 1e9,
-                PhaseDemand::Memory { bank, bytes, .. } => {
-                    self.memory.access(*bank, *bytes).as_secs_f64()
-                }
-                PhaseDemand::Disk { lbn, bytes, .. } => {
-                    self.disk.access(*lbn, *bytes).as_secs_f64()
-                }
-                PhaseDemand::Opaque { duration_nanos } => *duration_nanos as f64 / 1e9,
-            };
+            total += self.service(phase).as_secs_f64();
         }
         total
+    }
+
+    /// Service time of one phase on this hardware. Disk and memory
+    /// accesses move the head and the open bank, so call this once per
+    /// phase, when its service starts.
+    fn service(&mut self, phase: &PhaseDemand) -> SimDuration {
+        match phase {
+            PhaseDemand::NetworkIn { bytes } | PhaseDemand::NetworkOut { bytes } => {
+                self.link.transfer(*bytes)
+            }
+            PhaseDemand::Cpu { busy_nanos } => SimDuration::from_nanos(*busy_nanos),
+            PhaseDemand::Memory { bank, bytes, .. } => self.memory.access(*bank, *bytes),
+            PhaseDemand::Disk { lbn, bytes, .. } => self.disk.access(*lbn, *bytes),
+            PhaseDemand::Opaque { duration_nanos } => SimDuration::from_nanos(*duration_nanos),
+        }
     }
 }
 
@@ -130,8 +131,21 @@ pub fn replay_loaded_latency_secs(
     kooza_obs::global::stage("replay", || replay_loaded_impl(requests, config))
 }
 
+/// The contended station a phase queues at in loaded replay, as an index
+/// into its pools (network in, network out, CPU, disk). Memory and opaque
+/// phases hold no station.
+fn station(phase: &PhaseDemand) -> Option<usize> {
+    match phase {
+        PhaseDemand::NetworkIn { .. } => Some(0),
+        PhaseDemand::NetworkOut { .. } => Some(1),
+        PhaseDemand::Cpu { .. } => Some(2),
+        PhaseDemand::Disk { .. } => Some(3),
+        PhaseDemand::Memory { .. } | PhaseDemand::Opaque { .. } => None,
+    }
+}
+
 fn replay_loaded_impl(requests: &[SyntheticRequest], config: ReplayConfig) -> Vec<f64> {
-    use kooza_sim::{Engine, ServerPool, SimDuration, SimTime};
+    use kooza_sim::{Engine, ServerPool, SimTime};
 
     #[derive(Debug)]
     enum Ev {
@@ -140,13 +154,15 @@ fn replay_loaded_impl(requests: &[SyntheticRequest], config: ReplayConfig) -> Ve
     }
 
     let mut engine: Engine<Ev> = Engine::new();
-    let mut disk = DiskModel::new(config.disk);
-    let mut memory = MemoryModel::new(config.memory);
-    let link = LinkModel::new(config.link);
-    let mut cpu_pool: ServerPool<(usize, usize)> = ServerPool::new(config.cpu.cores.max(1));
-    let mut disk_pool: ServerPool<(usize, usize)> = ServerPool::new(1);
-    let mut net_in_pool: ServerPool<(usize, usize)> = ServerPool::new(1);
-    let mut net_out_pool: ServerPool<(usize, usize)> = ServerPool::new(1);
+    let mut hardware = Replayer::new(config);
+    // Indexed by `station`: one ingress and one egress NIC channel, the
+    // CPU cores and a single disk spindle.
+    let mut pools: [ServerPool<(usize, usize)>; 4] = [
+        ServerPool::new(1),
+        ServerPool::new(1),
+        ServerPool::new(config.cpu.cores.max(1)),
+        ServerPool::new(1),
+    ];
 
     let mut start_times = vec![SimTime::ZERO; requests.len()];
     let mut latencies = vec![f64::NAN; requests.len()];
@@ -166,97 +182,25 @@ fn replay_loaded_impl(requests: &[SyntheticRequest], config: ReplayConfig) -> Ve
                     latencies[req] = (now - start_times[req]).as_secs_f64();
                     continue;
                 };
-                match demand {
-                    PhaseDemand::NetworkIn { bytes } => {
-                        if let Some((r, p)) = net_in_pool.arrive(now, (req, phase)) {
-                            let bytes = match requests[r].phases[p] {
-                                PhaseDemand::NetworkIn { bytes } => bytes,
-                                _ => *bytes,
-                            };
-                            engine.schedule(link.transfer(bytes), Ev::Done { req: r, phase: p });
-                        }
-                    }
-                    PhaseDemand::NetworkOut { .. } => {
-                        if let Some((r, p)) = net_out_pool.arrive(now, (req, phase)) {
-                            let bytes = match requests[r].phases[p] {
-                                PhaseDemand::NetworkOut { bytes } => bytes,
-                                _ => 0,
-                            };
-                            engine.schedule(link.transfer(bytes), Ev::Done { req: r, phase: p });
-                        }
-                    }
-                    PhaseDemand::Cpu { .. } => {
-                        if let Some((r, p)) = cpu_pool.arrive(now, (req, phase)) {
-                            let busy = match requests[r].phases[p] {
-                                PhaseDemand::Cpu { busy_nanos } => busy_nanos,
-                                _ => 0,
-                            };
-                            engine.schedule(
-                                SimDuration::from_nanos(busy),
-                                Ev::Done { req: r, phase: p },
-                            );
-                        }
-                    }
-                    PhaseDemand::Disk { .. } => {
-                        if let Some((r, p)) = disk_pool.arrive(now, (req, phase)) {
-                            if let PhaseDemand::Disk { lbn, bytes, .. } = requests[r].phases[p] {
-                                engine.schedule(
-                                    disk.access(lbn, bytes),
-                                    Ev::Done { req: r, phase: p },
-                                );
-                            }
-                        }
-                    }
-                    PhaseDemand::Memory { bank, bytes, .. } => {
-                        engine.schedule(memory.access(*bank, *bytes), Ev::Done { req, phase });
-                    }
-                    PhaseDemand::Opaque { duration_nanos } => {
-                        engine.schedule(
-                            SimDuration::from_nanos(*duration_nanos),
-                            Ev::Done { req, phase },
-                        );
-                    }
+                // A free station (or none) starts service now; a busy one
+                // queues the job until a completion frees it.
+                let started = match station(demand) {
+                    Some(s) => pools[s].arrive(now, (req, phase)),
+                    None => Some((req, phase)),
+                };
+                if let Some((r, p)) = started {
+                    let service = hardware.service(&requests[r].phases[p]);
+                    engine.schedule(service, Ev::Done { req: r, phase: p });
                 }
             }
             Ev::Done { req, phase } => {
-                // Release the resource this phase held; start the next
+                // Release the station this phase held; start the next
                 // queued job on it.
-                match requests[req].phases[phase] {
-                    PhaseDemand::NetworkIn { .. } => {
-                        if let Some((r, p)) = net_in_pool.complete(now) {
-                            if let PhaseDemand::NetworkIn { bytes } = requests[r].phases[p] {
-                                engine
-                                    .schedule(link.transfer(bytes), Ev::Done { req: r, phase: p });
-                            }
-                        }
+                if let Some(s) = station(&requests[req].phases[phase]) {
+                    if let Some((r, p)) = pools[s].complete(now) {
+                        let service = hardware.service(&requests[r].phases[p]);
+                        engine.schedule(service, Ev::Done { req: r, phase: p });
                     }
-                    PhaseDemand::NetworkOut { .. } => {
-                        if let Some((r, p)) = net_out_pool.complete(now) {
-                            if let PhaseDemand::NetworkOut { bytes } = requests[r].phases[p] {
-                                engine
-                                    .schedule(link.transfer(bytes), Ev::Done { req: r, phase: p });
-                            }
-                        }
-                    }
-                    PhaseDemand::Cpu { .. } => {
-                        if let Some((r, p)) = cpu_pool.complete(now) {
-                            if let PhaseDemand::Cpu { busy_nanos } = requests[r].phases[p] {
-                                engine.schedule(
-                                    SimDuration::from_nanos(busy_nanos),
-                                    Ev::Done { req: r, phase: p },
-                                );
-                            }
-                        }
-                    }
-                    PhaseDemand::Disk { .. } => {
-                        if let Some((r, p)) = disk_pool.complete(now) {
-                            if let PhaseDemand::Disk { lbn, bytes, .. } = requests[r].phases[p] {
-                                engine
-                                    .schedule(disk.access(lbn, bytes), Ev::Done { req: r, phase: p });
-                            }
-                        }
-                    }
-                    PhaseDemand::Memory { .. } | PhaseDemand::Opaque { .. } => {}
                 }
                 // Advance the request.
                 if phase + 1 < requests[req].phases.len() {

@@ -17,6 +17,7 @@ use kooza_trace::record::IoOp;
 use kooza_trace::TraceSet;
 
 use crate::class::{assemble_observations, RequestObservation};
+use crate::kooza::KoozaOptions;
 use crate::replay::{replay_loaded_latency_secs, ReplayConfig};
 use crate::{Kooza, SyntheticRequest, WorkloadModel};
 
@@ -432,7 +433,7 @@ fn fit_and_validate(
     seed: u64,
 ) -> crate::Result<ValidationReport> {
     let obs = assemble_observations(trace)?;
-    let model = Kooza::fit(trace)?;
+    let model = Kooza::fit_observations(&obs, KoozaOptions::default())?;
     let mut rng = Rng64::new(seed ^ 0x5EED_FA17);
     let synthetic = model.generate(obs.len(), &mut rng);
     Ok(validate(&model, &obs, &synthetic, replay_config))

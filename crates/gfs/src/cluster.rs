@@ -19,7 +19,6 @@
 
 use kooza_sim::rng::Rng64;
 use kooza_sim::Tally;
-use kooza_trace::view::{ShardedTrace, TraceView};
 use kooza_trace::TraceSet;
 
 use crate::config::ClusterConfig;
@@ -90,24 +89,6 @@ pub struct FaultStats {
     pub degraded_requests: u64,
 }
 
-impl FaultStats {
-    /// Accumulates another run fragment's counters into `self`. Every
-    /// field is a sum, so merging is commutative and associative: any
-    /// order of combining per-shard fragments yields the same totals.
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.crashes += other.crashes;
-        self.recoveries += other.recoveries;
-        self.retries += other.retries;
-        self.timeouts += other.timeouts;
-        self.failovers += other.failovers;
-        self.link_drops += other.link_drops;
-        self.rereplications += other.rereplications;
-        self.requests_failed += other.requests_failed;
-        self.jobs_lost += other.jobs_lost;
-        self.degraded_requests += other.degraded_requests;
-    }
-}
-
 /// Aggregate simulation statistics.
 #[derive(Debug, Clone)]
 pub struct ClusterStats {
@@ -163,81 +144,23 @@ impl ClusterStats {
             0.0
         }
     }
-
-    /// Combines a *disjoint* run fragment into `self` — the per-shard
-    /// stats of a sharded run, where each fragment covers its own server
-    /// range (the per-server vectors are full-length with zeros outside
-    /// that range) and at most one fragment carries the master path.
-    ///
-    /// Order-independent by construction: counters and busy times sum,
-    /// latency tallies Welford-combine, watermarks and the makespan take
-    /// the max, per-server vectors combine element-wise (sum for loads
-    /// and utilizations, max for queue watermarks), `master_utilization`
-    /// sums and `metadata_hit_ratio` multiplies — fragments without the
-    /// master path contribute the identity (0 and 1 respectively).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the per-server vectors have different lengths (fragments
-    /// of different clusters).
-    pub fn merge(&mut self, other: &ClusterStats) {
-        let n = self.cpu_utilization.len();
-        assert_eq!(n, other.cpu_utilization.len(), "fragments of different clusters");
-        self.completed += other.completed;
-        self.latency_secs.merge(&other.latency_secs);
-        self.makespan_secs = self.makespan_secs.max(other.makespan_secs);
-        for (a, b) in self.cpu_utilization.iter_mut().zip(&other.cpu_utilization) {
-            *a += b;
-        }
-        for (a, b) in self.disk_utilization.iter_mut().zip(&other.disk_utilization) {
-            *a += b;
-        }
-        for (a, b) in self.cache_hit_ratio.iter_mut().zip(&other.cache_hit_ratio) {
-            *a += b;
-        }
-        self.total_cpu_busy_secs += other.total_cpu_busy_secs;
-        self.tracing_busy_secs += other.tracing_busy_secs;
-        self.master_utilization += other.master_utilization;
-        self.metadata_hit_ratio *= other.metadata_hit_ratio;
-        self.events_processed += other.events_processed;
-        self.pending_high_water = self.pending_high_water.max(other.pending_high_water);
-        for (a, b) in self.requests_per_server.iter_mut().zip(&other.requests_per_server) {
-            *a += b;
-        }
-        for (a, b) in self
-            .queue_high_water_per_server
-            .iter_mut()
-            .zip(&other.queue_high_water_per_server)
-        {
-            *a = (*a).max(*b);
-        }
-        self.faults.merge(&other.faults);
-    }
 }
 
 /// Everything a run produces.
 #[derive(Debug)]
 pub struct ClusterOutcome {
-    /// The collected multi-subsystem trace (whole cluster).
+    /// The collected multi-subsystem trace (whole cluster, time-sorted).
     pub trace: TraceSet,
-    /// The same records grouped by the chunkserver that served each
-    /// request — §4: "Scaling to multiple servers in order to simulate
-    /// real-application scenarios requires multiple instances of the
-    /// model", and each instance trains on its own server's trace.
-    /// Stored once; [`ClusterOutcome::server_views`] borrows per-server
-    /// slices without copying.
-    pub per_server: ShardedTrace,
+    /// The chunkserver each request was last dispatched to, indexed by
+    /// request id (0 for a request no attempt ever reached). §4:
+    /// "Scaling to multiple servers in order to simulate real-application
+    /// scenarios requires multiple instances of the model" — each
+    /// instance trains on the requests this map assigns to its server.
+    pub server_of: Vec<usize>,
     /// Aggregate statistics.
     pub stats: ClusterStats,
     /// Per-request outcomes, completion order.
     pub requests: Vec<RequestOutcome>,
-}
-
-impl ClusterOutcome {
-    /// Zero-copy per-server trace views, indexed by chunkserver.
-    pub fn server_views(&self) -> Vec<TraceView<'_>> {
-        self.per_server.views()
-    }
 }
 
 /// The cluster simulator.
@@ -353,9 +276,9 @@ impl Cluster {
             for outcome in outcomes {
                 latency.record(outcome.latency_nanos);
             }
-            let per_server = reg.histogram_mut("gfs.server.requests", REQUESTS_BOUNDS);
+            let loads = reg.histogram_mut("gfs.server.requests", REQUESTS_BOUNDS);
             for &n in &stats.requests_per_server {
-                per_server.record(n);
+                loads.record(n);
             }
             let queues = reg.histogram_mut("gfs.server.queue_high_water", QUEUE_BOUNDS);
             for &depth in &stats.queue_high_water_per_server {
@@ -620,23 +543,18 @@ mod tests {
     }
 
     #[test]
-    fn per_server_views_partition_the_trace() {
+    fn server_of_maps_every_request_to_a_chunkserver() {
         let mut config = ClusterConfig::cluster(3);
         config.workload = WorkloadMix::mixed();
         let out = Cluster::new(&config).unwrap().run(400, 11);
-        let views = out.server_views();
-        assert_eq!(views.len(), 3);
-        let total: usize = views.iter().map(|v| v.len()).sum();
-        assert_eq!(total, out.trace.len());
-        // Each view is time-sorted, like the whole-cluster trace.
-        for view in &views {
-            for w in view.network.windows(2) {
-                assert!(w[0].ts_nanos <= w[1].ts_nanos);
-            }
-            for w in view.storage.windows(2) {
-                assert!(w[0].ts_nanos <= w[1].ts_nanos);
-            }
+        assert_eq!(out.server_of.len(), 400);
+        let mut load = vec![0u64; 3];
+        for &server in &out.server_of {
+            load[server] += 1;
         }
+        assert_eq!(load, out.stats.requests_per_server);
+        // Every server served a share of the mixed workload.
+        assert!(load.iter().all(|&n| n > 0), "load {load:?}");
     }
 
     #[test]

@@ -34,7 +34,6 @@ use kooza_sim::{
 use kooza_stats::dist::{DiscreteDistribution, Distribution, Exponential, Zipf};
 use kooza_trace::record::{CpuRecord, Direction, IoOp, MemoryRecord, NetworkRecord, StorageRecord};
 use kooza_trace::span::{Span, SpanCollector, SpanId, SpanName, TraceId};
-use kooza_trace::view::ShardedTrace;
 use kooza_trace::TraceSet;
 
 use super::{Cluster, ClusterOutcome, ClusterStats, FaultStats, RequestOutcome};
@@ -1856,7 +1855,8 @@ impl Shard {
 
 /// Assembles a finished hosting's outcome: per-server statistics from each
 /// shard's disjoint server range, traces merged in shard order and then
-/// time-sorted, and the request ledger from the control plane.
+/// time-sorted, and the request ledger and request → server map from the
+/// control plane.
 pub(super) fn finish(cluster: &Cluster, mut shards: Vec<Shard>) -> ClusterOutcome {
     let n = cluster.config().n_chunkservers;
     let end = shards
@@ -1923,13 +1923,9 @@ pub(super) fn finish(cluster: &Cluster, mut shards: Vec<Shard>) -> ClusterOutcom
     }
     trace.spans = ctl.collector.spans().to_vec();
     trace.sort_by_time();
-    // Partitioning the time-sorted trace keeps each server's records
-    // time-sorted, without a second copy in the event loop.
-    let server_of = ctl.server_of;
-    let per_server = ShardedTrace::partition(&trace, n, |rid| server_of[rid as usize]);
     ClusterOutcome {
         trace,
-        per_server,
+        server_of: ctl.server_of,
         stats,
         requests: outcomes,
     }

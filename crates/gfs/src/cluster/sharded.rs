@@ -140,8 +140,7 @@ mod tests {
     use crate::fault::FaultSpec;
     use std::collections::HashMap;
 
-    use crate::{ClusterStats, CpuModel, FaultStats, RequestOutcome};
-    use kooza_sim::Tally;
+    use crate::{CpuModel, RequestOutcome};
 
     /// A cluster big enough for 4 groups of 3 (replication 3).
     fn sharded_config() -> ClusterConfig {
@@ -259,97 +258,6 @@ mod tests {
             let busy = range.clone().any(|s| out.stats.disk_utilization[s] > 0.0);
             assert!(busy, "group {range:?} saw no disk traffic");
         }
-    }
-
-    #[test]
-    fn stats_merge_is_order_independent_and_recovers_totals() {
-        let mut config = sharded_config();
-        config.faults = Some(FaultSpec::parse("mttf=2,mttr=0.5,timeout=0.4").unwrap());
-        let whole = Cluster::new(&config).unwrap().run_sharded(300, 2, 4).stats;
-        // Split into two fragments along the server axis (the per-shard
-        // shape): scalars go to `a`, servers 6..12 to `b`.
-        let mut a = whole.clone();
-        let mut b = whole.clone();
-        for s in 6..12 {
-            a.cpu_utilization[s] = 0.0;
-            a.disk_utilization[s] = 0.0;
-            a.cache_hit_ratio[s] = 0.0;
-            a.requests_per_server[s] = 0;
-            a.queue_high_water_per_server[s] = 0;
-        }
-        for s in 0..6 {
-            b.cpu_utilization[s] = 0.0;
-            b.disk_utilization[s] = 0.0;
-            b.cache_hit_ratio[s] = 0.0;
-            b.requests_per_server[s] = 0;
-            b.queue_high_water_per_server[s] = 0;
-        }
-        b.completed = 0;
-        b.latency_secs = Tally::new();
-        b.total_cpu_busy_secs = 0.0;
-        b.tracing_busy_secs = 0.0;
-        b.master_utilization = 0.0;
-        b.metadata_hit_ratio = 1.0;
-        b.events_processed = 0;
-        b.faults = FaultStats::default();
-        let merge = |x: &ClusterStats, y: &ClusterStats| {
-            let mut m = x.clone();
-            m.merge(y);
-            m
-        };
-        let ab = merge(&a, &b);
-        let ba = merge(&b, &a);
-        // Order independence, field by observable field.
-        assert_eq!(ab.completed, ba.completed);
-        assert_eq!(ab.latency_secs.count(), ba.latency_secs.count());
-        assert_eq!(ab.cpu_utilization, ba.cpu_utilization);
-        assert_eq!(ab.requests_per_server, ba.requests_per_server);
-        assert_eq!(ab.queue_high_water_per_server, ba.queue_high_water_per_server);
-        assert_eq!(ab.faults, ba.faults);
-        // And the merge recovers the whole run's totals exactly.
-        assert_eq!(ab.completed, whole.completed);
-        assert_eq!(ab.latency_secs.count(), whole.latency_secs.count());
-        assert_eq!(ab.latency_secs.mean(), whole.latency_secs.mean());
-        assert_eq!(ab.cpu_utilization, whole.cpu_utilization);
-        assert_eq!(ab.disk_utilization, whole.disk_utilization);
-        assert_eq!(ab.requests_per_server, whole.requests_per_server);
-        assert_eq!(ab.events_processed, whole.events_processed);
-        assert_eq!(ab.faults, whole.faults);
-    }
-
-    #[test]
-    fn fault_stats_merge_sums_every_field() {
-        let a = FaultStats {
-            crashes: 1,
-            recoveries: 2,
-            retries: 3,
-            timeouts: 4,
-            failovers: 5,
-            link_drops: 6,
-            rereplications: 7,
-            requests_failed: 8,
-            jobs_lost: 9,
-            degraded_requests: 10,
-        };
-        let b = FaultStats {
-            crashes: 10,
-            recoveries: 20,
-            retries: 30,
-            timeouts: 40,
-            failovers: 50,
-            link_drops: 60,
-            rereplications: 70,
-            requests_failed: 80,
-            jobs_lost: 90,
-            degraded_requests: 100,
-        };
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.crashes, 11);
-        assert_eq!(ab.degraded_requests, 110);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Invariant tests for the GFS simulator across randomized
 //! configurations, on the deterministic in-repo `kooza-check` harness.
 
+use std::sync::{Mutex, PoisonError};
+
 use kooza_check::gen::{choice, u32_range, u64_range, zip2, zip5};
 use kooza_check::{checker, ensure, ensure_eq, PropResult};
 
@@ -110,14 +112,57 @@ fn resolves_once(out: &ClusterOutcome, n: u64) -> PropResult {
     Ok(())
 }
 
+/// `server_of` names a chunkserver for every request, and its histogram
+/// is the per-server load the stats report.
+fn server_map_matches_load(out: &ClusterOutcome, n_servers: usize, n: u64) -> PropResult {
+    ensure_eq!(out.server_of.len(), n as usize);
+    let mut load = vec![0u64; n_servers];
+    for &server in &out.server_of {
+        ensure!(server < n_servers, "server {server} out of range (< {n_servers})");
+        load[server] += 1;
+    }
+    ensure_eq!(load, out.stats.requests_per_server);
+    Ok(())
+}
+
+/// Serializes thread-override sweeps: the override is process-global and
+/// this binary's tests run concurrently.
+static THREAD_SWEEP: Mutex<()> = Mutex::new(());
+
+/// `run_sharded` at thread override 1 and then 2; restores the override
+/// it found.
+fn sharded_at_one_and_two_threads(
+    config: &ClusterConfig,
+    n: u64,
+    seed: u64,
+    shards: usize,
+) -> [ClusterOutcome; 2] {
+    let _turn = THREAD_SWEEP.lock().unwrap_or_else(PoisonError::into_inner);
+    let saved = kooza_exec::thread_override();
+    let runs = [1, 2].map(|threads| {
+        kooza_exec::set_thread_override(Some(threads));
+        Cluster::new(config).unwrap().run_sharded(n, seed, shards)
+    });
+    kooza_exec::set_thread_override(saved);
+    runs
+}
+
 /// Runs one configuration on `shards` shards and through both one-shard
 /// entry points: every hosting returns and resolves every request once,
-/// and `run` and `run_sharded(.., 1)` are the same simulation.
+/// maps every request to a chunkserver consistently with its stats, the
+/// sharded run is the same at 1 and 2 threads, and `run` and
+/// `run_sharded(.., 1)` are the same simulation.
 fn hostings_agree(config: &ClusterConfig, n: u64, seed: u64, shards: usize) -> PropResult {
-    let sharded = Cluster::new(config).unwrap().run_sharded(n, seed, shards);
+    let [sharded, two_threads] = sharded_at_one_and_two_threads(config, n, seed, shards);
     resolves_once(&sharded, n)?;
+    server_map_matches_load(&sharded, config.n_chunkservers, n)?;
+    ensure!(sharded.trace == two_threads.trace, "traces differ at 1 and 2 threads");
+    ensure_eq!(sharded.requests, two_threads.requests);
+    ensure_eq!(sharded.server_of, two_threads.server_of);
+    ensure_eq!(format!("{:?}", sharded.stats), format!("{:?}", two_threads.stats));
     let one = Cluster::new(config).unwrap().run(n, seed);
     resolves_once(&one, n)?;
+    server_map_matches_load(&one, config.n_chunkservers, n)?;
     let via_sharded = Cluster::new(config).unwrap().run_sharded(n, seed, 1);
     ensure!(one.trace == via_sharded.trace, "run and run_sharded(.., 1) traces differ");
     ensure_eq!(one.requests, via_sharded.requests);

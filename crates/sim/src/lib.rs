@@ -1,8 +1,8 @@
 //! Deterministic discrete-event simulation kernel.
 //!
 //! This crate is the substrate every simulator in the KOOZA workspace is
-//! built on: the GFS cluster simulator ([`kooza-gfs`]), the queueing-network
-//! simulators ([`kooza-queueing`]) and the replay-based validation harness in
+//! built on: the GFS cluster simulator (`kooza-gfs`), the queueing-network
+//! simulators (`kooza-queueing`) and the replay-based validation harness in
 //! the core crate.
 //!
 //! Design goals:

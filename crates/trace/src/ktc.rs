@@ -5,11 +5,10 @@
 //! the columnar alternative: per-field column arrays, delta+varint-encoded
 //! timestamps and string-interned span names inside a length-prefixed
 //! block container, streamed by [`KtcWriter`]/[`KtcReader`] and decoded
-//! straight into the owned [`TraceSet`] that backs every zero-copy
-//! [`TraceView`](crate::view::TraceView)/[`ShardedTrace`](crate::view::ShardedTrace)
-//! consumer. JSONL stays the interchange format and the *golden oracle*:
-//! every KTC round trip must be span-for-span identical to the JSONL
-//! round trip (pinned by `tests/ktc_properties.rs`).
+//! straight into the owned [`TraceSet`] every model trains on. JSONL
+//! stays the interchange format and the *golden oracle*: every KTC round
+//! trip must be span-for-span identical to the JSONL round trip (pinned
+//! by `tests/ktc_properties.rs`).
 //!
 //! # Container layout
 //!
@@ -695,8 +694,7 @@ impl<R: Read> KtcReader<R> {
         }
     }
 
-    /// Drains the stream into an owned [`TraceSet`] — the backing store
-    /// every zero-copy `TraceView`/`ShardedTrace` consumer slices into.
+    /// Drains the stream into an owned [`TraceSet`].
     ///
     /// # Errors
     ///

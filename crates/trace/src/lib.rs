@@ -8,19 +8,18 @@
 //!   annotations, reconstructed into per-request trees.
 //! * [`sampler`] — 1-in-N deterministic trace sampling and GWP-style
 //!   adaptive sampling.
-//! * [`store`] — the [`TraceSet`](store::TraceSet) container with JSONL
-//!   persistence.
+//! * [`store`] — the [`TraceSet`] container with JSONL persistence. It is
+//!   the one trace type: per-server consumers (the KOOZA fleet) read one
+//!   whole-cluster set and split the per-request observations they derive
+//!   from it, never the records themselves.
 //! * [`characterize`] — per-subsystem workload characterization (read/write
 //!   mix, seek distances, inter-arrivals, burstiness, CPU pattern
 //!   classification per Abrahao et al.).
 //! * [`profile`] — GWP-style whole-machine profile time series (Ren et
 //!   al.): windowed arrival rates, CPU busy fractions and I/O counters.
-//! * [`view`] — zero-copy borrowed views ([`TraceView`](view::TraceView))
-//!   and per-shard grouping ([`ShardedTrace`](view::ShardedTrace)) so
-//!   parallel consumers share one owned trace instead of cloning it.
-//! * [`ktc`] — the KTC binary columnar format ([`KtcReader`](ktc::KtcReader),
-//!   [`KtcWriter`](ktc::KtcWriter)) for traces too large for JSONL text,
-//!   with JSONL kept as the golden round-trip oracle.
+//! * [`ktc`] — the KTC binary columnar format ([`KtcReader`],
+//!   [`KtcWriter`]) for traces too large for JSONL text, with JSONL kept
+//!   as the golden round-trip oracle.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -32,13 +31,11 @@ pub mod record;
 pub mod sampler;
 pub mod span;
 pub mod store;
-pub mod view;
 
 pub use ktc::{KtcBlock, KtcReader, KtcWriter, TraceFormat};
 pub use record::{CpuRecord, Direction, IoOp, MemoryRecord, NetworkRecord, StorageRecord};
 pub use span::{Span, SpanCollector, SpanId, SpanName, TraceId, TraceTree};
 pub use store::TraceSet;
-pub use view::{ShardedTrace, TraceView};
 
 /// Errors from trace manipulation and persistence.
 #[derive(Debug)]

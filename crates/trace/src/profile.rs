@@ -1,7 +1,7 @@
 //! GWP-style continuous whole-machine profiling.
 //!
 //! Ren et al.'s Google-Wide Profiling "operates at a higher level [than
-//! Dapper], sampling across machines ... collect[ing] high-level events
+//! Dapper], sampling across machines ... collect\[ing\] high-level events
 //! like job arrival rate, and task sizes and low-level system information
 //! like CPU utilization". This module aggregates a [`TraceSet`] into a
 //! fixed-window profile time series — the whole-machine view that feeds

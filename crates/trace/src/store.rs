@@ -102,37 +102,6 @@ impl TraceSet {
         self.spans.extend(other.spans);
     }
 
-    /// A new trace set containing only records of one request.
-    pub fn filter_request(&self, request_id: u64) -> TraceSet {
-        TraceSet {
-            storage: self
-                .storage
-                .iter()
-                .filter(|r| r.request_id == request_id)
-                .copied()
-                .collect(),
-            cpu: self.cpu.iter().filter(|r| r.request_id == request_id).copied().collect(),
-            memory: self
-                .memory
-                .iter()
-                .filter(|r| r.request_id == request_id)
-                .copied()
-                .collect(),
-            network: self
-                .network
-                .iter()
-                .filter(|r| r.request_id == request_id)
-                .copied()
-                .collect(),
-            spans: self
-                .spans
-                .iter()
-                .filter(|s| s.trace_id.0 == request_id)
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Sorts every stream by timestamp (stable), normalizing traces merged
     /// from multiple collectors.
     pub fn sort_by_time(&mut self) {
@@ -320,20 +289,6 @@ mod tests {
         let data = format!("\n{good}\n\n");
         let ts = TraceSet::read_jsonl(data.as_bytes()).unwrap();
         assert_eq!(ts.cpu.len(), 1);
-    }
-
-    #[test]
-    fn filter_request_partitions() {
-        let ts = sample_set();
-        let r1 = ts.filter_request(1);
-        assert_eq!(r1.storage.len(), 1);
-        assert_eq!(r1.cpu.len(), 1);
-        assert_eq!(r1.memory.len(), 0);
-        assert_eq!(r1.network.len(), 1);
-        assert_eq!(r1.spans.len(), 2);
-        let r2 = ts.filter_request(2);
-        assert_eq!(r2.memory.len(), 1);
-        assert_eq!(r2.spans.len(), 0);
     }
 
     #[test]

@@ -41,6 +41,13 @@ cargo test -q --offline --workspace
 echo "== lint gate: clippy clean at -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== doc gate: rustdoc clean at -D warnings =="
+# A stale intra-doc link (to a renamed or deleted item) fails here
+# instead of rendering as dead text. Cargo's note that the `kooza` bin
+# and the `kooza` lib share an output filename is not a rustdoc warning
+# and does not fail the step.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== benchmarks compile and smoke-run =="
 cargo bench --offline -p kooza-bench --bench micro -- --mode smoke >/dev/null
 cargo bench --offline -p kooza-bench --bench shard -- --mode smoke >/dev/null

@@ -53,7 +53,7 @@ fn instrumented_run() -> String {
         ..WorkloadMix::read_heavy()
     };
     let fleet_outcome = Cluster::new(&fleet_config).expect("config").run(2000, SEED + 3);
-    let fleet = KoozaFleet::fit_views(&fleet_outcome.server_views()).expect("fleet");
+    let fleet = KoozaFleet::fit(&fleet_outcome).expect("fleet");
     let mut fleet_rng = Rng64::new(SEED + 4);
     let _streams = fleet.generate_per_server(100, &mut fleet_rng);
 
