@@ -15,6 +15,7 @@
 
 use kooza::class::assemble_observations;
 use kooza::crossexam::cross_examine;
+use kooza::kooza::KoozaOptions;
 use kooza::{InBreadthModel, InDepthModel, Kooza, ReplayConfig};
 use kooza_bench::{banner, mixed_cluster, run, section, EXPERIMENT_SEED};
 
@@ -25,9 +26,10 @@ fn main() {
     let outcome = run(&mut cluster, 2000);
     let observations = assemble_observations(&outcome.trace).expect("trace assembles");
 
-    let kooza = Kooza::fit(&outcome.trace).expect("kooza trains");
-    let inbreadth = InBreadthModel::fit(&outcome.trace).expect("in-breadth trains");
-    let indepth = InDepthModel::fit(&outcome.trace).expect("in-depth trains");
+    let kooza =
+        Kooza::fit_observations(&observations, KoozaOptions::default()).expect("kooza trains");
+    let inbreadth = InBreadthModel::fit_observations(&observations).expect("in-breadth trains");
+    let indepth = InDepthModel::fit_observations(&observations).expect("in-depth trains");
 
     let table = cross_examine(
         &[&inbreadth, &indepth, &kooza],

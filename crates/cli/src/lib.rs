@@ -562,8 +562,8 @@ fn crossexam(opts: &Options) -> Result<String, CliError> {
     let observations = assemble_observations(&trace).map_err(|e| err(e.to_string()))?;
     let kooza = Kooza::fit_observations(&observations, KoozaOptions::default())
         .map_err(|e| err(e.to_string()))?;
-    let inb = InBreadthModel::fit(&trace).map_err(|e| err(e.to_string()))?;
-    let ind = InDepthModel::fit(&trace).map_err(|e| err(e.to_string()))?;
+    let inb = InBreadthModel::fit_observations(&observations).map_err(|e| err(e.to_string()))?;
+    let ind = InDepthModel::fit_observations(&observations).map_err(|e| err(e.to_string()))?;
     let table = cross_examine(
         &[&inb, &ind, &kooza],
         &observations,

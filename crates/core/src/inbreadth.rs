@@ -14,7 +14,7 @@
 use kooza_sim::rng::Rng64;
 use kooza_trace::TraceSet;
 
-use crate::class::assemble_observations;
+use crate::class::{assemble_observations, RequestObservation};
 use crate::subsystem::{CpuChainModel, MemoryChainModel, NetworkModel, StorageChainModel};
 use crate::{PhaseDemand, Result, SyntheticRequest, WorkloadModel};
 
@@ -36,12 +36,23 @@ impl InBreadthModel {
     ///
     /// Errors if network or CPU streams are unusable.
     pub fn fit(trace: &TraceSet) -> Result<Self> {
-        let observations = assemble_observations(trace)?;
+        Self::fit_observations(&assemble_observations(trace)?)
+    }
+
+    /// Trains on per-request observations already joined from a trace (by
+    /// [`assemble_observations`]), in arrival order, so a caller fitting
+    /// several models on one trace joins it once.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`fit`](InBreadthModel::fit), including too few
+    /// observations.
+    pub fn fit_observations(observations: &[RequestObservation]) -> Result<Self> {
         Ok(InBreadthModel {
-            network: NetworkModel::fit(&observations)?,
-            cpu: CpuChainModel::fit(&observations)?,
-            memory: MemoryChainModel::fit(&observations).ok(),
-            storage: StorageChainModel::fit(&observations).ok(),
+            network: NetworkModel::fit(observations)?,
+            cpu: CpuChainModel::fit(observations)?,
+            memory: MemoryChainModel::fit(observations).ok(),
+            storage: StorageChainModel::fit(observations).ok(),
             trained_requests: observations.len(),
         })
     }

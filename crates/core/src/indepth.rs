@@ -16,7 +16,7 @@ use kooza_sim::rng::Rng64;
 use kooza_stats::dist::Distribution;
 use kooza_trace::TraceSet;
 
-use crate::class::assemble_observations;
+use crate::class::{assemble_observations, RequestObservation};
 use crate::structure::StructureModel;
 use crate::subsystem::NetworkModel;
 use crate::{PhaseDemand, Result, SyntheticRequest, WorkloadModel};
@@ -36,10 +36,21 @@ impl InDepthModel {
     ///
     /// Errors if the trace lacks network records or span trees.
     pub fn fit(trace: &TraceSet) -> Result<Self> {
-        let observations = assemble_observations(trace)?;
+        Self::fit_observations(&assemble_observations(trace)?)
+    }
+
+    /// Trains on per-request observations already joined from a trace (by
+    /// [`assemble_observations`]), in arrival order, so a caller fitting
+    /// several models on one trace joins it once.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`fit`](InDepthModel::fit), including too few
+    /// observations.
+    pub fn fit_observations(observations: &[RequestObservation]) -> Result<Self> {
         Ok(InDepthModel {
-            arrivals: NetworkModel::fit(&observations)?,
-            structure: StructureModel::fit(&observations)?,
+            arrivals: NetworkModel::fit(observations)?,
+            structure: StructureModel::fit(observations)?,
             trained_requests: observations.len(),
         })
     }

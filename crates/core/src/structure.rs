@@ -70,7 +70,7 @@ impl ClassModel {
         for p in 0..n_phases {
             let durations: Vec<f64> = members
                 .iter()
-                .filter_map(|o| o.phase_durations_nanos.get(p).map(|&d| d as f64))
+                .filter_map(|o| o.phases.get(p).map(|phase| phase.duration_nanos as f64))
                 .collect();
             phase_durations.push(Empirical::from_sample(&durations)?);
         }
@@ -115,6 +115,9 @@ impl ClassModel {
 #[derive(Debug)]
 pub struct StructureModel {
     classes: Vec<ClassModel>,
+    /// The classes' probabilities, in class order: what
+    /// [`sample_class`](Self::sample_class) draws from.
+    weights: Vec<f64>,
 }
 
 impl StructureModel {
@@ -129,11 +132,12 @@ impl StructureModel {
         }
         let groups = group_by_class(observations);
         let total = observations.len();
-        let classes: Result<Vec<ClassModel>> = groups
+        let classes = groups
             .into_iter()
             .map(|(sig, members)| ClassModel::fit(sig, &members, total))
-            .collect();
-        Ok(StructureModel { classes: classes? })
+            .collect::<Result<Vec<ClassModel>>>()?;
+        let weights = classes.iter().map(|c| c.probability).collect();
+        Ok(StructureModel { classes, weights })
     }
 
     /// The trained classes, most frequent first.
@@ -148,8 +152,7 @@ impl StructureModel {
 
     /// Samples a class according to the observed frequencies.
     pub fn sample_class(&self, rng: &mut Rng64) -> &ClassModel {
-        let weights: Vec<f64> = self.classes.iter().map(|c| c.probability).collect();
-        &self.classes[rng.choose_weighted(&weights)]
+        &self.classes[rng.choose_weighted(&self.weights)]
     }
 
     /// Free-parameter count: class probabilities plus the per-class

@@ -424,7 +424,7 @@ impl StorageChainModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::class::assemble_observations;
+    use crate::class::{assemble_observations, ObservedPhase};
     use kooza_gfs::{Cluster, ClusterConfig, WorkloadMix};
 
     fn observations(mix: WorkloadMix, n: u64) -> Vec<RequestObservation> {
@@ -519,8 +519,7 @@ mod tests {
                 memory: vec![],
                 storage: vec![(lbn, 65536, IoOp::Read)],
                 latency_nanos: 5_000_000,
-                phase_sequence: vec!["disk".into()],
-                phase_durations_nanos: vec![4_000_000],
+                phases: vec![ObservedPhase { name: "disk".into(), duration_nanos: 4_000_000 }],
             });
         }
         let m = StorageChainModel::fit(&obs_list).unwrap();

@@ -5,7 +5,9 @@
 //! `KOOZA_CHECK_CASES` / `KOOZA_CHECK_SEED`), so a green run is green
 //! everywhere.
 
-use kooza_check::gen::{f64_range, u64_range, usize_range, vec_of, zip2, zip3, zip4, zip6};
+use kooza_check::gen::{
+    choice, f64_range, u64_range, usize_range, vec_of, zip2, zip3, zip4, zip5, zip6,
+};
 use kooza_check::{checker, ensure};
 
 use kooza_markov::MarkovChainBuilder;
@@ -322,6 +324,283 @@ fn mailbox_exchange_is_canonical_and_permutation_invariant() {
                     ensure!(sent_to % n == to, "message {} leaked to shard {to}", env.msg);
                 }
             }
+            Ok(())
+        },
+    );
+}
+
+/// One generated request: id kind, raw id, spans as (parent pick, name,
+/// start, duration, order key), defect, and records as (kind, value, op
+/// bit, order key).
+type RequestSpec = (
+    u64,
+    u64,
+    Vec<(usize, usize, u64, u64, u64)>,
+    usize,
+    Vec<(usize, u64, u64, u64)>,
+);
+
+const PHASE_NAMES: [&str; 10] = [
+    "request",
+    "network.in",
+    "cpu",
+    "memory",
+    "memory.r",
+    "memory.w",
+    "disk",
+    "disk.r",
+    "disk.w",
+    "network.out",
+];
+
+/// Builds a trace from generated requests. Trace ids are dense and
+/// colliding, sparse, huge or arbitrary; span groups may carry a
+/// duplicate span id, a second root or a missing parent, or have no
+/// spans at all. With `interleave`, spans and records of all requests
+/// are listed by their order keys; otherwise request by request. Four
+/// fixed requests pin the class spellings: a raw `memory.r` phase on a
+/// request whose memory records are writes, a `memory` phase with as many
+/// reads as writes, a bare `memory` phase next to a `disk` phase, and a
+/// `memory` phase whose records are writes.
+fn generated_trace(requests: &[RequestSpec], interleave: bool) -> kooza_trace::TraceSet {
+    use kooza_trace::record::{CpuRecord, MemoryRecord};
+    use kooza_trace::{Span, SpanId, TraceId, TraceSet};
+
+    let op = |bit: u64| if bit == 0 { IoOp::Read } else { IoOp::Write };
+    let mut spans: Vec<(u64, Span)> = Vec::new();
+    // (order key, kind, request id, value, op bit)
+    let mut records: Vec<(u64, usize, u64, u64, u64)> = Vec::new();
+    for (kind, raw, span_specs, defect, record_specs) in requests {
+        let id = match kind {
+            0 => raw % 4,
+            1 => raw * 1_000_003,
+            2 => u64::MAX - raw,
+            _ => *raw,
+        };
+        let t = TraceId(id);
+        // Span ids are descending multiples of 3, so sorting by id differs
+        // from trace order and 1, 2 and 4 are free for the defects.
+        let n = span_specs.len() as u64;
+        for (j, &(pick, name, start, duration, key)) in span_specs.iter().enumerate() {
+            let parent = (j > 0).then(|| SpanId(3 * (n - (pick % j) as u64)));
+            let id = SpanId(3 * (n - j as u64));
+            let span = Span::new(t, id, parent, PHASE_NAMES[name], start, start + duration);
+            spans.push((key, span));
+        }
+        let key = span_specs.first().map_or(0, |s| s.4);
+        match defect {
+            3 => spans.push((key, Span::new(t, SpanId(3 * n), Some(SpanId(3 * n)), "cpu", 1, 2))),
+            4 => spans.push((key, Span::new(t, SpanId(1), None, "request", 0, 9))),
+            5 => spans.push((key, Span::new(t, SpanId(2), Some(SpanId(4)), "cpu", 1, 2))),
+            _ => {}
+        }
+        for &(kind, value, bit, key) in record_specs {
+            records.push((key, kind, id, value, bit));
+        }
+    }
+    for k in 0..4u64 {
+        let t = TraceId((1 << 62) + k);
+        let leaves: &[&str] = match k {
+            0 => &["memory.r"],
+            2 => &["memory", "disk"],
+            _ => &["memory"],
+        };
+        spans.push((500, Span::new(t, SpanId(0), None, "request", 5 + k, 50)));
+        for (j, name) in leaves.iter().enumerate() {
+            let start = 6 + k + j as u64;
+            let leaf = Span::new(t, SpanId(j as u64 + 1), Some(SpanId(0)), *name, start, start + 3);
+            spans.push((500, leaf));
+        }
+        let memory_ops: &[u64] = match k {
+            0 | 3 => &[1],
+            1 => &[1, 0],
+            _ => &[],
+        };
+        for &bit in memory_ops {
+            records.push((500, 3, (1 << 62) + k, 64, bit));
+        }
+        if k == 2 {
+            records.push((500, 4, (1 << 62) + k, 4096, 1));
+        }
+    }
+    if interleave {
+        spans.sort_by_key(|(key, _)| *key);
+        records.sort_by_key(|r| r.0);
+    }
+    let mut trace = TraceSet::new();
+    trace.spans = spans.into_iter().map(|(_, span)| span).collect();
+    for (ts, (_, kind, request_id, value, bit)) in records.into_iter().enumerate() {
+        let ts_nanos = ts as u64;
+        match kind {
+            0 | 1 => trace.network.push(NetworkRecord {
+                ts_nanos,
+                size: value,
+                direction: if kind == 0 { Direction::Ingress } else { Direction::Egress },
+                request_id,
+            }),
+            2 => trace.cpu.push(CpuRecord {
+                ts_nanos,
+                utilization: value as f64 / 4999.0,
+                busy_nanos: value,
+                request_id,
+            }),
+            3 => trace.memory.push(MemoryRecord {
+                ts_nanos,
+                bank: (value % 8) as u32,
+                size: value,
+                op: op(bit),
+                request_id,
+            }),
+            _ => trace.storage.push(StorageRecord {
+                ts_nanos,
+                lbn: value * 1000,
+                size: value,
+                op: op(bit),
+                request_id,
+            }),
+        }
+    }
+    trace
+}
+
+/// The join as the span-tree API spells it: `span_trees()` for the trees,
+/// then every record of a request with a tree, in stream order.
+fn reference_observations(
+    trace: &kooza_trace::TraceSet,
+) -> Result<Vec<kooza::RequestObservation>, kooza::ModelError> {
+    use kooza::{ModelError, ObservedPhase, RequestObservation};
+    use std::collections::BTreeMap;
+
+    if trace.network.is_empty() {
+        return Err(ModelError::MissingStream("network"));
+    }
+    let mut by_id: BTreeMap<u64, RequestObservation> = BTreeMap::new();
+    for tree in trace.span_trees() {
+        let mut leaves: Vec<&kooza_trace::Span> =
+            tree.spans().filter(|s| tree.children(s.span_id).is_empty()).collect();
+        leaves.sort_by_key(|s| (s.start_nanos, s.span_id));
+        let observation = RequestObservation {
+            request_id: tree.trace_id().0,
+            arrival_nanos: tree.root().start_nanos,
+            network_in_bytes: 0,
+            network_out_bytes: 0,
+            cpu_busy_nanos: 0,
+            cpu_utilization: 0.0,
+            memory: Vec::new(),
+            storage: Vec::new(),
+            latency_nanos: tree.total_latency_nanos(),
+            phases: leaves
+                .iter()
+                .map(|s| ObservedPhase { name: s.name.clone(), duration_nanos: s.duration_nanos() })
+                .collect(),
+        };
+        by_id.insert(observation.request_id, observation);
+    }
+    if by_id.is_empty() {
+        return Err(ModelError::InsufficientRequests { needed: 1, got: 0 });
+    }
+    for r in &trace.network {
+        if let Some(o) = by_id.get_mut(&r.request_id) {
+            match r.direction {
+                Direction::Ingress => o.network_in_bytes += r.size,
+                Direction::Egress => o.network_out_bytes += r.size,
+            }
+        }
+    }
+    for r in &trace.cpu {
+        if let Some(o) = by_id.get_mut(&r.request_id) {
+            o.cpu_busy_nanos += r.busy_nanos;
+            o.cpu_utilization = r.utilization;
+        }
+    }
+    for r in &trace.memory {
+        if let Some(o) = by_id.get_mut(&r.request_id) {
+            o.memory.push((r.bank, r.size, r.op));
+        }
+    }
+    for r in &trace.storage {
+        if let Some(o) = by_id.get_mut(&r.request_id) {
+            o.storage.push((r.lbn, r.size, r.op));
+        }
+    }
+    let mut out: Vec<RequestObservation> = by_id.into_values().collect();
+    out.sort_by_key(|o| (o.arrival_nanos, o.request_id));
+    Ok(out)
+}
+
+/// The observation join equals the span-tree reference on every field,
+/// over malformed span groups, orphaned records and arbitrary id layouts;
+/// and class grouping equals grouping by `signature()` in a `BTreeMap`,
+/// most frequent class first, ties by signature.
+#[test]
+fn observation_join_and_grouping_match_reference() {
+    use kooza::class::{assemble_observations, group_by_class};
+    use kooza::ClassSignature;
+    use std::collections::BTreeMap;
+
+    let span = zip5(
+        usize_range(0, 8),                 // parent pick among earlier spans
+        usize_range(0, PHASE_NAMES.len()), // name
+        u64_range(0, 16),                  // start: ties exercise the span-id order
+        u64_range(0, 40),                  // duration
+        u64_range(0, 1000),                // order key
+    );
+    let record = zip4(
+        usize_range(0, 5),  // network in, network out, cpu, memory, storage
+        u64_range(0, 5000), // size / busy time
+        u64_range(0, 2),    // read or write
+        u64_range(0, 1000), // order key
+    );
+    let request = zip5(
+        u64_range(0, 4),       // id kind
+        u64_range(0, 1 << 20), // raw id
+        vec_of(span, 0, 7),
+        usize_range(0, 6), // defect: none (0-2), duplicate id, two roots, missing parent
+        vec_of(record, 0, 8),
+    );
+    checker("observation_join_and_grouping_match_reference").run(
+        zip2(vec_of(request, 0, 16), choice(vec![false, true])),
+        |(requests, interleave): &(Vec<RequestSpec>, bool)| {
+            let trace = generated_trace(requests, *interleave);
+            let joined = (assemble_observations(&trace), reference_observations(&trace));
+            let (got, want) = match joined {
+                (Ok(got), Ok(want)) => (got, want),
+                (Err(got), Err(want)) => {
+                    ensure!(got.to_string() == want.to_string(), "error {got} != {want}");
+                    return Ok(());
+                }
+                (got, want) => {
+                    return Err(kooza_check::CaseResult::Fail(format!("{got:?} != {want:?}")));
+                }
+            };
+            ensure!(
+                got.len() == want.len(),
+                "{} observations, reference {}",
+                got.len(),
+                want.len()
+            );
+            for (g, w) in got.iter().zip(&want) {
+                ensure!(g == w, "observation {g:?} != reference {w:?}");
+                ensure!(
+                    g.cpu_utilization.to_bits() == w.cpu_utilization.to_bits(),
+                    "request {}: utilization {} != {}",
+                    w.request_id,
+                    g.cpu_utilization,
+                    w.cpu_utilization
+                );
+            }
+
+            let groups: Vec<(ClassSignature, Vec<u64>)> = group_by_class(&got)
+                .into_iter()
+                .map(|(sig, members)| (sig, members.iter().map(|o| o.request_id).collect()))
+                .collect();
+            let mut by_signature: BTreeMap<ClassSignature, Vec<u64>> = BTreeMap::new();
+            for o in &got {
+                by_signature.entry(o.signature()).or_default().push(o.request_id);
+            }
+            let mut expected: Vec<(ClassSignature, Vec<u64>)> = by_signature.into_iter().collect();
+            expected.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then_with(|| a.0.cmp(&b.0)));
+            ensure!(groups == expected, "classes {groups:?} != reference {expected:?}");
             Ok(())
         },
     );
