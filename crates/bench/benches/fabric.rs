@@ -42,13 +42,13 @@ fn main() {
     println!("incast into one 1 GbE host (rack:4:2 fabric, {} KB stripes, {} ms timeout):", STRIPE / 1024, TIMEOUT.as_millis_f64());
     println!("{:>8} {:>16} {:>10} {:>14}", "fan-out", "completion (ms)", "restarts", "ms per stripe");
     for fanout in fanouts {
-        let (t, restarts) = incast(fanout);
-        let ms = t.as_millis_f64();
-        println!("{:>8} {:>16.2} {:>10} {:>14.2}", fanout, ms, restarts, ms / fanout as f64);
+        let run = incast(fanout);
+        let ms = run.completion.as_millis_f64();
+        println!("{:>8} {:>16.2} {:>10} {:>14.2}", fanout, ms, run.restarts, ms / fanout as f64);
         curve.push(Json::Object(vec![
             ("fanout".into(), Json::U64(fanout as u64)),
             ("completion_ms".into(), Json::F64(ms)),
-            ("restarts".into(), Json::U64(restarts)),
+            ("restarts".into(), Json::U64(run.restarts)),
             ("ms_per_stripe".into(), Json::F64(ms / fanout as f64)),
         ]));
     }

@@ -1,6 +1,6 @@
-//! Simulation-core hot-path benchmark: the regression gate for the
-//! incremental fabric re-rating, the tombstone-free event queue, and the
-//! alloc-free KTC/span plumbing.
+//! Simulation-core hot-path benchmark: the wall time of the incremental
+//! fabric re-rating, the tombstone-free event queue, and the alloc-free
+//! KTC/span plumbing.
 //!
 //! Two benches, named to match the archived reports so `--baseline`
 //! diffs line up:
@@ -8,8 +8,11 @@
 //! * `fabric_incast_32` — the shared incast driver at fan-out 32
 //!   (see [`kooza_bench::incast`]): a restart storm on one saturated
 //!   receiver link, dominated by fabric re-rates and cancellations.
-//!   Runs in both modes; `scripts/verify.sh` smoke-diffs it against
-//!   `BENCH_simcore.json` and fails on a flagged REGRESSION.
+//!   Runs in both modes; `scripts/verify.sh` smoke-runs it. Its work is
+//!   gated exactly instead: `kooza_bench::incast`'s unit test pins the
+//!   run's outcome, flow count and re-rate counts, which no host can
+//!   move. Compare its wall time only against a parent build timed
+//!   alternately on the same host.
 //! * `cluster_1m_single` — the paper-scale million-request cluster from
 //!   the shard bench on a single engine, dominated by the event queue
 //!   and per-request span traffic. Full mode only: the smoke-sized run

@@ -10,8 +10,10 @@
 //! express at all.
 //!
 //! Both `benches/fabric.rs` (the incast curve + wall-clock cost) and
-//! `benches/simcore.rs` (the hot-path regression gate) drive this exact
-//! loop, so the two reports measure the same simulated workload.
+//! `benches/simcore.rs` (the hot-path timing) drive this exact loop, so
+//! the two reports measure the same simulated workload. [`IncastRun`]
+//! carries the fabric's work counts, and a unit test pins them exactly
+//! for fan-out 32.
 
 use kooza_sim::{Endpoint, Fabric, SimDuration, SimTime};
 
@@ -34,10 +36,24 @@ enum Sender {
     Done,
 }
 
-/// Simulated completion time of `fanout` servers each pushing one
-/// [`STRIPE`]-byte response at host 0, restarting any stripe that
-/// misses [`TIMEOUT`]. Returns `(completion, restarts)`.
-pub fn incast(fanout: usize) -> (SimDuration, u64) {
+/// One incast run: its simulated outcome and the fabric work it took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IncastRun {
+    /// Simulated time until the last stripe lands.
+    pub completion: SimDuration,
+    /// Stripes restarted after missing [`TIMEOUT`].
+    pub restarts: u64,
+    /// Flows the fabric started: every first send and every restart.
+    pub flows: u64,
+    /// Max-min re-rate passes the fabric ran.
+    pub rerates: u64,
+    /// Re-rate passes that re-solved only the touched links.
+    pub incremental_rerates: u64,
+}
+
+/// Simulates `fanout` servers each pushing one [`STRIPE`]-byte response
+/// at host 0, restarting any stripe that misses [`TIMEOUT`].
+pub fn incast(fanout: usize) -> IncastRun {
     let mut fabric = Fabric::new(fanout + 1, 4, 2.0, BW, LAT);
     let mut senders = vec![Sender::Waiting(SimTime::ZERO); fanout];
     let mut completed: Vec<u64> = Vec::new();
@@ -87,7 +103,13 @@ pub fn incast(fanout: usize) -> (SimDuration, u64) {
             }
         }
     }
-    (now - SimTime::ZERO, restarts)
+    IncastRun {
+        completion: now - SimTime::ZERO,
+        restarts,
+        flows: fabric.flows_started(),
+        rerates: fabric.rerates(),
+        incremental_rerates: fabric.incremental_rerates(),
+    }
 }
 
 #[cfg(test)]
@@ -96,10 +118,29 @@ mod tests {
 
     #[test]
     fn lone_sender_finishes_without_restarts() {
-        let (t, restarts) = incast(1);
-        assert_eq!(restarts, 0);
+        let run = incast(1);
+        assert_eq!(run.restarts, 0);
         // One 256 KB stripe at 125 MB/s behind a 100 µs gate: ~2.2 ms.
+        let t = run.completion;
         assert!(t > SimDuration::from_micros(2_000) && t < SimDuration::from_micros(3_000));
+    }
+
+    #[test]
+    fn incast_32_does_exactly_the_recorded_work() {
+        // The simcore and fabric benches time this run. Its outcome and
+        // work counts are exact, so any drift is a change in behaviour or
+        // algorithm, whatever the host. The completion time and restarts
+        // match BENCH_fabric.json's incast curve.
+        assert_eq!(
+            incast(32),
+            IncastRun {
+                completion: SimDuration::from_nanos(345_654_432),
+                restarts: 167,
+                flows: 199,
+                rerates: 336,
+                incremental_rerates: 0,
+            }
+        );
     }
 
     #[test]

@@ -88,11 +88,13 @@ network topology (simulate, crossexam --faults):
 
 sharded simulation (simulate, crossexam --faults):
   --shards     number of server-group shards, each with its own event
-               loop, advancing in lockstep time windows; `auto` (the
-               default) picks one shard per ~8 servers. Clamped so every
-               shard holds a full replica set (small clusters run on
-               one shard). Deterministic for a fixed shard count at
-               any --threads; 1 is bit-identical to unsharded
+               loop, advancing in lockstep time windows; 1 (the default)
+               is the exact one-engine simulation, `auto` picks one
+               shard per ~8 servers. Cross-shard messages wait for the
+               next window boundary, which inflates latency at N > 1.
+               Clamped so every shard holds a full replica set (small
+               clusters run on one shard). Deterministic for a fixed
+               shard count at any --threads
 
 global options (accepted by every command; any other option a command
 does not list above is an error):
@@ -305,13 +307,14 @@ fn parse_topology(opts: &Options) -> Result<Topology, CliError> {
     }
 }
 
-/// `--shards N|auto`, resolved against the cluster: `auto` (and the
-/// option's absence) picks [`kooza_gfs::default_shards`], and any request
-/// is clamped by [`kooza_gfs::effective_shards`] — the clamp `run_sharded`
-/// applies — so the report shows the real shard count.
+/// `--shards N|auto`, resolved against the cluster: the option's absence
+/// means one shard, `auto` picks [`kooza_gfs::default_shards`], and any
+/// request is clamped by [`kooza_gfs::effective_shards`] — the clamp
+/// `run_sharded` applies — so the report shows the real shard count.
 fn parse_shards(opts: &Options, config: &ClusterConfig) -> Result<usize, CliError> {
     let requested = match opts.get("shards") {
-        None | Some("auto") => kooza_gfs::default_shards(config),
+        None => 1,
+        Some("auto") => kooza_gfs::default_shards(config),
         Some(v) => {
             let n: usize = v
                 .parse()
@@ -883,6 +886,28 @@ mod tests {
         );
         cleanup(&legacy);
         cleanup(&one);
+    }
+
+    #[test]
+    fn shards_default_to_one_and_auto_is_opt_in() {
+        // Without --shards a 64-server cluster runs on one shard: the same
+        // trace bytes as `--shards 1`. `auto` still picks 8 shards.
+        let cmd = |p: &str, shards: &str| {
+            format!("simulate --out {p} --requests 200 --seed 3 --servers 64 --workload read")
+                + " "
+                + shards
+        };
+        let (default, one, auto) =
+            (temp_path("shards-default"), temp_path("shards-1"), temp_path("shards-auto64"));
+        let out = run(&args(&cmd(&default, ""))).unwrap();
+        assert!(out.contains("64 server(s) (seed 3)"), "{out}");
+        run(&args(&cmd(&one, "--shards 1"))).unwrap();
+        assert_eq!(std::fs::read(&default).unwrap(), std::fs::read(&one).unwrap());
+        let out = run(&args(&cmd(&auto, "--shards auto"))).unwrap();
+        assert!(out.contains("64 server(s), 8 shards"), "{out}");
+        for p in [default, one, auto] {
+            cleanup(&p);
+        }
     }
 
     #[test]

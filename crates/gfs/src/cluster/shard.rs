@@ -38,7 +38,7 @@ use kooza_trace::TraceSet;
 
 use super::{Cluster, ClusterOutcome, ClusterStats, FaultStats, RequestOutcome};
 use crate::config::{ClusterConfig, Topology};
-use crate::fault::{FaultPlan, FaultSpec};
+use crate::fault::{FaultPlan, FaultSpec, FAULT_HORIZON_SLACK_SECS};
 use crate::hardware::{CpuModel, DiskModel, LinkModel, MemoryModel};
 use crate::master::{ChunkHandle, Master, LBNS_PER_CHUNK};
 
@@ -895,7 +895,8 @@ impl Shard {
         // covers retry-stretched tails.
         let plan = cfg.faults.map(|f| {
             let span = n_requests as f64 * cfg.workload.mean_interarrival_secs;
-            FaultPlan::generate(&f, n, SimDuration::from_secs_f64(span * 2.0 + 120.0))
+            let horizon = span * 2.0 + FAULT_HORIZON_SLACK_SECS;
+            FaultPlan::generate(&f, n, SimDuration::from_secs_f64(horizon))
         });
         let mut shard_of = vec![0; n];
         for (g, range) in ranges.iter().enumerate() {

@@ -24,6 +24,20 @@ use kooza_stats::dist::{Distribution, Exponential};
 
 use crate::{GfsError, Result};
 
+/// Seconds of fault horizon a run gets on top of twice its expected
+/// workload span, so retry-stretched tails still meet crashes.
+pub const FAULT_HORIZON_SLACK_SECS: f64 = 120.0;
+
+/// Most crash/recover windows a spec may schedule per server, in
+/// expectation, over [`FAULT_HORIZON_SLACK_SECS`]. A server crashes once
+/// per `mttf + mttr` on average, so this floors that cycle at 0.12 s. The
+/// harshest spec in the repository's tests, `mttf=1.5,mttr=0.3`, schedules
+/// about 67; one of `mttf=0.001,mttr=0.001` would schedule 60,000 and
+/// every `is_down` scan would walk them. A longer run scales the count by
+/// its horizon, so a plan grows with the workload, never with the spec
+/// alone.
+pub const MAX_EXPECTED_WINDOWS: f64 = 1_000.0;
+
 /// Fault-injection knobs. `ClusterConfig::faults = Some(spec)` arms them;
 /// `None` (the default) keeps the simulator on the exact healthy path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,24 +140,49 @@ impl FaultSpec {
         Ok(out)
     }
 
-    /// Checks every knob is in range.
+    /// Checks every knob is in range, and that the plan stays within
+    /// [`MAX_EXPECTED_WINDOWS`].
     ///
     /// # Errors
     ///
     /// Returns [`GfsError::InvalidConfig`] naming the offending knob.
     pub fn validate(&self) -> Result<()> {
-        let positive = [
+        // A mean must fit the simulated clock: at least its 1 ns tick (a
+        // finer mean has an infinite rate) and at most its range (a
+        // coarser one could draw an infinite crash or repair time).
+        let tick = SimDuration::from_nanos(1).as_secs_f64();
+        let range = SimDuration::MAX.as_secs_f64();
+        let means = [
             ("faults.mttf_secs", self.mttf_secs),
             ("faults.mttr_secs", self.mttr_secs),
-            ("faults.retry_timeout_secs", self.retry_timeout_secs),
         ];
-        for (field, v) in positive {
-            if !(v.is_finite() && v > 0.0) {
+        for (field, v) in means {
+            if !(tick..=range).contains(&v) {
                 return Err(GfsError::InvalidConfig {
                     field: "faults",
-                    detail: format!("{field} must be finite and positive (got {v})"),
+                    detail: format!("{field} must be between {tick:e} and {range:e} s (got {v:e})"),
                 });
             }
+        }
+        if !(self.retry_timeout_secs.is_finite() && self.retry_timeout_secs > 0.0) {
+            return Err(GfsError::InvalidConfig {
+                field: "faults",
+                detail: format!(
+                    "faults.retry_timeout_secs must be finite and positive (got {})",
+                    self.retry_timeout_secs
+                ),
+            });
+        }
+        let cycle_secs = self.mttf_secs + self.mttr_secs;
+        if FAULT_HORIZON_SLACK_SECS / cycle_secs > MAX_EXPECTED_WINDOWS {
+            return Err(GfsError::InvalidConfig {
+                field: "faults",
+                detail: format!(
+                    "mttf + mttr must be at least {} s, at most {MAX_EXPECTED_WINDOWS} crashes \
+                     per server per {FAULT_HORIZON_SLACK_SECS} s (got {cycle_secs} s)",
+                    FAULT_HORIZON_SLACK_SECS / MAX_EXPECTED_WINDOWS
+                ),
+            });
         }
         if !(self.max_disk_slowdown.is_finite() && self.max_disk_slowdown >= 1.0) {
             return Err(GfsError::InvalidConfig {
@@ -394,6 +433,14 @@ mod tests {
         assert!(FaultSpec::parse("drop=1.0").is_err());
         assert!(FaultSpec::parse("slow=0.5").is_err());
         assert!(FaultSpec::parse("backoff=0.9").is_err());
+        // Plans that would schedule more than the window cap, and means
+        // outside the simulated clock's range.
+        for spec in ["mttf=0.001,mttr=0.001", "mttf=1e-5,mttr=1e-5", "mttf=0.1,mttr=0.01"] {
+            let err = FaultSpec::parse(spec).expect_err(spec).to_string();
+            assert!(err.contains("mttf + mttr must be at least 0.12 s"), "{spec}: {err}");
+        }
+        assert!(FaultSpec::parse("mttf=1e300").is_err());
+        assert!(FaultSpec::parse("mttf=1e6,mttr=1e-320").is_err());
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod master;
 
 pub use cluster::{default_shards, effective_shards, Cluster, ClusterOutcome, ClusterStats, FaultStats, RequestOutcome, Trial};
 pub use config::{ClusterConfig, CpuParams, DiskParams, LinkParams, MemoryParams, Topology, WorkloadMix};
-pub use fault::{FaultPlan, FaultSpec, FaultWindow};
+pub use fault::{FaultPlan, FaultSpec, FaultWindow, FAULT_HORIZON_SLACK_SECS, MAX_EXPECTED_WINDOWS};
 pub use hardware::{CpuModel, DiskModel, LinkModel, MemoryModel};
 pub use master::{ChunkHandle, Master};
 

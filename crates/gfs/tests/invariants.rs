@@ -3,10 +3,14 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use kooza_check::gen::{choice, u32_range, u64_range, zip2, zip5};
+use kooza_check::gen::{choice, f64_range, u32_range, u64_range, usize_range, zip2, zip4, zip5};
 use kooza_check::{checker, ensure, ensure_eq, PropResult};
 
-use kooza_gfs::{Cluster, ClusterConfig, ClusterOutcome, FaultSpec, Topology, WorkloadMix};
+use kooza_gfs::{
+    Cluster, ClusterConfig, ClusterOutcome, FaultPlan, FaultSpec, GfsError, Topology,
+    WorkloadMix, FAULT_HORIZON_SLACK_SECS, MAX_EXPECTED_WINDOWS,
+};
+use kooza_sim::SimDuration;
 
 /// Conservation and well-formedness across random workloads: every
 /// request completes exactly once, record counts line up, span trees
@@ -206,4 +210,59 @@ fn repair_race_resolves_every_request_once() {
     if let Err(e) = hostings_agree(&config, 1000, 1, 2) {
         panic!("{e:?}");
     }
+}
+
+/// Number of MTTF/MTTR classes [`extreme_mean`] draws from.
+const MEAN_CLASSES: usize = 10;
+
+/// An MTTF or MTTR from one corner of the domain: zero, negative, NaN,
+/// ±infinite, subnormal, tiny, either side of the window cap, huge and the
+/// largest finite value. `u` in `[0, 1)` picks the value within a class.
+fn extreme_mean(class: usize, u: f64) -> f64 {
+    match class {
+        0 => 0.0,
+        1 => -1.0 - 1e3 * u,
+        2 => f64::NAN,
+        3 => f64::INFINITY,
+        4 => f64::NEG_INFINITY,
+        5 => f64::from_bits(1 + (u * 1e6) as u64),
+        6 => 10f64.powf(-300.0 + 297.0 * u),
+        7 => 10f64.powf(-3.0 + 4.0 * u),
+        8 => 10f64.powf(1.0 + 307.0 * u),
+        _ => f64::MAX,
+    }
+}
+
+/// Every fault spec is either rejected with a typed error or schedules a
+/// plan within the window cap, so no spec can make plan generation, or
+/// the down-window scans over the plan, grow without bound. Each case
+/// sweeps every MTTF class against every MTTR class. The check allows
+/// twice `MAX_EXPECTED_WINDOWS` per server, since the cap bounds the
+/// expected count and a sampled plan scatters around it.
+#[test]
+fn fault_specs_are_rejected_or_bounded() {
+    checker("fault_specs_are_rejected_or_bounded").run(
+        zip4(f64_range(0.0, 1.0), f64_range(0.0, 1.0), usize_range(1, 5), u64_range(0, 1_000)),
+        |&(u_mttf, u_mttr, servers, seed)| {
+            for class in 0..MEAN_CLASSES * MEAN_CLASSES {
+                let mttf_secs = extreme_mean(class / MEAN_CLASSES, u_mttf);
+                let mttr_secs = extreme_mean(class % MEAN_CLASSES, u_mttr);
+                let spec = FaultSpec { mttf_secs, mttr_secs, seed, ..FaultSpec::default() };
+                if let Err(e) = spec.validate() {
+                    ensure!(matches!(e, GfsError::InvalidConfig { field: "faults", .. }), "{e}");
+                    continue;
+                }
+                let horizon = SimDuration::from_secs_f64(FAULT_HORIZON_SLACK_SECS);
+                let plan = FaultPlan::generate(&spec, servers, horizon);
+                for s in 0..servers {
+                    let windows = plan.windows(s).len();
+                    ensure!(
+                        windows as f64 <= 2.0 * MAX_EXPECTED_WINDOWS,
+                        "mttf {mttf_secs} s, mttr {mttr_secs} s: server {s} has {windows} windows"
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
 }

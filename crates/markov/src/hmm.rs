@@ -1,12 +1,12 @@
-//! Hidden Markov models with Baum–Welch training and Viterbi decoding.
+//! A hidden Markov model with Baum–Welch training and Viterbi decoding.
 //!
-//! [`DiscreteHmm`] emits symbols from per-state categorical distributions;
 //! [`GaussianHmm`] emits real values from per-state normal distributions —
 //! the simplified, diagonal form of Moro et al.'s Ergodic Continuous HMM
 //! used to model sequences of memory references.
 //!
-//! Both use the standard scaled forward–backward recursion, so sequences of
-//! hundreds of thousands of observations train without underflow.
+//! Training uses the standard scaled forward–backward recursion, so
+//! sequences of hundreds of thousands of observations train without
+//! underflow.
 
 use kooza_sim::rng::{Rng64, WeightedIndex};
 
@@ -145,18 +145,6 @@ fn viterbi_path(a: &[Vec<f64>], pi: &[f64], log_emis: &[Vec<f64>]) -> Vec<usize>
     path
 }
 
-/// Random row-stochastic matrix for EM initialization (perturbed uniform so
-/// EM can break symmetry).
-fn random_stochastic(rows: usize, cols: usize, rng: &mut Rng64) -> Vec<Vec<f64>> {
-    (0..rows)
-        .map(|_| {
-            let raw: Vec<f64> = (0..cols).map(|_| 1.0 + rng.next_f64()).collect();
-            let s: f64 = raw.iter().sum();
-            raw.into_iter().map(|x| x / s).collect()
-        })
-        .collect()
-}
-
 fn validate_square(a: &[Vec<f64>], n: usize) -> Result<()> {
     if a.len() != n {
         return Err(MarkovError::StateOutOfRange { state: a.len(), n_states: n });
@@ -171,255 +159,6 @@ fn validate_square(a: &[Vec<f64>], n: usize) -> Result<()> {
         }
     }
     Ok(())
-}
-
-/// A hidden Markov model with categorical (discrete-symbol) emissions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiscreteHmm {
-    n_states: usize,
-    n_symbols: usize,
-    a: Vec<Vec<f64>>,
-    b: Vec<Vec<f64>>,
-    pi: Vec<f64>,
-}
-
-impl DiscreteHmm {
-    /// Constructs an HMM from explicit parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::NotStochastic`] / [`MarkovError::StateOutOfRange`]
-    /// on malformed inputs.
-    pub fn new(a: Vec<Vec<f64>>, b: Vec<Vec<f64>>, pi: Vec<f64>) -> Result<Self> {
-        let n = pi.len();
-        if n == 0 {
-            return Err(MarkovError::EmptyStateSpace);
-        }
-        validate_square(&a, n)?;
-        if b.len() != n || b[0].is_empty() {
-            return Err(MarkovError::StateOutOfRange { state: b.len(), n_states: n });
-        }
-        let m = b[0].len();
-        for (i, row) in b.iter().enumerate() {
-            if row.len() != m {
-                return Err(MarkovError::StateOutOfRange { state: row.len(), n_states: m });
-            }
-            let sum: f64 = row.iter().sum();
-            if (sum - 1.0).abs() > 1e-6 {
-                return Err(MarkovError::NotStochastic { row: i, sum });
-            }
-        }
-        let pi_sum: f64 = pi.iter().sum();
-        if (pi_sum - 1.0).abs() > 1e-6 {
-            return Err(MarkovError::NotStochastic { row: usize::MAX, sum: pi_sum });
-        }
-        Ok(DiscreteHmm {
-            n_states: n,
-            n_symbols: m,
-            a,
-            b,
-            pi,
-        })
-    }
-
-    /// Random initialization for EM training.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_states` or `n_symbols` is zero.
-    pub fn random_init(n_states: usize, n_symbols: usize, rng: &mut Rng64) -> Self {
-        assert!(n_states > 0 && n_symbols > 0, "state and symbol spaces must be non-empty");
-        DiscreteHmm {
-            n_states,
-            n_symbols,
-            a: random_stochastic(n_states, n_states, rng),
-            b: random_stochastic(n_states, n_symbols, rng),
-            pi: random_stochastic(1, n_states, rng).pop().unwrap(),
-        }
-    }
-
-    /// Number of hidden states.
-    pub fn n_states(&self) -> usize {
-        self.n_states
-    }
-
-    /// Number of observable symbols.
-    pub fn n_symbols(&self) -> usize {
-        self.n_symbols
-    }
-
-    /// Transition matrix.
-    pub fn transitions(&self) -> &[Vec<f64>] {
-        &self.a
-    }
-
-    /// Emission matrix (`b[state][symbol]`).
-    pub fn emissions(&self) -> &[Vec<f64>] {
-        &self.b
-    }
-
-    fn emission_matrix(&self, obs: &[usize]) -> Result<Vec<Vec<f64>>> {
-        obs.iter()
-            .map(|&o| {
-                if o >= self.n_symbols {
-                    Err(MarkovError::StateOutOfRange { state: o, n_states: self.n_symbols })
-                } else {
-                    Ok((0..self.n_states).map(|i| self.b[i][o]).collect())
-                }
-            })
-            .collect()
-    }
-
-    /// Total log-likelihood of an observation sequence.
-    ///
-    /// # Errors
-    ///
-    /// Errors on out-of-range symbols, empty input, or zero likelihood.
-    pub fn log_likelihood(&self, obs: &[usize]) -> Result<f64> {
-        let emis = self.emission_matrix(obs)?;
-        forward_backward(&self.a, &self.pi, &emis).map(|(_, _, ll)| ll)
-    }
-
-    /// One Baum–Welch re-estimation pass; returns the log-likelihood of the
-    /// input under the *pre-update* parameters.
-    fn baum_welch_step(&mut self, obs: &[usize]) -> Result<f64> {
-        let emis = self.emission_matrix(obs)?;
-        let (gamma, xi_sum, ll) = forward_backward(&self.a, &self.pi, &emis)?;
-        let n = self.n_states;
-        let t_len = obs.len();
-        // π ← γ₀
-        self.pi = gamma[0].clone();
-        // A ← expected transitions / expected occupancies (t < T−1).
-        for i in 0..n {
-            let occupancy: f64 = (0..t_len - 1).map(|t| gamma[t][i]).sum();
-            if occupancy > 0.0 {
-                for j in 0..n {
-                    self.a[i][j] = xi_sum[i][j] / occupancy;
-                }
-            }
-            // Renormalize against floating-point drift.
-            let s: f64 = self.a[i].iter().sum();
-            if s > 0.0 {
-                self.a[i].iter_mut().for_each(|x| *x /= s);
-            }
-        }
-        // B ← expected symbol emissions per state.
-        for i in 0..n {
-            let occupancy: f64 = (0..t_len).map(|t| gamma[t][i]).sum();
-            if occupancy > 0.0 {
-                let mut row = vec![0.0; self.n_symbols];
-                for (t, &o) in obs.iter().enumerate() {
-                    row[o] += gamma[t][i];
-                }
-                row.iter_mut().for_each(|x| *x /= occupancy);
-                self.b[i] = row;
-            }
-        }
-        Ok(ll)
-    }
-
-    /// Trains with Baum–Welch until the log-likelihood improves by less than
-    /// `tol` or `max_iter` passes run.
-    ///
-    /// # Errors
-    ///
-    /// Errors on invalid observations or numerical failure.
-    pub fn train(&mut self, obs: &[usize], max_iter: usize, tol: f64) -> Result<HmmFit> {
-        if obs.len() < 2 {
-            return Err(MarkovError::InsufficientData { needed: 2, got: obs.len() });
-        }
-        let mut prev = f64::NEG_INFINITY;
-        let mut iterations = 0;
-        let mut converged = false;
-        for iter in 0..max_iter.max(1) {
-            iterations = iter + 1;
-            let ll = self.baum_welch_step(obs)?;
-            if (ll - prev).abs() < tol && iter > 0 {
-                converged = true;
-                break;
-            }
-            prev = ll;
-        }
-        // Report the likelihood under the final parameters.
-        let final_ll = self.log_likelihood(obs)?;
-        Ok(HmmFit {
-            log_likelihood: final_ll,
-            iterations,
-            converged,
-        })
-    }
-
-    /// Trains `restarts` randomly-initialized models and returns the one
-    /// with the best final log-likelihood, together with its fit. EM is a
-    /// local optimizer; restarts are the standard defence against bad
-    /// basins.
-    ///
-    /// # Errors
-    ///
-    /// Errors if every restart fails (propagates the last error).
-    pub fn train_restarts(
-        obs: &[usize],
-        n_states: usize,
-        n_symbols: usize,
-        restarts: usize,
-        max_iter: usize,
-        tol: f64,
-        rng: &mut Rng64,
-    ) -> Result<(DiscreteHmm, HmmFit)> {
-        let mut best: Option<(DiscreteHmm, HmmFit)> = None;
-        let mut last_err = None;
-        for _ in 0..restarts.max(1) {
-            let mut model = DiscreteHmm::random_init(n_states, n_symbols, rng);
-            match model.train(obs, max_iter, tol) {
-                Ok(fit) => {
-                    if best
-                        .as_ref()
-                        .map(|(_, b)| fit.log_likelihood > b.log_likelihood)
-                        .unwrap_or(true)
-                    {
-                        best = Some((model, fit));
-                    }
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        best.ok_or_else(|| last_err.unwrap_or(MarkovError::NumericalFailure("train_restarts")))
-    }
-
-    /// Most likely hidden-state path (Viterbi).
-    ///
-    /// # Errors
-    ///
-    /// Errors on out-of-range symbols.
-    pub fn viterbi(&self, obs: &[usize]) -> Result<Vec<usize>> {
-        let emis = self.emission_matrix(obs)?;
-        let log_emis: Vec<Vec<f64>> = emis
-            .iter()
-            .map(|row| row.iter().map(|&p| p.max(1e-300).ln()).collect())
-            .collect();
-        Ok(viterbi_path(&self.a, &self.pi, &log_emis))
-    }
-
-    /// Generates `(hidden_states, symbols)` of length `len`.
-    pub fn generate(&self, len: usize, rng: &mut Rng64) -> (Vec<usize>, Vec<usize>) {
-        let mut states = Vec::with_capacity(len);
-        let mut symbols = Vec::with_capacity(len);
-        if len == 0 {
-            return (states, symbols);
-        }
-        // Cumulative tables amortize the per-step linear CDF scans over the
-        // whole walk (bit-identical draws; see `WeightedIndex`).
-        let pi_cum = WeightedIndex::new(&self.pi);
-        let a_cum: Vec<WeightedIndex> = self.a.iter().map(|r| WeightedIndex::new(r)).collect();
-        let b_cum: Vec<WeightedIndex> = self.b.iter().map(|r| WeightedIndex::new(r)).collect();
-        let mut s = pi_cum.sample(rng);
-        for _ in 0..len {
-            states.push(s);
-            symbols.push(b_cum[s].sample(rng));
-            s = a_cum[s].sample(rng);
-        }
-        (states, symbols)
-    }
 }
 
 /// A hidden Markov model with per-state Gaussian emissions (a simplified
@@ -585,7 +324,11 @@ impl GaussianHmm {
         Ok(ll)
     }
 
-    /// Trains with Baum–Welch (see [`DiscreteHmm::train`]).
+    /// Trains with Baum–Welch: each pass re-estimates the initial,
+    /// transition and emission parameters from the posteriors under the
+    /// current ones, so the log-likelihood never falls. Stops when it
+    /// improves by less than `tol` or after `max_iter` passes, and reports
+    /// the log-likelihood under the final parameters.
     ///
     /// # Errors
     ///
@@ -651,107 +394,6 @@ impl GaussianHmm {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A well-separated two-state source for recovery tests.
-    fn two_state_discrete() -> DiscreteHmm {
-        DiscreteHmm::new(
-            vec![vec![0.9, 0.1], vec![0.2, 0.8]],
-            vec![vec![0.9, 0.1], vec![0.1, 0.9]],
-            vec![0.5, 0.5],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn discrete_validation() {
-        assert!(DiscreteHmm::new(vec![], vec![], vec![]).is_err());
-        assert!(DiscreteHmm::new(
-            vec![vec![0.5, 0.6], vec![0.5, 0.5]],
-            vec![vec![1.0], vec![1.0]],
-            vec![0.5, 0.5],
-        )
-        .is_err());
-        assert!(DiscreteHmm::new(
-            vec![vec![0.5, 0.5], vec![0.5, 0.5]],
-            vec![vec![0.9, 0.2], vec![0.5, 0.5]],
-            vec![0.5, 0.5],
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn generate_and_likelihood_round_trip() {
-        let hmm = two_state_discrete();
-        let mut rng = Rng64::new(900);
-        let (_, obs) = hmm.generate(500, &mut rng);
-        let ll = hmm.log_likelihood(&obs).unwrap();
-        assert!(ll.is_finite() && ll < 0.0);
-        // A mismatched model scores worse.
-        let wrong = DiscreteHmm::new(
-            vec![vec![0.5, 0.5], vec![0.5, 0.5]],
-            vec![vec![0.5, 0.5], vec![0.5, 0.5]],
-            vec![0.5, 0.5],
-        )
-        .unwrap();
-        assert!(ll > wrong.log_likelihood(&obs).unwrap());
-    }
-
-    #[test]
-    fn baum_welch_improves_likelihood() {
-        let source = two_state_discrete();
-        let mut rng = Rng64::new(901);
-        let (_, obs) = source.generate(2000, &mut rng);
-        let mut model = DiscreteHmm::random_init(2, 2, &mut rng);
-        let before = model.log_likelihood(&obs).unwrap();
-        let fit = model.train(&obs, 50, 1e-6).unwrap();
-        assert!(fit.log_likelihood > before, "{} !> {before}", fit.log_likelihood);
-    }
-
-    #[test]
-    fn restarts_reach_source_likelihood() {
-        // A single EM run can stall in a local optimum; with restarts the
-        // trained model approaches the generating model's likelihood.
-        let source = two_state_discrete();
-        let mut rng = Rng64::new(901);
-        let (_, obs) = source.generate(2000, &mut rng);
-        let (_, fit) =
-            DiscreteHmm::train_restarts(&obs, 2, 2, 8, 100, 1e-6, &mut rng).unwrap();
-        let source_ll = source.log_likelihood(&obs).unwrap();
-        assert!(
-            fit.log_likelihood > source_ll - 0.05 * source_ll.abs(),
-            "trained {} vs source {source_ll}",
-            fit.log_likelihood
-        );
-    }
-
-    #[test]
-    fn viterbi_recovers_clear_states() {
-        let hmm = two_state_discrete();
-        let mut rng = Rng64::new(902);
-        let (states, obs) = hmm.generate(1000, &mut rng);
-        let decoded = hmm.viterbi(&obs).unwrap();
-        let agree = states
-            .iter()
-            .zip(&decoded)
-            .filter(|(a, b)| a == b)
-            .count() as f64
-            / states.len() as f64;
-        assert!(agree > 0.8, "agreement {agree}");
-    }
-
-    #[test]
-    fn viterbi_empty_and_bad_symbol() {
-        let hmm = two_state_discrete();
-        assert!(hmm.viterbi(&[]).unwrap().is_empty());
-        assert!(hmm.viterbi(&[0, 7]).is_err());
-        assert!(hmm.log_likelihood(&[2]).is_err());
-    }
-
-    #[test]
-    fn train_rejects_tiny_input() {
-        let mut hmm = two_state_discrete();
-        assert!(hmm.train(&[0], 10, 1e-6).is_err());
-    }
 
     fn two_state_gaussian() -> GaussianHmm {
         GaussianHmm::new(
@@ -839,10 +481,13 @@ mod tests {
     }
 
     #[test]
+    fn train_rejects_tiny_input() {
+        let mut hmm = two_state_gaussian();
+        assert!(hmm.train(&[0.0], 10, 1e-6).is_err());
+    }
+
+    #[test]
     fn generate_zero_length() {
-        let hmm = two_state_discrete();
-        let (s, o) = hmm.generate(0, &mut Rng64::new(1));
-        assert!(s.is_empty() && o.is_empty());
         let g = two_state_gaussian();
         let (s, o) = g.generate(0, &mut Rng64::new(1));
         assert!(s.is_empty() && o.is_empty());

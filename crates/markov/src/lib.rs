@@ -6,15 +6,11 @@
 //! provides:
 //!
 //! * [`MarkovChain`] — first-order discrete chains: training by transition
-//!   counting with Laplace smoothing, generation, stationary distribution,
-//!   entropy rate and log-likelihood scoring.
-//! * [`HierarchicalMarkov`] — the two-level state diagram of Sankar et
-//!   al.'s storage model (outer states = spatial locality groups, inner
-//!   states = request behaviour within a group).
-//! * [`DiscreteHmm`] / [`GaussianHmm`] — hidden Markov models with
-//!   Baum–Welch training and Viterbi decoding; the Gaussian-emission
-//!   variant is the simplified form of Moro et al.'s Ergodic Continuous
-//!   HMM memory model.
+//!   counting with Laplace smoothing, generation, stationary distribution
+//!   and log-likelihood scoring.
+//! * [`GaussianHmm`] — a hidden Markov model with Gaussian emissions,
+//!   Baum–Welch training and Viterbi decoding: the simplified form of Moro
+//!   et al.'s Ergodic Continuous HMM memory model.
 //!
 //! # Example
 //!
@@ -38,12 +34,10 @@
 #![warn(missing_debug_implementations)]
 
 mod chain;
-mod hierarchical;
 mod hmm;
 
 pub use chain::{MarkovChain, MarkovChainBuilder};
-pub use hierarchical::HierarchicalMarkov;
-pub use hmm::{DiscreteHmm, GaussianHmm, HmmFit};
+pub use hmm::{GaussianHmm, HmmFit};
 
 /// Errors from Markov-model construction and training.
 #[derive(Debug, Clone, PartialEq)]

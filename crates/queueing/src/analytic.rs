@@ -2,8 +2,7 @@
 //! (Pollaczek–Khinchine).
 //!
 //! These are the ground truth the simulated networks in [`crate::network`]
-//! are validated against, and the analytic core of Liu et al.'s multi-tier
-//! model in [`crate::tier`].
+//! are validated against.
 
 use crate::{QueueError, Result};
 
@@ -133,62 +132,6 @@ pub fn mg1(lambda: f64, service_mean: f64, service_scv: f64) -> Result<QueueMetr
     })
 }
 
-/// Steady state of the finite-capacity M/M/c/K queue (at most `k` jobs in
-/// the system, arrivals beyond that are lost) — the analytic companion to
-/// admission control: rather than throttling, the buffer bounds latency at
-/// the price of a loss probability.
-///
-/// Returns `(metrics, p_loss)`, where the metrics describe *admitted*
-/// jobs. Unlike the infinite-buffer queues, M/M/c/K is stable at any load.
-///
-/// # Errors
-///
-/// Returns [`QueueError::InvalidParameter`] for non-positive rates,
-/// `c == 0`, or `k < c`.
-pub fn mmck(lambda: f64, mu: f64, c: usize, k: usize) -> Result<(QueueMetrics, f64)> {
-    check_positive("lambda", lambda)?;
-    check_positive("mu", mu)?;
-    if c == 0 {
-        return Err(QueueError::InvalidParameter { name: "c", value: 0.0 });
-    }
-    if k < c {
-        return Err(QueueError::InvalidParameter { name: "k", value: k as f64 });
-    }
-    let a = lambda / mu;
-    // State probabilities p_n ∝ a^n/n! for n ≤ c, then geometric in ρ.
-    let rho = a / c as f64;
-    let mut weights = Vec::with_capacity(k + 1);
-    let mut w = 1.0;
-    weights.push(w);
-    for n in 1..=k {
-        w *= if n <= c { a / n as f64 } else { rho };
-        weights.push(w);
-    }
-    let total: f64 = weights.iter().sum();
-    let p: Vec<f64> = weights.into_iter().map(|x| x / total).collect();
-    let p_loss = p[k];
-    let mean_jobs: f64 = p.iter().enumerate().map(|(n, &pn)| n as f64 * pn).sum();
-    let admitted_rate = lambda * (1.0 - p_loss);
-    // Little's law on admitted traffic.
-    let mean_response = if admitted_rate > 0.0 { mean_jobs / admitted_rate } else { 0.0 };
-    let mean_wait = (mean_response - 1.0 / mu).max(0.0);
-    let busy: f64 = p
-        .iter()
-        .enumerate()
-        .map(|(n, &pn)| (n.min(c)) as f64 * pn)
-        .sum();
-    Ok((
-        QueueMetrics {
-            utilization: busy / c as f64,
-            mean_jobs,
-            mean_wait,
-            mean_response,
-            p_wait: 1.0 - p.iter().take(c).sum::<f64>(),
-        },
-        p_loss,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,54 +214,6 @@ mod tests {
         assert!(mg1(5.0, 0.2, 1.0).is_err()); // rho = 1
         assert!(mg1(1.0, 0.2, -1.0).is_err());
         assert!(mg1(1.0, 0.0, 1.0).is_err());
-    }
-
-    #[test]
-    fn mmck_large_buffer_converges_to_mmc() {
-        // With a huge buffer and stable load, M/M/c/K ≈ M/M/c.
-        let (finite, p_loss) = mmck(9.0, 3.0, 4, 500).unwrap();
-        let infinite = mmc(9.0, 3.0, 4).unwrap();
-        assert!(p_loss < 1e-9, "loss {p_loss}");
-        assert!((finite.mean_wait - infinite.mean_wait).abs() < 1e-6);
-        assert!((finite.utilization - infinite.utilization).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mmck_loss_system_erlang_b() {
-        // K = c (no waiting room): Erlang-B. For a = 2, c = 2:
-        // B = (a²/2) / (1 + a + a²/2) = 2/5.
-        let (m, p_loss) = mmck(2.0, 1.0, 2, 2).unwrap();
-        assert!((p_loss - 0.4).abs() < 1e-12, "loss {p_loss}");
-        assert!(m.mean_wait < 1e-12, "wait {}", m.mean_wait);
-        // Response = pure service for a loss system.
-        assert!((m.mean_response - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mmck_stable_under_overload() {
-        // λ > cμ would blow up M/M/c; the finite buffer sheds instead.
-        let (m, p_loss) = mmck(50.0, 10.0, 2, 10).unwrap();
-        assert!(p_loss > 0.5, "loss {p_loss}");
-        assert!(m.utilization > 0.99);
-        assert!(m.mean_jobs <= 10.0);
-    }
-
-    #[test]
-    fn mmck_loss_decreases_with_buffer() {
-        let mut prev = 1.0;
-        for k in [2usize, 4, 8, 16, 32] {
-            let (_, p_loss) = mmck(8.0, 5.0, 2, k).unwrap();
-            assert!(p_loss < prev, "k={k}");
-            prev = p_loss;
-        }
-    }
-
-    #[test]
-    fn mmck_validation() {
-        assert!(mmck(0.0, 1.0, 1, 1).is_err());
-        assert!(mmck(1.0, 0.0, 1, 1).is_err());
-        assert!(mmck(1.0, 1.0, 0, 1).is_err());
-        assert!(mmck(1.0, 1.0, 3, 2).is_err());
     }
 
     #[test]

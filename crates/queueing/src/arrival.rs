@@ -225,21 +225,6 @@ impl ArrivalProcess for MmppArrivals {
     }
 }
 
-/// Self-similar arrivals by superposition of Pareto on/off sources
-/// (the Willinger construction). While "on", a source emits at a constant
-/// rate; on/off period lengths are Pareto with `1 < α < 2`, which yields
-/// long-range dependence with Hurst `H = (3 − α) / 2`.
-#[derive(Debug)]
-pub struct SelfSimilarArrivals {
-    sources: Vec<OnOffSource>,
-    /// Min-heap of (next event time, source index).
-    pending: BinaryHeap<std::cmp::Reverse<(OrderedF64, usize)>>,
-    now: f64,
-    emit_gap: f64,
-    rate: f64,
-    initialized: bool,
-}
-
 /// Total-order wrapper for event times (no NaNs by construction).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct OrderedF64(f64);
@@ -253,171 +238,6 @@ impl PartialOrd for OrderedF64 {
 impl Ord for OrderedF64 {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.partial_cmp(&other.0).expect("event times are finite")
-    }
-}
-
-#[derive(Debug, Clone)]
-struct OnOffSource {
-    on_period: Pareto,
-    off_period: Pareto,
-    /// Remaining on-time for the current burst, if on.
-    on_until: f64,
-}
-
-impl SelfSimilarArrivals {
-    /// Creates `n_sources` on/off sources with Pareto(α) periods scaled so
-    /// the aggregate mean rate is `rate` events/second.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueError::InvalidParameter`] for a non-positive rate,
-    /// `alpha` outside `(1, 2)` or zero sources.
-    pub fn new(rate: f64, alpha: f64, n_sources: usize) -> Result<Self> {
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(QueueError::InvalidParameter { name: "rate", value: rate });
-        }
-        if !(alpha > 1.0 && alpha < 2.0) {
-            return Err(QueueError::InvalidParameter { name: "alpha", value: alpha });
-        }
-        if n_sources == 0 {
-            return Err(QueueError::InvalidParameter { name: "n_sources", value: 0.0 });
-        }
-        // Each source alternates mean-1s on and mean-1s off periods (Pareto
-        // with xm chosen for mean 1), emitting events at a fixed rate while
-        // on. Duty cycle 1/2 → per-source emit rate = 2 rate / n.
-        let xm = (alpha - 1.0) / alpha; // Pareto mean = α xm / (α−1) = 1
-        let on = Pareto::new(xm, alpha).expect("validated above");
-        let off = Pareto::new(xm, alpha).expect("validated above");
-        let emit_rate_per_source = 2.0 * rate / n_sources as f64;
-        Ok(SelfSimilarArrivals {
-            sources: (0..n_sources)
-                .map(|_| OnOffSource {
-                    on_period: on,
-                    off_period: off,
-                    on_until: 0.0,
-                })
-                .collect(),
-            pending: BinaryHeap::new(),
-            now: 0.0,
-            emit_gap: 1.0 / emit_rate_per_source,
-            rate,
-            initialized: false,
-        })
-    }
-
-    fn schedule_source(&mut self, idx: usize, from: f64, rng: &mut Rng64) {
-        // Walk the source's on/off renewal process from `from` to its next
-        // emission instant.
-        let mut t = from;
-        let src = &mut self.sources[idx];
-        loop {
-            if t < src.on_until {
-                // Emitting: next event after one emission gap (jittered
-                // ±50% so sources do not phase-lock).
-                let gap = self.emit_gap;
-                t += gap;
-                if t <= src.on_until {
-                    self.pending.push(std::cmp::Reverse((OrderedF64(t), idx)));
-                    return;
-                }
-                t = src.on_until;
-            }
-            // Off period, then a new on period.
-            let off = src.off_period.sample(rng);
-            let on = src.on_period.sample(rng);
-            t += off;
-            src.on_until = t + on;
-        }
-    }
-}
-
-impl ArrivalProcess for SelfSimilarArrivals {
-    fn next_gap(&mut self, rng: &mut Rng64) -> f64 {
-        if !self.initialized {
-            self.initialized = true;
-            for idx in 0..self.sources.len() {
-                // Stagger source starts.
-                let start = rng.next_f64() * 2.0;
-                self.schedule_source(idx, start, rng);
-            }
-        }
-        let std::cmp::Reverse((OrderedF64(t), idx)) =
-            self.pending.pop().expect("at least one source is always scheduled");
-        let gap = (t - self.now).max(0.0);
-        self.now = t;
-        self.schedule_source(idx, t, rng);
-        gap
-    }
-
-    fn mean_rate(&self) -> Option<f64> {
-        Some(self.rate)
-    }
-}
-
-/// Non-stationary (diurnal) Poisson arrivals with a sinusoidal rate
-/// profile `λ(t) = base · (1 + amplitude · sin(2πt / period))`.
-///
-/// Tang et al.'s MediSyn models "long-term behavior of network activity by
-/// capturing the non-stationarity" of request streams; this is the
-/// canonical non-stationary source, sampled exactly with Lewis–Shedler
-/// thinning.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiurnalArrivals {
-    base_rate: f64,
-    amplitude: f64,
-    period_secs: f64,
-    now: f64,
-}
-
-impl DiurnalArrivals {
-    /// Creates a diurnal source.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueError::InvalidParameter`] unless `base_rate > 0`,
-    /// `0 ≤ amplitude < 1` (the rate must stay positive) and
-    /// `period_secs > 0`.
-    pub fn new(base_rate: f64, amplitude: f64, period_secs: f64) -> Result<Self> {
-        if !(base_rate.is_finite() && base_rate > 0.0) {
-            return Err(QueueError::InvalidParameter { name: "base_rate", value: base_rate });
-        }
-        if !(amplitude.is_finite() && (0.0..1.0).contains(&amplitude)) {
-            return Err(QueueError::InvalidParameter { name: "amplitude", value: amplitude });
-        }
-        if !(period_secs.is_finite() && period_secs > 0.0) {
-            return Err(QueueError::InvalidParameter { name: "period_secs", value: period_secs });
-        }
-        Ok(DiurnalArrivals {
-            base_rate,
-            amplitude,
-            period_secs,
-            now: 0.0,
-        })
-    }
-
-    /// The instantaneous rate at absolute time `t` seconds.
-    pub fn rate_at(&self, t: f64) -> f64 {
-        self.base_rate
-            * (1.0 + self.amplitude * (2.0 * std::f64::consts::PI * t / self.period_secs).sin())
-    }
-}
-
-impl ArrivalProcess for DiurnalArrivals {
-    fn next_gap(&mut self, rng: &mut Rng64) -> f64 {
-        // Lewis–Shedler thinning at the peak rate.
-        let lambda_max = self.base_rate * (1.0 + self.amplitude);
-        let start = self.now;
-        loop {
-            self.now += -rng.next_f64_open().ln() / lambda_max;
-            if rng.next_f64() < self.rate_at(self.now) / lambda_max {
-                return self.now - start;
-            }
-        }
-    }
-
-    fn mean_rate(&self) -> Option<f64> {
-        // The sinusoid integrates to zero over a period.
-        Some(self.base_rate)
     }
 }
 
@@ -591,40 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn self_similar_gaps_are_long_range_dependent() {
-        let mut s = SelfSimilarArrivals::new(200.0, 1.4, 16).unwrap();
-        let mut rng = Rng64::new(1204);
-        let times = arrival_times(&mut s, 60_000, &mut rng);
-        // Bin into counts and estimate the Hurst exponent.
-        let window = 0.05;
-        let end = times.last().unwrap();
-        let n_bins = (end / window) as usize;
-        let mut counts = vec![0.0f64; n_bins + 1];
-        for &t in &times {
-            counts[(t / window) as usize] += 1.0;
-        }
-        let h = kooza_stats::hurst::hurst_aggregated_variance(&counts).unwrap();
-        assert!(h > 0.6, "H = {h}");
-        // LRD hallmark: the index of dispersion for counts grows with the
-        // window (Poisson holds IDC ≈ 1 at every scale). Gap-level cv² is
-        // *not* a reliable discriminator for on/off superpositions, which
-        // is precisely why Hurst-style measures exist.
-        let idc_small = kooza_stats::summary::index_of_dispersion(&times, 0.02).unwrap();
-        let idc_large = kooza_stats::summary::index_of_dispersion(&times, 2.0).unwrap();
-        assert!(
-            idc_large > 3.0 * idc_small.max(0.5),
-            "IDC small {idc_small}, large {idc_large}"
-        );
-    }
-
-    #[test]
-    fn self_similar_validation() {
-        assert!(SelfSimilarArrivals::new(0.0, 1.5, 4).is_err());
-        assert!(SelfSimilarArrivals::new(10.0, 2.5, 4).is_err());
-        assert!(SelfSimilarArrivals::new(10.0, 1.5, 0).is_err());
-    }
-
-    #[test]
     fn user_equivalents_produce_page_bursts() {
         let mut u = UserEquivalentArrivals::new(20, 5.0, 8.0, 0.01).unwrap();
         let mut rng = Rng64::new(1205);
@@ -640,49 +426,6 @@ mod tests {
     fn user_equivalents_validation() {
         assert!(UserEquivalentArrivals::new(0, 1.0, 1.0, 1.0).is_err());
         assert!(UserEquivalentArrivals::new(5, 0.0, 1.0, 1.0).is_err());
-    }
-
-    #[test]
-    fn diurnal_mean_rate_and_modulation() {
-        let mut d = DiurnalArrivals::new(100.0, 0.8, 10.0).unwrap();
-        let mut rng = Rng64::new(1210);
-        let times = arrival_times(&mut d, 50_000, &mut rng);
-        // Long-run rate ≈ base.
-        let span = times.last().unwrap() - times[0];
-        let rate = (times.len() - 1) as f64 / span;
-        assert!((rate - 100.0).abs() < 5.0, "rate {rate}");
-        // The first quarter-period (rising sinusoid) is denser than the
-        // third quarter (trough).
-        let count_in = |lo: f64, hi: f64| times.iter().filter(|&&t| t >= lo && t < hi).count();
-        let total_periods = (span / 10.0) as usize;
-        let mut peak = 0usize;
-        let mut trough = 0usize;
-        for p in 0..total_periods {
-            let base = p as f64 * 10.0;
-            peak += count_in(base + 1.5, base + 3.5); // around sin max (t=2.5)
-            trough += count_in(base + 6.5, base + 8.5); // around sin min (t=7.5)
-        }
-        assert!(
-            peak as f64 > 2.0 * trough as f64,
-            "peak {peak} vs trough {trough}"
-        );
-    }
-
-    #[test]
-    fn diurnal_rate_at_extremes() {
-        let d = DiurnalArrivals::new(50.0, 0.5, 86_400.0).unwrap();
-        assert!((d.rate_at(0.0) - 50.0).abs() < 1e-9);
-        assert!((d.rate_at(86_400.0 / 4.0) - 75.0).abs() < 1e-9);
-        assert!((d.rate_at(3.0 * 86_400.0 / 4.0) - 25.0).abs() < 1e-9);
-        assert_eq!(d.mean_rate(), Some(50.0));
-    }
-
-    #[test]
-    fn diurnal_validation() {
-        assert!(DiurnalArrivals::new(0.0, 0.5, 10.0).is_err());
-        assert!(DiurnalArrivals::new(10.0, 1.0, 10.0).is_err());
-        assert!(DiurnalArrivals::new(10.0, -0.1, 10.0).is_err());
-        assert!(DiurnalArrivals::new(10.0, 0.5, 0.0).is_err());
     }
 
     #[test]

@@ -1,22 +1,18 @@
 //! Queueing substrate: arrival processes, analytic queues, simulated
-//! queueing networks, multi-tier web models, layered queueing, admission
-//! control and SQS-style sampled simulation.
+//! queueing networks, closed-network analysis and SQS-style sampled
+//! simulation.
 //!
 //! This crate is both KOOZA's network model (the paper uses "a simple
 //! queueing model to represent the arrival-rate of user-requests") and the
-//! collection of in-depth baselines the paper surveys:
+//! in-depth baselines the cross-examination runs:
 //!
-//! * [`arrival`] — Poisson, renewal, Markov-modulated (MMPP), self-similar
-//!   (Pareto on/off superposition) and SURGE-style user-equivalent arrival
-//!   processes.
+//! * [`arrival`] — Poisson, renewal, Markov-modulated (MMPP) and
+//!   SURGE-style user-equivalent arrival processes.
 //! * [`analytic`] — closed forms for M/M/1, M/M/c (Erlang-C) and M/G/1
 //!   (Pollaczek–Khinchine).
 //! * [`network`] — an event-driven open queueing-network simulator.
-//! * [`tier`] — Liu et al.'s 3-tier web application model.
-//! * [`lqn`] — a layered queueing network with nested resource possession.
 //! * [`mva`] — exact Mean Value Analysis for closed networks and the
 //!   Kingman G/G/1 approximation.
-//! * [`controller`] — the Yaksha-style PI admission controller.
 //! * [`sqs`] — Meisner et al.'s stochastic queueing simulation: empirical
 //!   characterization plus sampled simulation.
 
@@ -27,12 +23,9 @@
 
 pub mod analytic;
 pub mod arrival;
-pub mod controller;
-pub mod lqn;
 pub mod mva;
 pub mod network;
 pub mod sqs;
-pub mod tier;
 
 /// Errors from queueing-model construction and evaluation.
 #[derive(Debug, Clone, PartialEq)]

@@ -3,8 +3,8 @@
 //! Nodes are multi-server FIFO stations with arbitrary service-time
 //! distributions; jobs enter from an [`ArrivalProcess`], route
 //! probabilistically between nodes, and exit. This is the simulation
-//! engine behind the in-depth baselines (3-tier web model, SQS) and the
-//! validation target for the analytic formulas in [`crate::analytic`].
+//! engine behind the SQS baseline ([`crate::sqs`]) and the validation
+//! target for the analytic formulas in [`crate::analytic`].
 
 use std::collections::HashMap;
 

@@ -105,11 +105,6 @@ impl ArModel {
         &self.phi
     }
 
-    /// Innovation (noise) variance.
-    pub fn noise_variance(&self) -> f64 {
-        self.noise_var
-    }
-
     /// Generates `n` points of a zero-mean Gaussian AR series (with a
     /// burn-in of 10 × order discarded).
     pub fn generate(&self, n: usize, rng: &mut Rng64) -> Vec<f64> {
@@ -221,7 +216,6 @@ mod tests {
         let model = ArModel::fit(&data, 2).unwrap();
         // φ2 should be near zero for an AR(1) source.
         assert!(model.coefficients()[1].abs() < 0.05);
-        assert!(model.noise_variance() > 0.0);
     }
 
     #[test]

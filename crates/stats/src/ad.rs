@@ -6,7 +6,6 @@
 //! methodology); AD is the second opinion for tail-sensitive decisions.
 
 use crate::dist::Distribution;
-use crate::sorted::SortedSample;
 use crate::{ensure_finite, ensure_len, Result, StatsError};
 
 /// Result of an Anderson–Darling test.
@@ -41,21 +40,6 @@ pub fn ad_one_sample(data: &[f64], reference: &dyn Distribution) -> Result<AdTes
     let mut sorted = data.to_vec();
     sorted.sort_by(f64::total_cmp);
     one_sample_sorted(&sorted, reference)
-}
-
-/// One-sample Anderson–Darling test against an already-sorted sample — the
-/// sort-free variant of [`ad_one_sample`].
-///
-/// # Errors
-///
-/// Errors on fewer than two points, or on a degenerate reference cdf as in
-/// [`ad_one_sample`].
-pub fn ad_one_sample_presorted(
-    sample: &SortedSample,
-    reference: &dyn Distribution,
-) -> Result<AdTest> {
-    ensure_len(sample.values(), 2)?;
-    one_sample_sorted(sample.values(), reference)
 }
 
 fn one_sample_sorted(sorted: &[f64], reference: &dyn Distribution) -> Result<AdTest> {

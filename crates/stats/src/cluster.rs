@@ -289,34 +289,6 @@ impl GaussianMixture {
         self.weights.len()
     }
 
-    /// Most likely component for an observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a dimension mismatch.
-    pub fn classify(&self, row: &[f64]) -> usize {
-        assert_eq!(row.len(), self.means[0].len(), "dimension mismatch");
-        (0..self.weights.len())
-            .max_by(|&a, &b| {
-                self.log_responsibility(row, a)
-                    .partial_cmp(&self.log_responsibility(row, b))
-                    .unwrap()
-            })
-            .unwrap()
-    }
-
-    fn log_responsibility(&self, row: &[f64], c: usize) -> f64 {
-        let mut acc = self.weights[c].ln();
-        for d in 0..row.len() {
-            let var = self.variances[c][d];
-            acc += -0.5
-                * ((row[d] - self.means[c][d]).powi(2) / var
-                    + var.ln()
-                    + (2.0 * std::f64::consts::PI).ln());
-        }
-        acc
-    }
-
     /// Draws a synthetic observation from the mixture.
     pub fn sample(&self, rng: &mut Rng64) -> Vec<f64> {
         let c = rng.choose_weighted(&self.weights);
@@ -434,16 +406,6 @@ mod tests {
             "{:?}",
             gmm.means
         );
-    }
-
-    #[test]
-    fn gmm_classify_consistent_with_means() {
-        let rows = two_blobs(50, 607);
-        let mut rng = Rng64::new(608);
-        let gmm = GaussianMixture::fit(&rows, 2, 200, &mut rng).unwrap();
-        let c_low = gmm.classify(&[0.5, 0.5]);
-        let c_high = gmm.classify(&[10.5, 10.5]);
-        assert_ne!(c_low, c_high);
     }
 
     #[test]

@@ -124,50 +124,50 @@ pub fn hurst_aggregated_variance(data: &[f64]) -> Result<f64> {
     Ok((1.0 + slope / 2.0).clamp(0.0, 1.0))
 }
 
-/// Generates fractional Gaussian noise with Hurst exponent `h` by the
-/// (approximate) successive-random-addition method — sufficient to test the
-/// estimators and to drive self-similar synthetic workloads.
-///
-/// # Panics
-///
-/// Panics unless `0 < h < 1` and `n > 0`.
-pub fn fgn_approximate(h: f64, n: usize, rng: &mut kooza_sim::rng::Rng64) -> Vec<f64> {
-    assert!(h > 0.0 && h < 1.0, "Hurst exponent must be in (0,1), got {h}");
-    assert!(n > 0, "need a positive length");
-    // Build fractional Brownian motion by aggregating scaled noise octaves,
-    // then difference it to get fGn. `next_power_of_two` keeps the level
-    // count exact for n < 2 and non-power-of-two n, where the float
-    // `log2().ceil()` form was fragile; the cap keeps the shift below the
-    // word size for absurd n instead of overflowing.
-    let levels = (n.next_power_of_two().trailing_zeros() as usize + 1).min(usize::BITS as usize - 2);
-    let size = 1usize << levels;
-    let mut fbm = vec![0.0f64; size + 1];
-    let mut scale = 1.0;
-    let mut step = size;
-    // Midpoint displacement.
-    let gauss = |rng: &mut kooza_sim::rng::Rng64| {
-        let u1 = rng.next_f64_open();
-        let u2 = rng.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    };
-    fbm[size] = gauss(rng) * scale;
-    while step > 1 {
-        let half = step / 2;
-        scale *= 0.5f64.powf(h);
-        let mut i = half;
-        while i < size {
-            fbm[i] = 0.5 * (fbm[i - half] + fbm[i + half]) + gauss(rng) * scale;
-            i += step;
-        }
-        step = half;
-    }
-    (1..=n.min(size)).map(|i| fbm[i] - fbm[i - 1]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use kooza_sim::rng::Rng64;
+
+    /// Generates fractional Gaussian noise with Hurst exponent `h` by the
+    /// (approximate) successive-random-addition method — sufficient to test the
+    /// estimators.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < h < 1` and `n > 0`.
+    fn fgn_approximate(h: f64, n: usize, rng: &mut Rng64) -> Vec<f64> {
+        assert!(h > 0.0 && h < 1.0, "Hurst exponent must be in (0,1), got {h}");
+        assert!(n > 0, "need a positive length");
+        // Build fractional Brownian motion by aggregating scaled noise octaves,
+        // then difference it to get fGn. `next_power_of_two` keeps the level
+        // count exact for n < 2 and non-power-of-two n, where the float
+        // `log2().ceil()` form was fragile; the cap keeps the shift below the
+        // word size for absurd n instead of overflowing.
+        let levels = (n.next_power_of_two().trailing_zeros() as usize + 1).min(usize::BITS as usize - 2);
+        let size = 1usize << levels;
+        let mut fbm = vec![0.0f64; size + 1];
+        let mut scale = 1.0;
+        let mut step = size;
+        // Midpoint displacement.
+        let gauss = |rng: &mut Rng64| {
+            let u1 = rng.next_f64_open();
+            let u2 = rng.next_f64();
+            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        };
+        fbm[size] = gauss(rng) * scale;
+        while step > 1 {
+            let half = step / 2;
+            scale *= 0.5f64.powf(h);
+            let mut i = half;
+            while i < size {
+                fbm[i] = 0.5 * (fbm[i - half] + fbm[i + half]) + gauss(rng) * scale;
+                i += step;
+            }
+            step = half;
+        }
+        (1..=n.min(size)).map(|i| fbm[i] - fbm[i - 1]).collect()
+    }
 
     #[test]
     fn white_noise_has_h_near_half() {

@@ -117,12 +117,6 @@ pub fn ks_two_sample(a: &[f64], b: &[f64]) -> Result<KsTest> {
     Ok(two_sample_sorted(&sa, &sb))
 }
 
-/// Two-sample KS test over already-sorted samples — the sort- and
-/// validation-free variant of [`ks_two_sample`].
-pub fn ks_two_sample_presorted(a: &SortedSample, b: &SortedSample) -> KsTest {
-    two_sample_sorted(a.values(), b.values())
-}
-
 fn two_sample_sorted(sa: &[f64], sb: &[f64]) -> KsTest {
     let (na, nb) = (sa.len() as f64, sb.len() as f64);
     let (mut i, mut j) = (0usize, 0usize);

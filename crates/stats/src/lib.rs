@@ -1,6 +1,6 @@
 //! Statistics substrate for datacenter workload modeling.
 //!
-//! Everything the surveyed modeling techniques need, implemented from
+//! Everything KOOZA and its baseline models need, implemented from
 //! scratch (the `statrs`/`linfa` ecosystems do not yet cover this pipeline):
 //!
 //! * [`dist`] — continuous and discrete distributions with analytic
@@ -9,8 +9,8 @@
 //!   the methodology of Feitelson's workload-modeling survey.
 //! * [`ks`] — one- and two-sample Kolmogorov–Smirnov tests.
 //! * [`ad`] — the Anderson–Darling test (tail-sensitive second opinion).
-//! * [`sorted`] — sort-once sample views shared by the `*_presorted` test
-//!   variants and the fitting pipeline's candidate loop.
+//! * [`sorted`] — sort-once sample views for the fitting pipeline's
+//!   candidate loop.
 //! * [`acf`] — autocorrelation analysis and ACF-matching synthesis (Li's
 //!   two-phase synthetic-workload generation).
 //! * [`hurst`] — self-similarity (Hurst exponent) estimation via rescaled
@@ -18,9 +18,7 @@
 //! * [`pca`] — principal component analysis for feature-space reduction
 //!   (Abrahao's CPU-pattern categorization; KOOZA §4).
 //! * [`cluster`] — k-means and Gaussian-mixture model-based clustering.
-//! * [`histogram`] — one- and multi-dimensional (VU-list) histograms
-//!   (Luthi's histogram-based characterization).
-//! * [`regression`] — ordinary least squares.
+//! * [`regression`] — the least-squares line fit behind [`hurst`].
 //! * [`matrix`] — a small dense linear-algebra kernel backing the above.
 //! * [`summary`] — percentiles, burstiness and dispersion measures.
 //!
@@ -48,7 +46,6 @@ pub mod ad;
 pub mod cluster;
 pub mod dist;
 pub mod fit;
-pub mod histogram;
 pub mod hurst;
 pub mod ks;
 pub mod matrix;

@@ -1,9 +1,10 @@
 //! A small dense row-major matrix kernel.
 //!
-//! Only what the rest of the crate needs: products, transpose, covariance,
-//! a linear solver (partial-pivot Gaussian elimination) and a symmetric
-//! eigendecomposition (cyclic Jacobi). No SIMD, no blocking — the workloads
-//! here are feature matrices with tens of columns.
+//! Products, transpose, covariance, a linear solver (partial-pivot Gaussian
+//! elimination) and a symmetric eigendecomposition (cyclic Jacobi). PCA
+//! uses the covariance and the eigendecomposition; the products and the
+//! solver have no caller outside tests. No SIMD, no blocking — the
+//! workloads here are feature matrices with tens of columns.
 
 use crate::{Result, StatsError};
 
@@ -359,44 +360,6 @@ impl Matrix {
         }
         Ok((eigenvalues, vectors))
     }
-
-    /// Thin singular value decomposition `A = U Σ Vᵀ` via the
-    /// eigendecomposition of `AᵀA` (adequate for the small feature
-    /// matrices this crate handles; the paper's §4 lists SVD alongside PCA
-    /// for feature-space reduction).
-    ///
-    /// Returns `(U, singular_values, V)` with singular values descending;
-    /// columns of `U` (`rows × r`) and `V` (`cols × r`) are the singular
-    /// vectors for the `r = min(rows, cols)` largest values.
-    ///
-    /// # Errors
-    ///
-    /// Propagates eigendecomposition failure.
-    pub fn svd(&self) -> Result<(Matrix, Vec<f64>, Matrix)> {
-        let at = self.transpose();
-        let ata = at.matmul(self)?;
-        let (eigenvalues, v_full) = ata.symmetric_eigen()?;
-        let r = self.rows.min(self.cols);
-        let singular: Vec<f64> = eigenvalues.iter().take(r).map(|&l| l.max(0.0).sqrt()).collect();
-        let mut v = Matrix::zeros(self.cols, r);
-        for c in 0..r {
-            for row in 0..self.cols {
-                v.set(row, c, v_full.get(row, c));
-            }
-        }
-        // U column i = A v_i / σ_i (zero column for null singular values).
-        let mut u = Matrix::zeros(self.rows, r);
-        for c in 0..r {
-            let vi = v.col(c);
-            let avi = self.mul_vec(&vi)?;
-            if singular[c] > 1e-12 {
-                for row in 0..self.rows {
-                    u.set(row, c, avi[row] / singular[c]);
-                }
-            }
-        }
-        Ok((u, singular, v))
-    }
 }
 
 #[cfg(test)]
@@ -540,41 +503,5 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn get_out_of_bounds_panics() {
         Matrix::zeros(2, 2).get(2, 0);
-    }
-
-    #[test]
-    fn svd_reconstructs_matrix() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 3.0], &[1.0, 1.0]]).unwrap();
-        let (u, s, v) = a.svd().unwrap();
-        // Rebuild A = U Σ Vᵀ and compare elementwise.
-        for r in 0..a.rows() {
-            for c in 0..a.cols() {
-                let rebuilt: f64 =
-                    (0..s.len()).map(|k| u.get(r, k) * s[k] * v.get(c, k)).sum();
-                assert!((rebuilt - a.get(r, c)).abs() < 1e-9, "({r},{c})");
-            }
-        }
-        // Singular values descending and non-negative.
-        for w in s.windows(2) {
-            assert!(w[0] >= w[1] - 1e-12);
-        }
-        assert!(s.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn svd_of_rank_one_matrix() {
-        // Outer product: exactly one non-zero singular value.
-        let a = Matrix::from_rows(&[&[2.0, 4.0], &[1.0, 2.0], &[3.0, 6.0]]).unwrap();
-        let (_, s, _) = a.svd().unwrap();
-        assert!(s[0] > 1.0);
-        assert!(s[1].abs() < 1e-6, "second singular value {}", s[1]);
-    }
-
-    #[test]
-    fn svd_singular_values_match_eigen_of_gram() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 5.0]]).unwrap();
-        let (_, s, _) = a.svd().unwrap();
-        assert!((s[0] - 5.0).abs() < 1e-9);
-        assert!((s[1] - 1.0).abs() < 1e-9);
     }
 }

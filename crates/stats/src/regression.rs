@@ -1,8 +1,6 @@
-//! Ordinary least squares: a simple bivariate fit (used by the Hurst
-//! estimators' log-log fits) and multiple regression via normal equations
-//! (used for feature → latency models in the characterization tooling).
+//! Ordinary least squares: the bivariate fit behind the Hurst estimators'
+//! log-log fits.
 
-use crate::matrix::Matrix;
 use crate::{ensure_finite, Result, StatsError};
 
 /// Fits `y = slope * x + intercept`, returning `(slope, intercept)`.
@@ -32,91 +30,6 @@ pub fn linear_fit(x: &[f64], y: &[f64]) -> Result<(f64, f64)> {
     Ok((slope, my - slope * mx))
 }
 
-/// A fitted multiple-regression model `y = β₀ + β · x`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearModel {
-    /// Intercept β₀ followed by one coefficient per feature.
-    pub coefficients: Vec<f64>,
-    /// Coefficient of determination on the training data.
-    pub r_squared: f64,
-}
-
-impl LinearModel {
-    /// Fits ordinary least squares of `y` on feature rows `xs` (each row one
-    /// observation) with an intercept, via the normal equations.
-    ///
-    /// # Errors
-    ///
-    /// Errors on shape mismatches, too few observations, or a singular
-    /// design matrix (collinear features).
-    pub fn fit(xs: &[Vec<f64>], y: &[f64]) -> Result<Self> {
-        if xs.len() != y.len() {
-            return Err(StatsError::InvalidInput("xs and y must have equal length".into()));
-        }
-        let n = xs.len();
-        if n == 0 {
-            return Err(StatsError::InsufficientData { needed: 1, got: 0 });
-        }
-        let k = xs[0].len();
-        if n < k + 1 {
-            return Err(StatsError::InsufficientData { needed: k + 1, got: n });
-        }
-        ensure_finite(y)?;
-        // Design matrix with intercept column.
-        let mut design = Matrix::zeros(n, k + 1);
-        for (r, row) in xs.iter().enumerate() {
-            if row.len() != k {
-                return Err(StatsError::InvalidInput("ragged feature rows".into()));
-            }
-            ensure_finite(row)?;
-            design.set(r, 0, 1.0);
-            for (c, &v) in row.iter().enumerate() {
-                design.set(r, c + 1, v);
-            }
-        }
-        let xt = design.transpose();
-        let xtx = xt.matmul(&design)?;
-        let xty = xt.mul_vec(y)?;
-        let beta = xtx.solve(&xty)?;
-        // R² on the training data.
-        let predictions: Vec<f64> = xs
-            .iter()
-            .map(|row| beta[0] + row.iter().zip(&beta[1..]).map(|(a, b)| a * b).sum::<f64>())
-            .collect();
-        let my = y.iter().sum::<f64>() / n as f64;
-        let ss_tot: f64 = y.iter().map(|yi| (yi - my).powi(2)).sum();
-        let ss_res: f64 = y
-            .iter()
-            .zip(&predictions)
-            .map(|(yi, pi)| (yi - pi).powi(2))
-            .sum();
-        let r_squared = if ss_tot == 0.0 { 1.0 } else { 1.0 - ss_res / ss_tot };
-        Ok(LinearModel {
-            coefficients: beta,
-            r_squared,
-        })
-    }
-
-    /// Predicts `y` for a feature vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has the wrong number of features.
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        assert_eq!(
-            x.len() + 1,
-            self.coefficients.len(),
-            "expected {} features",
-            self.coefficients.len() - 1
-        );
-        self.coefficients[0]
-            + x.iter()
-                .zip(&self.coefficients[1..])
-                .map(|(a, b)| a * b)
-                .sum::<f64>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,51 +48,5 @@ mod tests {
         assert!(linear_fit(&[1.0], &[1.0]).is_err());
         assert!(linear_fit(&[1.0, 2.0], &[1.0]).is_err());
         assert!(linear_fit(&[2.0, 2.0], &[1.0, 3.0]).is_err());
-    }
-
-    #[test]
-    fn multiple_regression_recovers_coefficients() {
-        // y = 1 + 2 x₀ − 3 x₁
-        let xs: Vec<Vec<f64>> = (0..50)
-            .map(|i| vec![(i % 7) as f64, (i % 5) as f64])
-            .collect();
-        let y: Vec<f64> = xs.iter().map(|r| 1.0 + 2.0 * r[0] - 3.0 * r[1]).collect();
-        let model = LinearModel::fit(&xs, &y).unwrap();
-        assert!((model.coefficients[0] - 1.0).abs() < 1e-9);
-        assert!((model.coefficients[1] - 2.0).abs() < 1e-9);
-        assert!((model.coefficients[2] + 3.0).abs() < 1e-9);
-        assert!((model.r_squared - 1.0).abs() < 1e-9);
-        assert!((model.predict(&[3.0, 2.0]) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn regression_with_noise_has_partial_r2() {
-        let mut seed = 12345u64;
-        let mut noise = move || {
-            // Tiny LCG, test-local.
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((seed >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-        };
-        let xs: Vec<Vec<f64>> = (0..200).map(|i| vec![i as f64 / 10.0]).collect();
-        let y: Vec<f64> = xs.iter().map(|r| 2.0 * r[0] + noise() * 5.0).collect();
-        let model = LinearModel::fit(&xs, &y).unwrap();
-        assert!(model.r_squared > 0.8 && model.r_squared < 1.0, "R² {}", model.r_squared);
-        assert!((model.coefficients[1] - 2.0).abs() < 0.2);
-    }
-
-    #[test]
-    fn collinear_features_error() {
-        let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, 2.0 * i as f64]).collect();
-        let y: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        assert!(LinearModel::fit(&xs, &y).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "expected 2 features")]
-    fn predict_wrong_arity_panics() {
-        let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, (i * i) as f64]).collect();
-        let y: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let model = LinearModel::fit(&xs, &y).unwrap();
-        model.predict(&[1.0]);
     }
 }

@@ -3,8 +3,8 @@
 //! Every KS/AD call clones and sorts its input, and the fitting pipeline
 //! runs the one-sample KS test once per candidate family — so a seven-way
 //! pipeline used to sort the same data seven times. [`SortedSample`] sorts
-//! once; the `*_presorted` test variants in [`crate::ks`] and [`crate::ad`]
-//! borrow it, turning the candidate loop into one sort plus O(k·n) scans.
+//! once; [`crate::ks::ks_one_sample_presorted`] borrows it, turning the
+//! candidate loop into one sort plus O(k·n) scans.
 
 use crate::{ensure_finite, ensure_len, Result};
 

@@ -107,27 +107,6 @@ pub fn burstiness_cv2(interarrivals: &[f64]) -> Result<f64> {
     Ok(cv * cv)
 }
 
-/// Peak-to-mean ratio of a rate series binned by `bin` observations —
-/// another burstiness view used by streaming-workload characterizations.
-///
-/// # Errors
-///
-/// Errors if fewer than `bin` observations are provided or `bin == 0`.
-pub fn peak_to_mean(series: &[f64], bin: usize) -> Result<f64> {
-    if bin == 0 {
-        return Err(crate::StatsError::InvalidInput("bin must be positive".into()));
-    }
-    ensure_len(series, bin)?;
-    ensure_finite(series)?;
-    let sums: Vec<f64> = series.chunks(bin).map(|c| c.iter().sum::<f64>() / c.len() as f64).collect();
-    let mean = sums.iter().sum::<f64>() / sums.len() as f64;
-    let peak = sums.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if mean == 0.0 {
-        return Ok(f64::INFINITY);
-    }
-    Ok(peak / mean)
-}
-
 /// Index of dispersion for counts (IDC) at a given window size: variance of
 /// per-window event counts divided by their mean. IDC ≈ 1 for Poisson,
 /// grows with window size for self-similar traffic.
@@ -225,20 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_to_mean_flat_series() {
-        let series = vec![1.0; 100];
-        assert!((peak_to_mean(&series, 10).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn peak_to_mean_spiky_series() {
-        let mut series = vec![0.0; 100];
-        series[50] = 100.0;
-        let r = peak_to_mean(&series, 10).unwrap();
-        assert!(r > 5.0, "peak/mean {r}");
-    }
-
-    #[test]
     fn idc_poisson_near_one() {
         let d = Exponential::new(100.0).unwrap();
         let mut rng = Rng64::new(202);
@@ -256,8 +221,6 @@ mod tests {
     #[test]
     fn errors_on_tiny_input() {
         assert!(burstiness_cv2(&[1.0]).is_err());
-        assert!(peak_to_mean(&[], 1).is_err());
-        assert!(peak_to_mean(&[1.0], 0).is_err());
         assert!(index_of_dispersion(&[0.0, 0.5], 1.0).is_err());
     }
 }

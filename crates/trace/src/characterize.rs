@@ -253,57 +253,57 @@ pub fn memory_profile(records: &[MemoryRecord]) -> Result<MemoryProfile> {
     })
 }
 
-/// Generates a synthetic CPU-utilization sample series with a chosen
-/// Abrahao pattern class — the "recreate synthetic workloads with CPU
-/// utilization patterns that resemble those in the original application"
-/// half of that paper, closing the loop with [`cpu_profile`]'s classifier.
-///
-/// * `Periodic` — a sinusoid with period `n / 10` samples plus light noise.
-/// * `Spiky` — a low floor with rare large excursions (~2% of samples).
-/// * `Noisy` — uniform jitter around a moderate level.
-///
-/// Samples are spaced `interval_nanos` apart starting at 0 and clamped to
-/// `[0, 1]`.
-pub fn generate_cpu_pattern(
-    pattern: CpuPattern,
-    n: usize,
-    interval_nanos: u64,
-    rng: &mut kooza_sim::rng::Rng64,
-) -> Vec<CpuRecord> {
-    let period = (n as f64 / 10.0).max(4.0);
-    (0..n)
-        .map(|i| {
-            let utilization = match pattern {
-                CpuPattern::Periodic => {
-                    0.5 + 0.35 * (i as f64 * 2.0 * std::f64::consts::PI / period).sin()
-                        + 0.03 * (rng.next_f64() - 0.5)
-                }
-                CpuPattern::Spiky => {
-                    if rng.chance(0.02) {
-                        0.85 + 0.1 * rng.next_f64()
-                    } else {
-                        0.02 + 0.02 * rng.next_f64()
-                    }
-                }
-                CpuPattern::Noisy => 0.3 + 0.25 * rng.next_f64(),
-            }
-            .clamp(0.0, 1.0);
-            CpuRecord {
-                ts_nanos: i as u64 * interval_nanos,
-                utilization,
-                busy_nanos: (utilization * interval_nanos as f64) as u64,
-                request_id: i as u64,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn storage_rec(ts: u64, lbn: u64, size: u64, op: IoOp) -> StorageRecord {
         StorageRecord { ts_nanos: ts, lbn, size, op, request_id: 0 }
+    }
+
+    /// Generates a synthetic CPU-utilization sample series with a chosen
+    /// Abrahao pattern class — the "recreate synthetic workloads with CPU
+    /// utilization patterns that resemble those in the original application"
+    /// half of that paper, closing the loop with `cpu_profile`'s classifier.
+    ///
+    /// * `Periodic` — a sinusoid with period `n / 10` samples plus light noise.
+    /// * `Spiky` — a low floor with rare large excursions (~2% of samples).
+    /// * `Noisy` — uniform jitter around a moderate level.
+    ///
+    /// Samples are spaced `interval_nanos` apart starting at 0 and clamped to
+    /// `[0, 1]`.
+    fn generate_cpu_pattern(
+        pattern: CpuPattern,
+        n: usize,
+        interval_nanos: u64,
+        rng: &mut kooza_sim::rng::Rng64,
+    ) -> Vec<CpuRecord> {
+        let period = (n as f64 / 10.0).max(4.0);
+        (0..n)
+            .map(|i| {
+                let utilization = match pattern {
+                    CpuPattern::Periodic => {
+                        0.5 + 0.35 * (i as f64 * 2.0 * std::f64::consts::PI / period).sin()
+                            + 0.03 * (rng.next_f64() - 0.5)
+                    }
+                    CpuPattern::Spiky => {
+                        if rng.chance(0.02) {
+                            0.85 + 0.1 * rng.next_f64()
+                        } else {
+                            0.02 + 0.02 * rng.next_f64()
+                        }
+                    }
+                    CpuPattern::Noisy => 0.3 + 0.25 * rng.next_f64(),
+                }
+                .clamp(0.0, 1.0);
+                CpuRecord {
+                    ts_nanos: i as u64 * interval_nanos,
+                    utilization,
+                    busy_nanos: (utilization * interval_nanos as f64) as u64,
+                    request_id: i as u64,
+                }
+            })
+            .collect()
     }
 
     #[test]

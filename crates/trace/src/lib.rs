@@ -6,8 +6,7 @@
 //!   tag all message records with a unique global identifier").
 //! * [`span`] — Dapper-style span trees: nested timed sections with
 //!   annotations, reconstructed into per-request trees.
-//! * [`sampler`] — 1-in-N deterministic trace sampling and GWP-style
-//!   adaptive sampling.
+//! * [`sampler`] — 1-in-N deterministic trace sampling.
 //! * [`store`] — the [`TraceSet`] container with JSONL persistence. It is
 //!   the one trace type: per-server consumers (the KOOZA fleet) read one
 //!   whole-cluster set and split the per-request observations they derive
@@ -15,8 +14,6 @@
 //! * [`characterize`] — per-subsystem workload characterization (read/write
 //!   mix, seek distances, inter-arrivals, burstiness, CPU pattern
 //!   classification per Abrahao et al.).
-//! * [`profile`] — GWP-style whole-machine profile time series (Ren et
-//!   al.): windowed arrival rates, CPU busy fractions and I/O counters.
 //! * [`ktc`] — the KTC binary columnar format ([`KtcReader`],
 //!   [`KtcWriter`]) for traces too large for JSONL text, with JSONL kept
 //!   as the golden round-trip oracle.
@@ -26,7 +23,6 @@
 
 pub mod characterize;
 pub mod ktc;
-pub mod profile;
 pub mod record;
 pub mod sampler;
 pub mod span;

@@ -3,9 +3,7 @@
 //! Dapper's key overhead lever is sampling 1 of every 1000 requests while
 //! keeping sampled traces *complete* — so the decision must be a pure
 //! function of the trace id, identical on every server a request touches.
-//! [`Sampler`] hashes the trace id; [`AdaptiveSampler`] is the GWP-style
-//! variant that adjusts its rate to hold a target number of samples per
-//! window regardless of load.
+//! [`Sampler`] hashes the trace id.
 
 use crate::span::TraceId;
 
@@ -48,75 +46,6 @@ impl Sampler {
     }
 }
 
-/// Adaptive sampler targeting a fixed number of kept traces per window,
-/// GWP's "adaptive per-application sampling to reduce the overhead of
-/// profile collecting while ensuring no critical information loss".
-///
-/// The keep-probability for the next window is
-/// `target / max(observed_this_window, 1)`, clamped to `[min_prob, 1]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveSampler {
-    target_per_window: u64,
-    min_prob: f64,
-    window_observed: u64,
-    window_kept: u64,
-    current_prob: f64,
-}
-
-impl AdaptiveSampler {
-    /// Creates an adaptive sampler that aims to keep `target_per_window`
-    /// traces per window, never dropping the keep-probability below
-    /// `min_prob`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_per_window == 0` or `min_prob` is outside `(0, 1]`.
-    pub fn new(target_per_window: u64, min_prob: f64) -> Self {
-        assert!(target_per_window > 0, "target must be positive");
-        assert!(
-            min_prob > 0.0 && min_prob <= 1.0,
-            "min_prob must be in (0, 1], got {min_prob}"
-        );
-        AdaptiveSampler {
-            target_per_window,
-            min_prob,
-            window_observed: 0,
-            window_kept: 0,
-            current_prob: 1.0,
-        }
-    }
-
-    /// Current keep-probability.
-    pub fn probability(&self) -> f64 {
-        self.current_prob
-    }
-
-    /// Offers one trace; returns whether it is kept. Deterministic given
-    /// the trace-id sequence (the hash doubles as the uniform draw).
-    pub fn offer(&mut self, trace_id: TraceId) -> bool {
-        self.window_observed += 1;
-        let u = mix(trace_id.0) as f64 / u64::MAX as f64;
-        let keep = u < self.current_prob;
-        if keep {
-            self.window_kept += 1;
-        }
-        keep
-    }
-
-    /// Ends the current window: re-targets the keep-probability from the
-    /// observed volume and resets counters. Returns `(observed, kept)` for
-    /// the closed window.
-    pub fn roll_window(&mut self) -> (u64, u64) {
-        let stats = (self.window_observed, self.window_kept);
-        let observed = self.window_observed.max(1);
-        self.current_prob =
-            (self.target_per_window as f64 / observed as f64).clamp(self.min_prob, 1.0);
-        self.window_observed = 0;
-        self.window_kept = 0;
-        stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,52 +77,5 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_rate_panics() {
         Sampler::one_in(0);
-    }
-
-    #[test]
-    fn adaptive_converges_to_target() {
-        let mut s = AdaptiveSampler::new(100, 1e-6);
-        // Heavy load: 100k traces per window; after adaptation each window
-        // keeps roughly the target.
-        let mut id = 0u64;
-        for window in 0..5 {
-            for _ in 0..100_000 {
-                s.offer(TraceId(id));
-                id += 1;
-            }
-            let (observed, kept) = s.roll_window();
-            assert_eq!(observed, 100_000);
-            if window >= 1 {
-                assert!((50..200).contains(&kept), "window {window} kept {kept}");
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_keeps_all_under_light_load() {
-        let mut s = AdaptiveSampler::new(1000, 1e-6);
-        for id in 0..50 {
-            assert!(s.offer(TraceId(id)));
-        }
-        let (observed, kept) = s.roll_window();
-        assert_eq!((observed, kept), (50, 50));
-        // Probability stays at 1 since volume < target.
-        assert_eq!(s.probability(), 1.0);
-    }
-
-    #[test]
-    fn adaptive_respects_min_prob() {
-        let mut s = AdaptiveSampler::new(1, 0.01);
-        for id in 0..10_000 {
-            s.offer(TraceId(id));
-        }
-        s.roll_window();
-        assert!(s.probability() >= 0.01);
-    }
-
-    #[test]
-    #[should_panic(expected = "min_prob")]
-    fn adaptive_validates_min_prob() {
-        AdaptiveSampler::new(10, 0.0);
     }
 }

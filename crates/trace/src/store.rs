@@ -122,19 +122,6 @@ impl TraceSet {
         collector.into_trees()
     }
 
-    /// Distinct request ids seen in the network stream (the canonical
-    /// "requests in this trace" list), in first-seen order.
-    pub fn request_ids(&self) -> Vec<u64> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for r in &self.network {
-            if seen.insert(r.request_id) {
-                out.push(r.request_id);
-            }
-        }
-        out
-    }
-
     /// Serializes as JSONL to any writer.
     ///
     /// # Errors
@@ -301,12 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn request_ids_first_seen_order() {
-        let ts = sample_set();
-        assert_eq!(ts.request_ids(), vec![1, 2]);
-    }
-
-    #[test]
     fn sort_by_time_orders_streams() {
         let mut ts = sample_set();
         ts.network.push(NetworkRecord {
@@ -333,7 +314,6 @@ mod tests {
     fn empty_set_properties() {
         let ts = TraceSet::new();
         assert!(ts.is_empty());
-        assert!(ts.request_ids().is_empty());
         assert!(ts.span_trees().is_empty());
         let mut buf = Vec::new();
         ts.write_jsonl(&mut buf).unwrap();

@@ -55,21 +55,11 @@ cargo bench --offline -p kooza-bench --bench shard -- --mode smoke >/dev/null
 # past the timeout cliff — a semantic check, not just a compile check.
 cargo bench --offline -p kooza-bench --bench fabric -- --mode smoke >/dev/null
 
-echo "== simcore smoke gate: hot path vs archived BENCH_simcore.json =="
-# Coarse perf tripwire for the simulation core (incremental fabric
-# re-rating + event queue): a smoke run diffed against the archived
-# full-mode medians. The loose tolerance (0.5) keeps 3-sample medians
-# from flaking while still catching a hot path going ~2x slower. The
-# harness exits 0 either way, so grep the printed diff for the flag.
-# Absolute path: cargo runs the bench binary from the crate root, not
-# the workspace root.
-simcore_out=$(KOOZA_BENCH_TOLERANCE=0.5 cargo bench --offline -p kooza-bench \
-    --bench simcore -- --mode smoke --baseline "$PWD/BENCH_simcore.json")
-echo "$simcore_out" | sed -n '/vs baseline/,$p'
-if echo "$simcore_out" | grep -q "REGRESSION"; then
-    echo "simcore hot path regressed vs BENCH_simcore.json" >&2
-    exit 1
-fi
+# The simcore bench's incast run is gated on exact work, not wall time:
+# the test suite above pins its outcome, flow count and re-rate counts
+# (kooza_bench::incast). A wall time archived on another host measures
+# the host, so this step only checks the bench still builds and runs.
+cargo bench --offline -p kooza-bench --bench simcore -- --mode smoke >/dev/null
 
 echo "== thread-count determinism: tables identical at KOOZA_THREADS=8 =="
 # The test itself sweeps 1/2/8 via the thread override (and, since the

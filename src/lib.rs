@@ -8,7 +8,7 @@
 //! * [`kooza_sim`] — deterministic discrete-event simulation kernel
 //! * [`kooza_stats`] — distributions, fitting, KS tests, PCA, clustering
 //! * [`kooza_trace`] — trace records, span trees, sampling, characterization
-//! * [`kooza_markov`] — Markov chains, hierarchical chains, HMMs
+//! * [`kooza_markov`] — Markov chains and a Gaussian-emission HMM
 //! * [`kooza_queueing`] — arrival processes, analytic queues, networks
 //! * [`kooza_gfs`] — the GFS cluster simulator used as validation substrate
 
