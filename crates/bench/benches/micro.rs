@@ -1,14 +1,21 @@
-//! Micro-benchmarks for the substrate and the end-to-end modeling
-//! pipeline, on the in-repo `kooza_bench::harness` (see that module for
-//! modes and JSON output). These are performance benchmarks (ns/op), not
-//! the paper-reproduction experiments — those live in `src/bin/`.
+//! Micro-benchmarks for the substrate layers below the kbench pipelines,
+//! on the in-repo `kooza_bench::harness` (see that module for modes and
+//! JSON output). These are performance benchmarks (ns/op), not the
+//! paper-reproduction experiments — those live in `src/bin/`. The
+//! end-to-end GFS run, KOOZA fit and generation are timed by kbench
+//! (`gfs.run_s`, `core.kooza_fit_s`, `core.generate_s`), not here.
+//!
+//! Archived report (the host that made it is in its `meta` stamp):
+//! `KOOZA_BENCH_JSON=$PWD/BENCH_hotpath.json cargo bench -p kooza-bench \
+//! --bench micro -- --mode full`, from the repository root.
 
 use std::hint::black_box;
 
 use kooza::fleet::observations_by_server;
 use kooza::kooza::KoozaOptions;
-use kooza::{Kooza, KoozaFleet, WorkloadModel};
+use kooza::{Kooza, KoozaFleet};
 use kooza_bench::harness::Harness;
+use kooza_bench::incast::incast;
 use kooza_exec::Pool;
 use kooza_gfs::{Cluster, ClusterConfig, WorkloadMix};
 use kooza_markov::{GaussianHmm, MarkovChainBuilder};
@@ -39,6 +46,13 @@ fn bench_sim_engine(h: &mut Harness) {
             black_box(processed)
         })
     });
+}
+
+fn bench_fabric_incast(h: &mut Harness) {
+    // A restart storm on one saturated receiver link, dominated by fabric
+    // re-rates and cancellations. Its simulated outcome and work counts
+    // are pinned exactly by `kooza_bench::incast`'s unit tests.
+    h.bench_function("fabric_incast_32", |b| b.iter(|| black_box(incast(32))));
 }
 
 fn bench_rng(h: &mut Harness) {
@@ -172,31 +186,6 @@ fn bench_mva(h: &mut Harness) {
     });
 }
 
-fn bench_gfs_cluster(h: &mut Harness) {
-    h.bench_function("gfs_simulate_2k_requests", |b| {
-        b.iter(|| {
-            let mut config = ClusterConfig::small();
-            config.workload = WorkloadMix::read_heavy();
-            let mut cluster = Cluster::new(&config).unwrap();
-            black_box(cluster.run(2_000, 10).stats.completed)
-        })
-    });
-}
-
-fn bench_kooza_pipeline(h: &mut Harness) {
-    let mut config = ClusterConfig::small();
-    config.workload = WorkloadMix::read_heavy();
-    let trace = Cluster::new(&config).unwrap().run(1_000, 11).trace;
-    h.bench_function("kooza_fit_1k_requests", |b| {
-        b.iter(|| black_box(Kooza::fit(&trace).unwrap().trained_requests()))
-    });
-    let model = Kooza::fit(&trace).unwrap();
-    h.bench_function("kooza_generate_1k", |b| {
-        let mut rng = Rng64::new(12);
-        b.iter(|| black_box(model.generate(1_000, &mut rng).len()))
-    });
-}
-
 fn bench_exec_par_map(h: &mut Harness) {
     // A CPU-bound map over 256 items: the serial/parallel pair measures the
     // pool's dispatch overhead and, on multi-core hosts, its speedup. The
@@ -264,6 +253,7 @@ fn bench_fleet_train(h: &mut Harness) {
 fn main() {
     let mut h = Harness::from_args();
     bench_sim_engine(&mut h);
+    bench_fabric_incast(&mut h);
     bench_rng(&mut h);
     bench_ks_test(&mut h);
     bench_ad_test(&mut h);
@@ -273,8 +263,6 @@ fn main() {
     bench_pca(&mut h);
     bench_queueing_network(&mut h);
     bench_mva(&mut h);
-    bench_gfs_cluster(&mut h);
-    bench_kooza_pipeline(&mut h);
     bench_exec_par_map(&mut h);
     bench_fleet_train(&mut h);
     h.finish();

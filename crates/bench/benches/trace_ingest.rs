@@ -5,12 +5,12 @@
 //! models do. These benches measure both serialization paths over the
 //! same ≥100k-span synthetic trace — write MB/s, read MB/s, and the
 //! end-to-end `kooza fit` (parse + train) — so `BENCH_trace.json`
-//! documents the KTC speedup and `--baseline` diffs catch regressions.
+//! documents the KTC speedup. Nothing else measures the JSONL rows.
 //!
-//! Archived report: `KOOZA_BENCH_JSON=BENCH_trace.json cargo bench \
-//! -p kooza-bench --bench trace_ingest`; compare a later run with
-//! `cargo bench -p kooza-bench --bench trace_ingest -- --baseline \
-//! BENCH_trace.json`.
+//! Archived report: `KOOZA_BENCH_JSON=$PWD/BENCH_trace.json cargo bench \
+//! -p kooza-bench --bench trace_ingest -- --mode full`, from the
+//! repository root. Judge a change by timing the parent build and the
+//! change alternately on one host, not against the archived medians.
 
 use std::hint::black_box;
 

@@ -13,19 +13,18 @@
 //!   double as cheap integration tests.
 //! - `--mode smoke|full` picks the mode explicitly, overriding the flags
 //!   cargo passes (`kooza_bench --mode smoke` in CI, for example).
-//! - `KOOZA_BENCH_FULL=1` forces full mode regardless of flags.
-//! - `KOOZA_BENCH_JSON=<path>` additionally writes the results as a JSON
-//!   array to `<path>`.
-//! - `--baseline <json>` loads a previously archived BENCH_*.json report
-//!   and, after the run, prints per-bench speedup ratios against it
-//!   (baseline median / current median) with a regression flag; the diff
-//!   is also embedded in the JSON report.
-//! - `KOOZA_BENCH_TOLERANCE=<f64>` loosens/tightens the regression
-//!   threshold for the `--baseline` diff (default `0.95`; smoke gates
-//!   use e.g. `0.5`).
+//! - `KOOZA_BENCH_JSON=<path>` additionally writes the results, under a
+//!   `meta` stamp of the host and run configuration, to `<path>`. Cargo
+//!   runs bench targets from the package directory, so a relative path
+//!   lands in `crates/bench/`.
 //!
 //! A positional (non-flag) command-line argument acts as a substring
 //! filter on benchmark names, matching cargo's usual filtering UX.
+//!
+//! Nothing gates on these wall times: a median archived on one host
+//! measures that host. Judge a change's speed by timing the parent build
+//! and the change alternately on one host; end-to-end timings live in
+//! the kbench benchmark.
 
 use std::time::Instant;
 
@@ -85,80 +84,21 @@ impl ToJson for BenchResult {
     }
 }
 
-/// A benchmark slower than `baseline / REGRESSION_TOLERANCE` counts as a
-/// regression: 5% slack absorbs ordinary same-host timer noise.
-///
-/// `KOOZA_BENCH_TOLERANCE=<f64>` overrides it per run. Smoke-mode gates
-/// (few samples diffed against an archived full-mode median, e.g. the
-/// `scripts/verify.sh` simcore gate) set a loose value like `0.5`: a
-/// coarse tripwire that still catches a hot path going 2x slower
-/// without flaking on 3-sample medians.
-const REGRESSION_TOLERANCE: f64 = 0.95;
-
-/// The effective regression tolerance for this run (see
-/// [`REGRESSION_TOLERANCE`]).
-fn regression_tolerance() -> f64 {
-    std::env::var("KOOZA_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| t.is_finite() && *t > 0.0)
-        .unwrap_or(REGRESSION_TOLERANCE)
-}
-
-/// One benchmark compared against a `--baseline` report.
-#[derive(Debug, Clone)]
-pub struct BaselineDiff {
-    /// Benchmark name present in both reports.
-    pub name: String,
-    /// Median from the baseline report, nanoseconds.
-    pub baseline_median_nanos: f64,
-    /// Median from this run, nanoseconds.
-    pub median_nanos: f64,
-    /// `baseline / current`: above 1.0 means this run is faster.
-    pub speedup: f64,
-    /// Whether this run is slower than the baseline beyond the tolerance.
-    pub regression: bool,
-}
-
-impl ToJson for BaselineDiff {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("baseline_median_nanos".into(), Json::F64(self.baseline_median_nanos)),
-            ("median_nanos".into(), Json::F64(self.median_nanos)),
-            ("speedup".into(), Json::F64(self.speedup)),
-            ("regression".into(), Json::Bool(self.regression)),
-        ])
-    }
-}
-
 /// Collects and runs benchmarks; create with [`Harness::from_args`].
 pub struct Harness {
     full: bool,
     filter: Option<String>,
-    /// `(path, name → baseline median ns)` from `--baseline`, if given.
-    baseline: Option<(String, Vec<(String, f64)>)>,
-    /// Shard count the cluster benches ran with, stamped into `meta`.
-    shards: Option<u64>,
-    /// Network topology the cluster benches ran with (`--topology`
-    /// syntax, e.g. `rack:4:2`), stamped into `meta`.
-    topology: Option<String>,
-    /// Free-form `notes` appended to the JSON report: derived,
-    /// deterministic measurements (simulated completion curves, sweep
-    /// tables) that wall-clock samples cannot express.
-    notes: Vec<(String, Json)>,
     results: Vec<BenchResult>,
 }
 
 impl Harness {
     /// Builds a harness from the process arguments (see module docs for
-    /// the flags cargo passes) and the `KOOZA_BENCH_*` environment.
+    /// the flags cargo passes).
     pub fn from_args() -> Self {
         let mut saw_bench = false;
         let mut saw_test = false;
         let mut explicit_mode: Option<bool> = None;
         let mut filter = None;
-        let mut baseline_path: Option<String> = None;
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -172,10 +112,6 @@ impl Harness {
                         other => panic!("--mode expects smoke|full, got {other:?}"),
                     });
                 }
-                "--baseline" => {
-                    baseline_path =
-                        Some(args.next().unwrap_or_else(|| panic!("--baseline expects a path")));
-                }
                 a if a.starts_with('-') => {} // ignore unknown flags (e.g. --nocapture)
                 a => filter = Some(a.to_string()),
             }
@@ -184,54 +120,8 @@ impl Harness {
         // `--bench` to bench-target invocations, so `cargo bench -- --test`
         // sees both and should still smoke-run. An explicit `--mode` beats
         // both cargo flags.
-        let mut full = explicit_mode.unwrap_or(saw_bench && !saw_test);
-        if std::env::var("KOOZA_BENCH_FULL").map(|v| v == "1").unwrap_or(false) {
-            full = true;
-        }
-        let baseline = baseline_path.map(|path| {
-            let medians = load_baseline(&path)
-                .unwrap_or_else(|e| panic!("loading --baseline {path}: {e}"));
-            (path, medians)
-        });
-        Harness {
-            full,
-            filter,
-            baseline,
-            shards: None,
-            topology: None,
-            notes: Vec::new(),
-            results: Vec::new(),
-        }
-    }
-
-    /// Whether this run is in full (measured) mode rather than smoke
-    /// mode — benches use it to size their inputs (e.g. the million-
-    /// request cluster runs shrink to a few thousand requests in smoke).
-    pub fn is_full(&self) -> bool {
-        self.full
-    }
-
-    /// Stamps the shard count the cluster benches ran with into the JSON
-    /// report's `meta` object, next to the cores/threads/samples stamps —
-    /// archived BENCH_*.json files must say what sharding they measured.
-    pub fn set_shards(&mut self, shards: u64) {
-        self.shards = Some(shards);
-    }
-
-    /// Stamps the network topology the cluster benches ran with into the
-    /// JSON report's `meta` object, in `--topology` syntax (`none`,
-    /// `rack:4:2`, ...) — archived BENCH_*.json files must say which
-    /// fabric they measured.
-    pub fn set_topology(&mut self, topology: &str) {
-        self.topology = Some(topology.to_string());
-    }
-
-    /// Attaches a named JSON value to the report's `notes` object —
-    /// for deterministic derived measurements (e.g. a simulated incast
-    /// completion-time curve) that belong next to the wall-clock samples
-    /// in an archived BENCH_*.json.
-    pub fn note(&mut self, key: &str, value: Json) {
-        self.notes.push((key.to_string(), value));
+        let full = explicit_mode.unwrap_or(saw_bench && !saw_test);
+        Harness { full, filter, results: Vec::new() }
     }
 
     /// Number of warmup iterations before measurement starts.
@@ -303,34 +193,9 @@ impl Harness {
         self.results.push(result);
     }
 
-    /// Speedup of each benchmark present in both this run and the
-    /// `--baseline` report, in this run's execution order.
-    fn baseline_diffs(&self) -> Vec<BaselineDiff> {
-        let Some((_, medians)) = &self.baseline else { return Vec::new() };
-        self.results
-            .iter()
-            .filter_map(|r| {
-                let (_, baseline_median_nanos) =
-                    medians.iter().find(|(name, _)| *name == r.name)?;
-                let speedup = if r.median_nanos > 0.0 {
-                    baseline_median_nanos / r.median_nanos
-                } else {
-                    f64::INFINITY
-                };
-                Some(BaselineDiff {
-                    name: r.name.clone(),
-                    baseline_median_nanos: *baseline_median_nanos,
-                    median_nanos: r.median_nanos,
-                    speedup,
-                    regression: speedup < regression_tolerance(),
-                })
-            })
-            .collect()
-    }
-
     /// The full JSON report: a `meta` stamp describing the machine and
-    /// run configuration (so archived BENCH_*.json files are comparable),
-    /// plus the per-benchmark `results` array.
+    /// run configuration (so an archived BENCH_*.json says what host made
+    /// it), plus the per-benchmark `results` array.
     fn report_json(&self) -> Json {
         let detected_cores =
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as u64;
@@ -343,109 +208,30 @@ impl Harness {
             ("samples_per_bench".into(), Json::U64(self.sample_count() as u64)),
             ("total_samples".into(), Json::U64(total_samples)),
         ]);
-        let meta = match (self.shards, meta) {
-            (Some(shards), Json::Object(mut fields)) => {
-                fields.push(("shards".into(), Json::U64(shards)));
-                Json::Object(fields)
-            }
-            (_, meta) => meta,
-        };
-        let meta = match (&self.topology, meta) {
-            (Some(topology), Json::Object(mut fields)) => {
-                fields.push(("topology".into(), Json::str(topology.clone())));
-                Json::Object(fields)
-            }
-            (_, meta) => meta,
-        };
-        let mut report = vec![
+        Json::Object(vec![
             ("meta".into(), meta),
             (
                 "results".into(),
                 Json::Array(self.results.iter().map(ToJson::to_json).collect()),
             ),
-        ];
-        if !self.notes.is_empty() {
-            report.push(("notes".into(), Json::Object(self.notes.clone())));
-        }
-        if let Some((path, _)) = &self.baseline {
-            let diffs = self.baseline_diffs();
-            report.push((
-                "baseline".into(),
-                Json::Object(vec![
-                    ("path".into(), Json::str(path.clone())),
-                    ("diffs".into(), Json::Array(diffs.iter().map(ToJson::to_json).collect())),
-                ]),
-            ));
-        }
-        Json::Object(report)
+        ])
     }
 
-    /// Prints the closing summary (and the `--baseline` diff, if any) and
-    /// writes the JSON report if `KOOZA_BENCH_JSON` is set. Call once,
-    /// after all benchmarks.
+    /// Prints the closing summary and writes the JSON report if
+    /// `KOOZA_BENCH_JSON` is set. Call once, after all benchmarks.
     pub fn finish(self) {
         let mode = if self.full { "full" } else { "quick" };
         println!(
             "\n{} benchmark(s) done ({mode} mode{})",
             self.results.len(),
-            if self.full { "" } else { "; run `cargo bench` or set KOOZA_BENCH_FULL=1 for stable numbers" }
+            if self.full { "" } else { "; run `cargo bench` or pass `--mode full` for stable numbers" }
         );
-        if let Some((path, _)) = &self.baseline {
-            let diffs = self.baseline_diffs();
-            println!("\nvs baseline {path}:");
-            let mut regressions = 0usize;
-            for d in &diffs {
-                println!(
-                    "{:<32} {:>14} -> {:>14}  {:>6.2}x{}",
-                    d.name,
-                    fmt_nanos(d.baseline_median_nanos),
-                    fmt_nanos(d.median_nanos),
-                    d.speedup,
-                    if d.regression { "  REGRESSION" } else { "" }
-                );
-                regressions += usize::from(d.regression);
-            }
-            if diffs.is_empty() {
-                println!("(no benchmark names in common with the baseline)");
-            } else if regressions == 0 {
-                println!("no regressions against the baseline");
-            } else {
-                println!("{regressions} regression(s) against the baseline");
-            }
-        }
         if let Ok(path) = std::env::var("KOOZA_BENCH_JSON") {
             std::fs::write(&path, kooza_json::to_string(&self.report_json()))
                 .unwrap_or_else(|e| panic!("writing {path}: {e}"));
             println!("wrote JSON report to {path}");
         }
     }
-}
-
-/// Reads `name → median_nanos` pairs from an archived BENCH_*.json report
-/// (either the full `{meta, results}` object or a bare results array).
-fn load_baseline(path: &str) -> Result<Vec<(String, f64)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string());
-    let json = kooza_json::parse(&text?).map_err(|e| e.to_string())?;
-    let results = match json.get("results") {
-        Some(r) => r,
-        None => &json,
-    };
-    let array = results
-        .as_array()
-        .ok_or_else(|| "baseline has no results array".to_string())?;
-    let mut medians = Vec::with_capacity(array.len());
-    for entry in array {
-        let name = entry
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "baseline result missing name".to_string())?;
-        let median = entry
-            .get("median_nanos")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("baseline result {name} missing median_nanos"))?;
-        medians.push((name.to_string(), median));
-    }
-    Ok(medians)
 }
 
 /// Timing context handed to each benchmark body.
@@ -542,27 +328,11 @@ mod tests {
         assert_eq!(fmt_nanos(3_000_000_000.0), "3.00 s");
     }
 
-    fn result(name: &str, median_nanos: f64) -> BenchResult {
-        BenchResult {
-            name: name.into(),
-            samples: 30,
-            min_nanos: median_nanos / 2.0,
-            median_nanos,
-            p95_nanos: median_nanos * 1.5,
-            mean_nanos: median_nanos,
-            bytes: None,
-        }
-    }
-
     #[test]
     fn report_json_carries_meta_stamp() {
         let harness = Harness {
             full: true,
             filter: None,
-            baseline: None,
-            shards: Some(4),
-            topology: Some("rack:4:2".into()),
-            notes: vec![("incast".into(), Json::U64(7))],
             results: vec![BenchResult {
                 name: "demo".into(),
                 samples: 30,
@@ -581,72 +351,8 @@ mod tests {
         assert_eq!(meta.field("warmup_iters").unwrap().as_f64(), Some(10.0));
         assert_eq!(meta.field("samples_per_bench").unwrap().as_f64(), Some(30.0));
         assert_eq!(meta.field("total_samples").unwrap().as_f64(), Some(30.0));
-        assert_eq!(meta.field("shards").unwrap().as_f64(), Some(4.0));
-        assert_eq!(meta.field("topology").unwrap().as_str(), Some("rack:4:2"));
         let results = json.field("results").unwrap().as_array().unwrap();
         assert_eq!(results.len(), 1);
-        let notes = json.field("notes").unwrap();
-        assert_eq!(notes.field("incast").unwrap().as_f64(), Some(7.0));
-    }
-
-    #[test]
-    fn baseline_diffs_flag_regressions_with_tolerance() {
-        let harness = Harness {
-            full: true,
-            filter: None,
-            shards: None,
-            topology: None,
-            notes: vec![],
-            baseline: Some((
-                "old.json".into(),
-                vec![
-                    ("faster".into(), 2_000.0),
-                    ("steady".into(), 1_000.0),
-                    ("slower".into(), 1_000.0),
-                    ("gone".into(), 5.0),
-                ],
-            )),
-            results: vec![
-                result("faster", 1_000.0),
-                result("steady", 1_020.0),
-                result("slower", 1_500.0),
-                result("new_bench", 7.0),
-            ],
-        };
-        let diffs = harness.baseline_diffs();
-        // Diffs cover the intersection, in this run's order.
-        let names: Vec<&str> = diffs.iter().map(|d| d.name.as_str()).collect();
-        assert_eq!(names, ["faster", "steady", "slower"]);
-        assert!((diffs[0].speedup - 2.0).abs() < 1e-12);
-        assert!(!diffs[0].regression);
-        // 2% slower sits inside the 5% noise tolerance.
-        assert!(!diffs[1].regression, "speedup {}", diffs[1].speedup);
-        // 50% slower is a regression.
-        assert!(diffs[2].regression);
-        let json = harness.report_json();
-        let baseline = json.field("baseline").unwrap();
-        assert_eq!(baseline.field("path").unwrap().as_str(), Some("old.json"));
-        assert_eq!(baseline.field("diffs").unwrap().as_array().unwrap().len(), 3);
-    }
-
-    #[test]
-    fn load_baseline_reads_full_reports_and_bare_arrays() {
-        let dir = std::env::temp_dir();
-        let full = dir.join("kooza_bench_baseline_full_test.json");
-        std::fs::write(
-            &full,
-            r#"{"meta":{"mode":"full"},"results":[{"name":"a","median_nanos":12.5}]}"#,
-        )
-        .unwrap();
-        let medians = load_baseline(full.to_str().unwrap()).unwrap();
-        assert_eq!(medians, vec![("a".to_string(), 12.5)]);
-        let bare = dir.join("kooza_bench_baseline_bare_test.json");
-        std::fs::write(&bare, r#"[{"name":"b","median_nanos":3}]"#).unwrap();
-        let medians = load_baseline(bare.to_str().unwrap()).unwrap();
-        assert_eq!(medians, vec![("b".to_string(), 3.0)]);
-        assert!(load_baseline("/nonexistent/kooza.json").is_err());
-        let _ = std::fs::remove_file(full);
-        let _ = std::fs::remove_file(bare);
     }
 
     #[test]
@@ -672,15 +378,7 @@ mod tests {
         let s = kooza_json::to_string(&plain.to_json());
         assert!(!s.contains("mb_per_sec"), "{s}");
 
-        let mut h = Harness {
-            full: false,
-            filter: None,
-            baseline: None,
-            shards: None,
-            topology: None,
-            notes: vec![],
-            results: vec![],
-        };
+        let mut h = Harness { full: false, filter: None, results: vec![] };
         h.bench_throughput("tp", 4096, |b| b.iter(|| std::hint::black_box(1 + 1)));
         assert_eq!(h.results.len(), 1);
         assert_eq!(h.results[0].bytes, Some(4096));

@@ -1,4 +1,4 @@
-//! Shared incast driver for the fabric benchmarks.
+//! Incast driver for the fabric microbench and its pinned curve.
 //!
 //! An N-to-1 incast with timeout/restart recovery: `fanout` senders
 //! each push one stripe at host 0 across a rack:4 oversub:2 fabric,
@@ -9,11 +9,11 @@
 //! in the fan-out — the regime a fixed-capacity link model cannot
 //! express at all.
 //!
-//! Both `benches/fabric.rs` (the incast curve + wall-clock cost) and
-//! `benches/simcore.rs` (the hot-path timing) drive this exact loop, so
-//! the two reports measure the same simulated workload. [`IncastRun`]
-//! carries the fabric's work counts, and a unit test pins them exactly
-//! for fan-out 32.
+//! `benches/micro.rs` times the fan-out-32 run (`fabric_incast_32`).
+//! [`IncastRun`] carries the fabric's work counts; the unit tests pin
+//! them exactly for fan-out 32, and pin the whole simulated curve with
+//! its super-linearity, so any drift is a change in behaviour whatever
+//! the host.
 
 use kooza_sim::{Endpoint, Fabric, SimDuration, SimTime};
 
@@ -127,10 +127,10 @@ mod tests {
 
     #[test]
     fn incast_32_does_exactly_the_recorded_work() {
-        // The simcore and fabric benches time this run. Its outcome and
+        // The fabric_incast_32 microbench times this run. Its outcome and
         // work counts are exact, so any drift is a change in behaviour or
         // algorithm, whatever the host. The completion time and restarts
-        // match BENCH_fabric.json's incast curve.
+        // match the last point of the pinned curve below.
         assert_eq!(
             incast(32),
             IncastRun {
@@ -146,5 +146,42 @@ mod tests {
     #[test]
     fn incast_curve_is_deterministic() {
         assert_eq!(incast(8), incast(8));
+    }
+
+    #[test]
+    fn incast_curve_degrades_super_linearly() {
+        // (fan-out, completion ns, restarts). Timeout-free up to fan-out
+        // 8; past the cliff, restarts pile onto the receiver link.
+        let curve: Vec<(usize, u64, u64)> = [1, 2, 4, 8, 16, 32]
+            .into_iter()
+            .map(|fanout| {
+                let run = incast(fanout);
+                (fanout, run.completion.as_nanos(), run.restarts)
+            })
+            .collect();
+        assert_eq!(
+            curve,
+            [
+                (1, 2_197_152, 0),
+                (2, 4_294_304, 0),
+                (4, 8_488_608, 0),
+                (8, 16_877_216, 0),
+                (16, 177_065_824, 44),
+                (32, 345_654_432, 167),
+            ]
+        );
+        // Growing the fan-out 4x from the last timeout-free point must
+        // cost more than 4x in completion time: the restart storm, not
+        // just the longer queue.
+        let ms = |fanout: usize| {
+            let (_, nanos, _) = curve.iter().find(|&&(f, _, _)| f == fanout).unwrap();
+            SimDuration::from_nanos(*nanos).as_millis_f64()
+        };
+        assert!(
+            ms(32) > 4.0 * 1.5 * ms(8),
+            "incast degradation is not super-linear: {} ms at 8, {} ms at 32",
+            ms(8),
+            ms(32)
+        );
     }
 }

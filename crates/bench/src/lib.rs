@@ -68,17 +68,6 @@ pub fn run(cluster: &mut Cluster, n: u64) -> ClusterOutcome {
     cluster.run(n, EXPERIMENT_SEED)
 }
 
-/// Formats a byte count the way the paper does (64K, 4MB, ...).
-pub fn fmt_bytes(bytes: f64) -> String {
-    if bytes >= 1024.0 * 1024.0 {
-        format!("{:.2}MB", bytes / (1024.0 * 1024.0))
-    } else if bytes >= 1024.0 {
-        format!("{:.0}K", bytes / 1024.0)
-    } else {
-        format!("{bytes:.0}B")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,12 +80,5 @@ mod tests {
         assert_eq!(run(&mut c, 5).stats.completed, 5);
         let (_, mut c) = mixed_cluster();
         assert_eq!(run(&mut c, 10).stats.completed, 10);
-    }
-
-    #[test]
-    fn byte_formatting() {
-        assert_eq!(fmt_bytes(65536.0), "64K");
-        assert_eq!(fmt_bytes(4.0 * 1024.0 * 1024.0), "4.00MB");
-        assert_eq!(fmt_bytes(512.0), "512B");
     }
 }

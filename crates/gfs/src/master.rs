@@ -222,17 +222,6 @@ impl Master {
         // equally valid and much cheaper:
         (chunk.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 30_000) * LBNS_PER_CHUNK
     }
-
-    /// Primary-count imbalance: max/mean primaries per server (1 = perfect).
-    pub fn primary_imbalance(&self) -> f64 {
-        let max = *self.primaries.iter().max().unwrap_or(&0) as f64;
-        let mean = self.primaries.iter().sum::<u64>() as f64 / self.n_servers as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
 }
 
 #[cfg(test)]
@@ -261,7 +250,10 @@ mod tests {
     fn placement_is_roughly_balanced() {
         let mut rng = Rng64::new(1701);
         let m = Master::place(10_000, 8, 3, &mut rng).unwrap();
-        assert!(m.primary_imbalance() < 1.15, "imbalance {}", m.primary_imbalance());
+        // Max/mean primaries per server (1 = perfect).
+        let max = *m.primaries.iter().max().unwrap() as f64;
+        let mean = m.primaries.iter().sum::<u64>() as f64 / m.primaries.len() as f64;
+        assert!(max / mean < 1.15, "imbalance {}", max / mean);
     }
 
     #[test]

@@ -151,15 +151,43 @@ fn sharded_at_one_and_two_threads(
     runs
 }
 
+/// Station utilizations are fractions, and the CPU busy time they
+/// integrate to over the makespan is the busy time the run billed: equal
+/// on a fault-free run, and at most the billed time under faults, since
+/// jobs lost at a crash are billed but never served.
+fn utilization_matches_billed_busy(config: &ClusterConfig, out: &ClusterOutcome) -> PropResult {
+    let stats = &out.stats;
+    for u in stats.cpu_utilization.iter().chain(&stats.disk_utilization) {
+        ensure!((0.0..=1.0).contains(u), "utilization {u} outside [0, 1]");
+    }
+    let cores = config.cpu.cores as f64;
+    let integrated: f64 =
+        stats.cpu_utilization.iter().map(|u| u * stats.makespan_secs * cores).sum();
+    let billed = stats.total_cpu_busy_secs;
+    ensure!(
+        integrated <= billed * (1.0 + 1e-9),
+        "integrated CPU busy {integrated} s exceeds billed {billed} s"
+    );
+    if config.faults.is_none() {
+        ensure!(
+            (integrated - billed).abs() <= 1e-9 * billed,
+            "integrated CPU busy {integrated} s differs from billed {billed} s"
+        );
+    }
+    Ok(())
+}
+
 /// Runs one configuration on `shards` shards and through both one-shard
 /// entry points: every hosting returns and resolves every request once,
-/// maps every request to a chunkserver consistently with its stats, the
-/// sharded run is the same at 1 and 2 threads, and `run` and
-/// `run_sharded(.., 1)` are the same simulation.
+/// maps every request to a chunkserver consistently with its stats,
+/// integrates its CPU utilization to its billed busy time, the sharded
+/// run is the same at 1 and 2 threads, and `run` and `run_sharded(.., 1)`
+/// are the same simulation.
 fn hostings_agree(config: &ClusterConfig, n: u64, seed: u64, shards: usize) -> PropResult {
     let [sharded, two_threads] = sharded_at_one_and_two_threads(config, n, seed, shards);
     resolves_once(&sharded, n)?;
     server_map_matches_load(&sharded, config.n_chunkservers, n)?;
+    utilization_matches_billed_busy(config, &sharded)?;
     ensure!(sharded.trace == two_threads.trace, "traces differ at 1 and 2 threads");
     ensure_eq!(sharded.requests, two_threads.requests);
     ensure_eq!(sharded.server_of, two_threads.server_of);
@@ -167,6 +195,7 @@ fn hostings_agree(config: &ClusterConfig, n: u64, seed: u64, shards: usize) -> P
     let one = Cluster::new(config).unwrap().run(n, seed);
     resolves_once(&one, n)?;
     server_map_matches_load(&one, config.n_chunkservers, n)?;
+    utilization_matches_billed_busy(config, &one)?;
     let via_sharded = Cluster::new(config).unwrap().run_sharded(n, seed, 1);
     ensure!(one.trace == via_sharded.trace, "run and run_sharded(.., 1) traces differ");
     ensure_eq!(one.requests, via_sharded.requests);

@@ -35,11 +35,6 @@ impl Json {
         Json::Str(s.into())
     }
 
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// The boolean value, if this is a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -143,7 +138,6 @@ mod tests {
 
     #[test]
     fn accessors_match_variants() {
-        assert!(Json::Null.is_null());
         assert_eq!(Json::Bool(true).as_bool(), Some(true));
         assert_eq!(Json::U64(5).as_u64(), Some(5));
         assert_eq!(Json::U64(5).as_i64(), Some(5));

@@ -1,4 +1,4 @@
-//! A hidden Markov model with Baum–Welch training and Viterbi decoding.
+//! A hidden Markov model with Baum–Welch training.
 //!
 //! [`GaussianHmm`] emits real values from per-state normal distributions —
 //! the simplified, diagonal form of Moro et al.'s Ergodic Continuous HMM
@@ -110,39 +110,6 @@ fn forward_backward(
         }
     }
     Ok((gamma, xi_sum, log_likelihood))
-}
-
-/// Viterbi decoding over log-space emission likelihoods.
-fn viterbi_path(a: &[Vec<f64>], pi: &[f64], log_emis: &[Vec<f64>]) -> Vec<usize> {
-    let t_len = log_emis.len();
-    let n = pi.len();
-    if t_len == 0 {
-        return Vec::new();
-    }
-    let log = |x: f64| x.max(1e-300).ln();
-    let mut delta = vec![vec![f64::NEG_INFINITY; n]; t_len];
-    let mut psi = vec![vec![0usize; n]; t_len];
-    for i in 0..n {
-        delta[0][i] = log(pi[i]) + log_emis[0][i];
-    }
-    for t in 1..t_len {
-        for j in 0..n {
-            let (best_i, best_v) = (0..n)
-                .map(|i| (i, delta[t - 1][i] + log(a[i][j])))
-                .max_by(|x, y| x.1.partial_cmp(&y.1).unwrap())
-                .unwrap();
-            delta[t][j] = best_v + log_emis[t][j];
-            psi[t][j] = best_i;
-        }
-    }
-    let mut path = vec![0usize; t_len];
-    path[t_len - 1] = (0..n)
-        .max_by(|&x, &y| delta[t_len - 1][x].partial_cmp(&delta[t_len - 1][y]).unwrap())
-        .unwrap();
-    for t in (0..t_len - 1).rev() {
-        path[t] = psi[t + 1][path[t + 1]];
-    }
-    path
 }
 
 fn validate_square(a: &[Vec<f64>], n: usize) -> Result<()> {
@@ -357,16 +324,6 @@ impl GaussianHmm {
         })
     }
 
-    /// Most likely hidden-state path (Viterbi).
-    pub fn viterbi(&self, obs: &[f64]) -> Vec<usize> {
-        let emis = self.emission_matrix(obs);
-        let log_emis: Vec<Vec<f64>> = emis
-            .iter()
-            .map(|row| row.iter().map(|&p| p.ln()).collect())
-            .collect();
-        viterbi_path(&self.a, &self.pi, &log_emis)
-    }
-
     /// Generates `(hidden_states, observations)` of length `len`.
     pub fn generate(&self, len: usize, rng: &mut Rng64) -> (Vec<usize>, Vec<f64>) {
         let mut states = Vec::with_capacity(len);
@@ -440,17 +397,6 @@ mod tests {
         // Both self-transitions should be strong.
         assert!(model.transitions()[0][0] > 0.85);
         assert!(model.transitions()[1][1] > 0.85);
-    }
-
-    #[test]
-    fn gaussian_viterbi_segments_by_level() {
-        let source = two_state_gaussian();
-        let mut rng = Rng64::new(905);
-        let (states, obs) = source.generate(2000, &mut rng);
-        let decoded = source.viterbi(&obs);
-        let agree = states.iter().zip(&decoded).filter(|(a, b)| a == b).count() as f64
-            / states.len() as f64;
-        assert!(agree > 0.95, "agreement {agree}");
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! * [`MarkovChain`] — first-order discrete chains: training by transition
 //!   counting with Laplace smoothing, generation, stationary distribution
 //!   and log-likelihood scoring.
-//! * [`GaussianHmm`] — a hidden Markov model with Gaussian emissions,
-//!   Baum–Welch training and Viterbi decoding: the simplified form of Moro
-//!   et al.'s Ergodic Continuous HMM memory model.
+//! * [`GaussianHmm`] — a hidden Markov model with Gaussian emissions and
+//!   Baum–Welch training: the simplified form of Moro et al.'s Ergodic
+//!   Continuous HMM memory model.
 //!
 //! # Example
 //!

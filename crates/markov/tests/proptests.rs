@@ -183,10 +183,6 @@ fn gaussian_hmm_scores_own_output() {
             let (_, obs) = model.generate(200, &mut rng);
             let ll = model.log_likelihood(&obs).unwrap();
             ensure!(ll.is_finite(), "non-finite log-likelihood");
-            // Viterbi path has the right length and valid states.
-            let path = model.viterbi(&obs);
-            ensure_eq!(path.len(), obs.len());
-            ensure!(path.iter().all(|&s| s < 2), "viterbi state out of range");
             Ok(())
         },
     );

@@ -48,7 +48,7 @@ impl<J> ServerPool<J> {
     /// Panics if `servers == 0`.
     pub fn new(servers: usize) -> Self {
         assert!(servers > 0, "a station needs at least one server");
-        ServerPool {
+        let mut pool = ServerPool {
             servers,
             busy: 0,
             queue: VecDeque::new(),
@@ -59,7 +59,12 @@ impl<J> ServerPool<J> {
             arrived: 0,
             queue_high_water: 0,
             down: false,
-        }
+        };
+        // The averages run from t = 0: a station is idle and empty until
+        // its first job arrives, however late that is.
+        pool.busy_servers.record(SimTime::ZERO, 0.0);
+        pool.queue_len.record(SimTime::ZERO, 0.0);
+        pool
     }
 
     /// A job arrives at time `now`.
@@ -159,7 +164,7 @@ impl<J> ServerPool<J> {
         self.down
     }
 
-    /// Time-averaged server utilization in `[0, 1]`, measured up to `now`.
+    /// Time-averaged server utilization in `[0, 1]` over `[0, now]`.
     ///
     /// A station observed at `SimTime::ZERO` has accumulated no time, so
     /// the mean is defined as `0.0` (not `NaN`/`busy/servers`).
@@ -170,7 +175,7 @@ impl<J> ServerPool<J> {
         self.busy_servers.mean_until(now, self.busy as f64) / self.servers as f64
     }
 
-    /// Time-averaged queue length, measured up to `now`.
+    /// Time-averaged queue length over `[0, now]`.
     ///
     /// Defined as `0.0` when observed at `SimTime::ZERO` (no time has
     /// accumulated to average over).
@@ -258,6 +263,19 @@ mod tests {
         let now = SimTime::from_nanos(100);
         let u = pool.utilization(now);
         assert!((u - 0.5).abs() < 1e-9, "utilization {u}");
+    }
+
+    #[test]
+    fn averages_run_from_time_zero_not_first_arrival() {
+        // Idle and empty until t=50, then one job busy 50..100 and a
+        // second queued 50..100: half of [0, 100], not all of [50, 100].
+        let mut pool = ServerPool::new(1);
+        assert!(pool.arrive(SimTime::from_nanos(50), 1).is_some());
+        assert!(pool.arrive(SimTime::from_nanos(50), 2).is_none());
+        assert_eq!(pool.complete(SimTime::from_nanos(100)), Some(2));
+        let now = SimTime::from_nanos(100);
+        assert_eq!(pool.utilization(now), 0.5);
+        assert_eq!(pool.mean_queue_len(now), 0.5);
     }
 
     #[test]

@@ -153,11 +153,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// Microseconds, as a float (for reporting only).
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))

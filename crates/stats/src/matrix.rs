@@ -1,10 +1,8 @@
 //! A small dense row-major matrix kernel.
 //!
-//! Products, transpose, covariance, a linear solver (partial-pivot Gaussian
-//! elimination) and a symmetric eigendecomposition (cyclic Jacobi). PCA
-//! uses the covariance and the eigendecomposition; the products and the
-//! solver have no caller outside tests. No SIMD, no blocking — the
-//! workloads here are feature matrices with tens of columns.
+//! Transpose, covariance and a symmetric eigendecomposition (cyclic
+//! Jacobi), the pieces PCA uses. No SIMD, no blocking — the workloads
+//! here are feature matrices with tens of columns.
 
 use crate::{Result, StatsError};
 
@@ -139,111 +137,6 @@ impl Matrix {
             }
         }
         t
-    }
-
-    /// Matrix product `self * rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidInput`] on an inner-dimension mismatch.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(StatsError::InvalidInput(format!(
-                "cannot multiply {}x{} by {}x{}",
-                self.rows, self.cols, rhs.rows, rhs.cols
-            )));
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out.data[i * rhs.cols + j] += a * rhs.get(k, j);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix–vector product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidInput`] if `v.len() != cols`.
-    pub fn mul_vec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.cols {
-            return Err(StatsError::InvalidInput(format!(
-                "vector length {} != cols {}",
-                v.len(),
-                self.cols
-            )));
-        }
-        Ok((0..self.rows)
-            .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect())
-    }
-
-    /// Solves `self * x = b` by Gaussian elimination with partial pivoting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidInput`] if the matrix is not square or
-    /// `b` has the wrong length, and [`StatsError::NoConvergence`] if the
-    /// matrix is numerically singular.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        if self.rows != self.cols {
-            return Err(StatsError::InvalidInput("solve requires a square matrix".into()));
-        }
-        if b.len() != self.rows {
-            return Err(StatsError::InvalidInput("rhs length mismatch".into()));
-        }
-        let n = self.rows;
-        let mut a = self.data.clone();
-        let mut x = b.to_vec();
-        for col in 0..n {
-            // Pivot.
-            let mut pivot = col;
-            let mut best = a[col * n + col].abs();
-            for r in (col + 1)..n {
-                let v = a[r * n + col].abs();
-                if v > best {
-                    best = v;
-                    pivot = r;
-                }
-            }
-            if best < 1e-12 {
-                return Err(StatsError::NoConvergence { what: "linear solve (singular matrix)" });
-            }
-            if pivot != col {
-                for c in 0..n {
-                    a.swap(col * n + c, pivot * n + c);
-                }
-                x.swap(col, pivot);
-            }
-            // Eliminate below.
-            for r in (col + 1)..n {
-                let f = a[r * n + col] / a[col * n + col];
-                if f == 0.0 {
-                    continue;
-                }
-                for c in col..n {
-                    a[r * n + c] -= f * a[col * n + c];
-                }
-                x[r] -= f * x[col];
-            }
-        }
-        // Back substitution.
-        for col in (0..n).rev() {
-            let mut s = x[col];
-            for c in (col + 1)..n {
-                s -= a[col * n + c] * x[c];
-            }
-            x[col] = s / a[col * n + col];
-        }
-        Ok(x)
     }
 
     /// Sample covariance matrix of a data matrix whose rows are observations
@@ -396,52 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_identity() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let i = Matrix::identity(2);
-        assert_eq!(m.matmul(&i).unwrap(), m);
-        assert_eq!(i.matmul(&m).unwrap(), m);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]).unwrap());
-    }
-
-    #[test]
-    fn matmul_dimension_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn mul_vec_works() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!(m.mul_vec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert!(m.mul_vec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn solve_recovers_solution() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0, -1.0], &[-3.0, -1.0, 2.0], &[-2.0, 1.0, 2.0]]).unwrap();
-        let x = a.solve(&[8.0, -11.0, -3.0]).unwrap();
-        let expect = [2.0, 3.0, -1.0];
-        for (xi, ei) in x.iter().zip(&expect) {
-            assert!((xi - ei).abs() < 1e-10, "{x:?}");
-        }
-    }
-
-    #[test]
-    fn solve_singular_errors() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
-        assert!(matches!(a.solve(&[1.0, 2.0]), Err(StatsError::NoConvergence { .. })));
-    }
-
-    #[test]
     fn covariance_of_perfectly_correlated_features() {
         // y = 2x → cov matrix [[var, 2var], [2var, 4var]]
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]).unwrap();
@@ -469,9 +316,9 @@ mod tests {
         assert!((vals[1] - 1.0).abs() < 1e-10);
         // A v = λ v for the first eigenvector.
         let v0 = vecs.col(0);
-        let av = m.mul_vec(&v0).unwrap();
-        for (a, b) in av.iter().zip(v0.iter().map(|x| 3.0 * x)) {
-            assert!((a - b).abs() < 1e-9);
+        for r in 0..2 {
+            let av: f64 = m.row(r).iter().zip(&v0).map(|(a, v)| a * v).sum();
+            assert!((av - 3.0 * v0[r]).abs() < 1e-9);
         }
     }
 

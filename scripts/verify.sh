@@ -49,17 +49,12 @@ echo "== doc gate: rustdoc clean at -D warnings =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "== benchmarks compile and smoke-run =="
+# Every bench target runs in smoke mode. No step gates on wall time: a
+# median measures the host it ran on. The incast curve's super-linearity
+# and the fan-out-32 run's exact work (fabric_incast_32 in micro) are
+# unit tests in kooza_bench::incast, run by the test suite above.
 cargo bench --offline -p kooza-bench --bench micro -- --mode smoke >/dev/null
-cargo bench --offline -p kooza-bench --bench shard -- --mode smoke >/dev/null
-# The fabric bench also asserts the incast curve degrades super-linearly
-# past the timeout cliff — a semantic check, not just a compile check.
-cargo bench --offline -p kooza-bench --bench fabric -- --mode smoke >/dev/null
-
-# The simcore bench's incast run is gated on exact work, not wall time:
-# the test suite above pins its outcome, flow count and re-rate counts
-# (kooza_bench::incast). A wall time archived on another host measures
-# the host, so this step only checks the bench still builds and runs.
-cargo bench --offline -p kooza-bench --bench simcore -- --mode smoke >/dev/null
+cargo bench --offline -p kooza-bench --bench trace_ingest -- --mode smoke >/dev/null
 
 echo "== thread-count determinism: tables identical at KOOZA_THREADS=8 =="
 # The test itself sweeps 1/2/8 via the thread override (and, since the
