@@ -150,6 +150,10 @@ impl ClusterStats {
 #[derive(Debug)]
 pub struct ClusterOutcome {
     /// The collected multi-subsystem trace (whole cluster, time-sorted).
+    /// Each record stream is stably sorted by timestamp. The spans are in
+    /// (start, span id) order, and spans that tie on both keep recording
+    /// order: requests in completion order (the order of
+    /// [`Self::requests`]), each request's spans by span id.
     pub trace: TraceSet,
     /// The chunkserver each request was last dispatched to, indexed by
     /// request id (0 for a request no attempt ever reached). §4:

@@ -25,6 +25,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 use kooza_sim::rng::Rng64;
@@ -33,7 +34,8 @@ use kooza_sim::{
 };
 use kooza_stats::dist::{DiscreteDistribution, Distribution, Exponential, Zipf};
 use kooza_trace::record::{CpuRecord, Direction, IoOp, MemoryRecord, NetworkRecord, StorageRecord};
-use kooza_trace::span::{Span, SpanCollector, SpanId, SpanName, TraceId};
+use kooza_trace::sampler::Sampler;
+use kooza_trace::span::{Span, SpanId, SpanName, TraceId};
 use kooza_trace::TraceSet;
 
 use super::{Cluster, ClusterOutcome, ClusterStats, FaultStats, RequestOutcome};
@@ -83,8 +85,8 @@ pub(super) struct ReqState {
     cache_hit: bool,
     cpu_busy: SimDuration,
     pending_replicas: usize,
-    /// Completed phase intervals for span assembly: (name, start, end).
-    phases: Vec<(&'static str, SimTime, SimTime)>,
+    /// Completed phase intervals for span assembly: (phase, start, end).
+    phases: Vec<(Phase, SimTime, SimTime)>,
     /// Start of the phase currently in progress.
     phase_started: SimTime,
     /// Current attempt number; events from older attempts are stale.
@@ -103,9 +105,9 @@ pub(super) struct ReqState {
 }
 
 impl ReqState {
-    /// Closes the phase in progress as `name` at `now`.
-    fn mark(&mut self, name: &'static str, now: SimTime) {
-        self.phases.push((name, self.phase_started, now));
+    /// Closes the phase in progress as `phase` at `now`.
+    fn mark(&mut self, phase: Phase, now: SimTime) {
+        self.phases.push((phase, self.phase_started, now));
         self.phase_started = now;
     }
 
@@ -256,27 +258,121 @@ pub(super) enum ShardMsg {
     },
 }
 
-/// Interned span names for the tracing hot path.
-///
-/// Every traced request creates a handful of spans whose names come from
-/// a fixed vocabulary of `&'static str` phase literals ("request",
-/// "network.in", ...). Interning through this cache makes each span name
-/// a refcount bump on a shared [`SpanName`] instead of a fresh string
-/// allocation; the vocabulary is tiny, so a linear scan beats hashing.
-#[derive(Debug, Default)]
-struct NameCache(Vec<(&'static str, SpanName)>);
+/// A span's name: the request root or one of the pipeline phases
+/// [`ReqState::mark`] closes. Spans are recorded as compact [`SpanRow`]s
+/// and get their interned [`SpanName`] only when [`finish`] builds them.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    Request,
+    MasterLookup,
+    FaultRetry,
+    NetworkIn,
+    CpuLookup,
+    CpuAggregate,
+    Memory,
+    Replicate,
+    Disk,
+    NetworkOut,
+}
 
-impl NameCache {
-    /// The shared interned form of `name`.
-    fn get(&mut self, name: &'static str) -> SpanName {
-        if let Some((_, interned)) = self.0.iter().find(|(n, _)| *n == name) {
-            return interned.clone();
+impl Phase {
+    /// Every phase, in discriminant order.
+    const ALL: [Phase; 10] = [
+        Phase::Request,
+        Phase::MasterLookup,
+        Phase::FaultRetry,
+        Phase::NetworkIn,
+        Phase::CpuLookup,
+        Phase::CpuAggregate,
+        Phase::Memory,
+        Phase::Replicate,
+        Phase::Disk,
+        Phase::NetworkOut,
+    ];
+
+    /// The span name the trace carries.
+    fn name(self) -> &'static str {
+        match self {
+            Phase::Request => "request",
+            Phase::MasterLookup => "master.lookup",
+            Phase::FaultRetry => "fault.retry",
+            Phase::NetworkIn => "network.in",
+            Phase::CpuLookup => "cpu.lookup",
+            Phase::CpuAggregate => "cpu.aggregate",
+            Phase::Memory => "memory",
+            Phase::Replicate => "replicate",
+            Phase::Disk => "disk",
+            Phase::NetworkOut => "network.out",
         }
-        let interned = SpanName::from(name);
-        self.0.push((name, interned.clone()));
-        interned
     }
 }
+
+/// One recorded span, before it becomes a [`Span`]: span `index` of trace
+/// `trace` (0 is the root, the parent of every other index), its phase and
+/// its interval in nanoseconds. 32 bytes, against a `Span`'s 88.
+#[derive(Debug)]
+struct SpanRow {
+    trace: u64,
+    start: u64,
+    end: u64,
+    index: u32,
+    phase: Phase,
+}
+
+/// The trace's spans, built once each, in order of (start, span id) with
+/// ties kept in row order: the order a stable sort of the rows by (start,
+/// span id) gives. The row index in each sort key makes the keys unique,
+/// so an unstable sort reproduces that stable order exactly; equal (start,
+/// span id) pairs from different traces do occur, so the tiebreak shows
+/// in the output.
+fn spans_in_order(rows: &[SpanRow]) -> Vec<Span> {
+    let n = u32::try_from(rows.len()).expect("fewer than 2^32 spans");
+    let mut keys: Vec<(u64, u32, u32)> = rows
+        .iter()
+        .zip(0..n)
+        .map(|(row, i)| (row.start, row.index, i))
+        .collect();
+    keys.sort_unstable();
+    let names = Phase::ALL.map(|p| SpanName::from(p.name()));
+    keys.iter()
+        .map(|&(_, _, i)| {
+            let row = &rows[i as usize];
+            Span::new(
+                TraceId(row.trace),
+                SpanId(row.index.into()),
+                (row.index > 0).then_some(SpanId(0)),
+                names[row.phase as usize].clone(),
+                row.start,
+                row.end,
+            )
+        })
+        .collect()
+}
+
+/// Hashes a `u64` id with one multiply by 2^64 / φ, for the id-keyed
+/// tables the event loop looks up on every event. The simulator assigns
+/// every id itself, so no outside input can pick colliding keys, and
+/// nothing iterates one of these tables into output unsorted, so the hash
+/// never shows.
+#[derive(Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("id tables hash u64 keys only");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A table keyed by request, repair or flow id.
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 /// One chunkserver: its stations, hardware models and crash epoch.
 ///
@@ -400,7 +496,7 @@ impl Server {
 #[derive(Debug)]
 struct FabricState {
     fabric: Fabric,
-    done: HashMap<u64, Ev>,
+    done: IdMap<Ev>,
     tick: Option<TimerHandle>,
     /// Reused completion buffer for [`Fabric::advance_into`] — `sync`
     /// runs on every flow event, so it must not allocate per tick.
@@ -738,8 +834,10 @@ struct Control {
     metadata_caches: Vec<VecDeque<ChunkHandle>>,
     metadata_lookups: u64,
     metadata_hits: u64,
-    collector: SpanCollector,
-    names: NameCache,
+    /// Picks the requests whose span trees are recorded.
+    sampler: Sampler,
+    /// The sampled requests' spans, in completion order.
+    span_rows: Vec<SpanRow>,
     /// The server each request was last dispatched to, by request id.
     server_of: Vec<usize>,
     outcomes: Vec<RequestOutcome>,
@@ -759,26 +857,21 @@ impl Control {
     /// Records a sampled request's span tree: the root plus one child per
     /// phase.
     fn record_spans(&mut self, id: u64, st: &ReqState, end: SimTime) {
-        let tid = TraceId(id);
-        let root = self.names.get("request");
-        self.collector.record(Span::new(
-            tid,
-            SpanId(0),
-            None,
-            root,
-            st.start.as_nanos(),
-            end.as_nanos(),
-        ));
-        for (span_idx, &(name, s, e)) in (1u64..).zip(&st.phases) {
-            let name = self.names.get(name);
-            self.collector.record(Span::new(
-                tid,
-                SpanId(span_idx),
-                Some(SpanId(0)),
-                name,
-                s.as_nanos(),
-                e.as_nanos(),
-            ));
+        self.span_rows.push(SpanRow {
+            trace: id,
+            start: st.start.as_nanos(),
+            end: end.as_nanos(),
+            index: 0,
+            phase: Phase::Request,
+        });
+        for (index, &(phase, s, e)) in (1..).zip(&st.phases) {
+            self.span_rows.push(SpanRow {
+                trace: id,
+                start: s.as_nanos(),
+                end: e.as_nanos(),
+                index,
+                phase,
+            });
         }
     }
 }
@@ -866,11 +959,11 @@ pub(super) struct Shard {
     /// Records of the attempts this shard's servers serve. At one shard it
     /// holds every request's only record, which the control plane reads
     /// too.
-    reqs: HashMap<u64, ReqState>,
+    reqs: IdMap<ReqState>,
     /// The control plane's records at N shards (shard 0 only).
-    ledger: HashMap<u64, ReqState>,
+    ledger: IdMap<ReqState>,
     /// Repair pipelines running on this shard's servers.
-    rerep_jobs: HashMap<u64, RerepJob>,
+    rerep_jobs: IdMap<RerepJob>,
     /// Mail buffered to the window barrier; `None` at one shard, where the
     /// mailbox calls the receiving handler at once.
     outbox: Option<Outbox<ShardMsg>>,
@@ -919,8 +1012,8 @@ impl Shard {
             metadata_caches: vec![VecDeque::new(); cfg.n_clients],
             metadata_lookups: 0,
             metadata_hits: 0,
-            collector: SpanCollector::with_sampling(cfg.trace_sampling),
-            names: NameCache::default(),
+            sampler: Sampler::one_in(cfg.trace_sampling),
+            span_rows: Vec::new(),
             server_of: vec![0; n_requests as usize],
             outcomes: Vec::with_capacity(n_requests as usize),
             latency: Tally::new(),
@@ -969,7 +1062,7 @@ impl Shard {
                             cfg.link.bandwidth_bytes_per_sec,
                             SimDuration::from_secs_f64(cfg.link.latency_secs),
                         ),
-                        done: HashMap::new(),
+                        done: IdMap::default(),
                         tick: None,
                         completed: Vec::new(),
                     })),
@@ -988,9 +1081,9 @@ impl Shard {
                         total_cpu_busy: SimDuration::ZERO,
                         jobs_lost: 0,
                     },
-                    reqs: HashMap::new(),
-                    ledger: HashMap::new(),
-                    rerep_jobs: HashMap::new(),
+                    reqs: IdMap::default(),
+                    ledger: IdMap::default(),
+                    rerep_jobs: IdMap::default(),
                     outbox: outboxes
                         .as_mut()
                         .map(|o| o.next().expect("one outbox per shard")),
@@ -1064,7 +1157,7 @@ impl Shard {
     /// The control plane, its request records and the host. At one shard
     /// the records are the serving table itself: both roles share one
     /// record per request.
-    fn split(&mut self) -> (&mut Control, &mut HashMap<u64, ReqState>, &mut Host) {
+    fn split(&mut self) -> (&mut Control, &mut IdMap<ReqState>, &mut Host) {
         let ledger = if self.outbox.is_none() {
             &mut self.reqs
         } else {
@@ -1167,7 +1260,7 @@ impl Shard {
         let blocks = size.div_ceil(512).max(1);
         let span_lbns = LBNS_PER_CHUNK.saturating_sub(blocks).max(1);
         let lbn = ctl.master.chunk_base_lbn(chunk) + ctl.rng.next_bounded(span_lbns);
-        let sampled = ctl.collector.should_record(TraceId(id));
+        let sampled = ctl.sampler.keep(TraceId(id));
         // Metadata plus a slice of the buffer: the request's memory
         // footprint is a fixed fraction of payload (¼ for reads, 1/16 for
         // writes), reproducing the 16 KB / 256 KB rows of the paper's
@@ -1236,7 +1329,7 @@ impl Shard {
         let Some(st) = ledger.get_mut(&id).filter(|st| st.attempt == 0) else {
             return;
         };
-        st.mark("master.lookup", now);
+        st.mark(Phase::MasterLookup, now);
         // Cache the location for this client (LRU).
         let cache = &mut ctl.metadata_caches[(id % ctl.cfg.n_clients as u64) as usize];
         cache.push_back(st.chunk);
@@ -1326,7 +1419,7 @@ impl Shard {
         st.retries += 1;
         st.attempt += 1;
         ctl.fstats.retries += 1;
-        st.mark("fault.retry", now);
+        st.mark(Phase::FaultRetry, now);
         // Any in-flight work from the old attempt is now a zombie: its
         // completions carry a stale attempt.
         st.pending_replicas = 0;
@@ -1493,7 +1586,7 @@ impl Shard {
                 .offer_disk(now, server, (id, st.lbn, st.size, true, attempt));
             return;
         }
-        st.mark("network.in", now);
+        st.mark(Phase::NetworkIn, now);
         // CPU stage 1: lookup/verify over the request header.
         let busy = self.host.cpu_work(server, 1024, st);
         self.host.offer_cpu(now, server, (id, 1, busy, attempt));
@@ -1518,7 +1611,7 @@ impl Shard {
             return;
         };
         if stage == 1 {
-            st.mark("cpu.lookup", now);
+            st.mark(Phase::CpuLookup, now);
             let (bank, hit, service) = self.host.memory_access(server, st.chunk, st.mem_size);
             st.cache_hit = st.kind == Kind::Read && hit;
             self.host.trace.memory.push(MemoryRecord {
@@ -1538,7 +1631,7 @@ impl Shard {
                 },
             );
         } else {
-            st.mark("cpu.aggregate", now);
+            st.mark(Phase::CpuAggregate, now);
             let wire = match st.kind {
                 Kind::Read => st.size,
                 Kind::Write => 1024,
@@ -1561,7 +1654,7 @@ impl Shard {
         let Some(st) = self.reqs.get_mut(&id).filter(|st| st.attempt == attempt) else {
             return;
         };
-        st.mark("memory", now);
+        st.mark(Phase::Memory, now);
         if st.kind == Kind::Read && st.cache_hit {
             return self.host.aggregate(now, id, server, st);
         }
@@ -1619,7 +1712,7 @@ impl Shard {
                 .position(|&(_, stand_in)| stand_in == server);
             let commit = pos.map(|pos| (st.chunk, st.replacements.remove(pos)));
             if st.pending_replicas == 0 {
-                st.mark("replicate", now);
+                st.mark(Phase::Replicate, now);
                 // The primary may have died while the replicas acked; if so
                 // the client's timeout retries.
                 let primary = st.server;
@@ -1632,7 +1725,7 @@ impl Shard {
             }
             return;
         }
-        st.mark("disk", now);
+        st.mark(Phase::Disk, now);
         let fanout = match st.kind {
             Kind::Read => Vec::new(),
             Kind::Write => {
@@ -1666,7 +1759,7 @@ impl Shard {
         let Some(st) = self.reqs.get_mut(&id).filter(|st| st.attempt == attempt) else {
             return; // a stale attempt's zombie response
         };
-        st.mark("network.out", now);
+        st.mark(Phase::NetworkOut, now);
         let total = now - st.start;
         self.host.trace.cpu.push(CpuRecord {
             ts_nanos: now.as_nanos(),
@@ -1855,8 +1948,9 @@ impl Shard {
 }
 
 /// Assembles a finished hosting's outcome: per-server statistics from each
-/// shard's disjoint server range, traces merged in shard order and then
-/// time-sorted, and the request ledger and request → server map from the
+/// shard's disjoint server range, record streams merged in shard order and
+/// then stably time-sorted, the control plane's span rows built into spans
+/// in order, and the request ledger and request → server map from the
 /// control plane.
 pub(super) fn finish(cluster: &Cluster, mut shards: Vec<Shard>) -> ClusterOutcome {
     let n = cluster.config().n_chunkservers;
@@ -1922,8 +2016,10 @@ pub(super) fn finish(cluster: &Cluster, mut shards: Vec<Shard>) -> ClusterOutcom
     for shard in &shards {
         shard.host.publish_transport(end);
     }
-    trace.spans = ctl.collector.spans().to_vec();
+    // The spans are not attached yet, so this sorts only the four record
+    // streams; the spans come out of `spans_in_order` already in order.
     trace.sort_by_time();
+    trace.spans = spans_in_order(&ctl.span_rows);
     ClusterOutcome {
         trace,
         server_of: ctl.server_of,
@@ -1971,6 +2067,47 @@ mod tests {
             } else {
                 assert_eq!(fanout, snapshot[1..]);
             }
+        }
+    }
+
+    /// Span rows with heavy ties (starts in 0..4, span indices 0..3) from
+    /// 12 traces completing in a shuffled order come out exactly as a
+    /// stable sort of the rows by (start, span id) orders them: tied spans
+    /// stay in recording order, not in trace id order.
+    #[test]
+    fn span_order_is_a_stable_sort_of_the_rows() {
+        for seed in 0..20 {
+            let mut rng = Rng64::new(seed);
+            let mut completion: Vec<u64> = (0..12).collect();
+            rng.shuffle(&mut completion);
+            let mut rows = Vec::new();
+            for &trace in &completion {
+                for index in 0..3 {
+                    let start = rng.next_bounded(4);
+                    rows.push(SpanRow {
+                        trace,
+                        start,
+                        end: start + rng.next_bounded(3),
+                        index,
+                        phase: *rng.choose(&Phase::ALL),
+                    });
+                }
+            }
+            let mut expected: Vec<Span> = rows
+                .iter()
+                .map(|r| {
+                    Span::new(
+                        TraceId(r.trace),
+                        SpanId(r.index.into()),
+                        (r.index > 0).then_some(SpanId(0)),
+                        r.phase.name(),
+                        r.start,
+                        r.end,
+                    )
+                })
+                .collect();
+            expected.sort_by_key(|s| (s.start_nanos, s.span_id));
+            assert_eq!(spans_in_order(&rows), expected, "seed {seed}");
         }
     }
 }

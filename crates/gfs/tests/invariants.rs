@@ -1,6 +1,7 @@
 //! Invariant tests for the GFS simulator across randomized
 //! configurations, on the deterministic in-repo `kooza-check` harness.
 
+use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
 use kooza_check::gen::{choice, f64_range, u32_range, u64_range, usize_range, zip2, zip4, zip5};
@@ -11,6 +12,30 @@ use kooza_gfs::{
     WorkloadMix, FAULT_HORIZON_SLACK_SECS, MAX_EXPECTED_WINDOWS,
 };
 use kooza_sim::SimDuration;
+use kooza_trace::Span;
+
+/// The trace's spans are in the order the simulator records and sorts
+/// them, rebuilt here from the outcome alone: each completed, sampled
+/// request's spans in span id order, the requests in completion order
+/// (the order of `out.requests`), then a stable sort by (start, span id).
+/// Spans that tie on (start, span id) therefore keep completion order.
+fn spans_in_completion_order(out: &ClusterOutcome) -> PropResult {
+    let mut by_trace: HashMap<u64, Vec<Span>> = HashMap::new();
+    for span in &out.trace.spans {
+        by_trace.entry(span.trace_id.0).or_default().push(span.clone());
+    }
+    let mut expected = Vec::with_capacity(out.trace.spans.len());
+    for r in out.requests.iter().filter(|r| r.sampled && !r.failed) {
+        let mut spans = by_trace.remove(&r.id).unwrap_or_default();
+        spans.sort_by_key(|s| s.span_id);
+        expected.extend(spans);
+    }
+    let orphans = by_trace.len();
+    ensure!(orphans == 0, "spans of {orphans} traces with no completed, sampled request");
+    expected.sort_by_key(|s| (s.start_nanos, s.span_id));
+    ensure!(expected == out.trace.spans, "span order is not completion order stably sorted");
+    Ok(())
+}
 
 /// Conservation and well-formedness across random workloads: every
 /// request completes exactly once, record counts line up, span trees
@@ -82,7 +107,7 @@ fn conservation_and_wellformedness() {
                     "last phase {phases:?}"
                 );
             }
-            Ok(())
+            spans_in_completion_order(&outcome)
         },
     );
 }
@@ -188,6 +213,7 @@ fn hostings_agree(config: &ClusterConfig, n: u64, seed: u64, shards: usize) -> P
     resolves_once(&sharded, n)?;
     server_map_matches_load(&sharded, config.n_chunkservers, n)?;
     utilization_matches_billed_busy(config, &sharded)?;
+    spans_in_completion_order(&sharded)?;
     ensure!(sharded.trace == two_threads.trace, "traces differ at 1 and 2 threads");
     ensure_eq!(sharded.requests, two_threads.requests);
     ensure_eq!(sharded.server_of, two_threads.server_of);
@@ -196,6 +222,7 @@ fn hostings_agree(config: &ClusterConfig, n: u64, seed: u64, shards: usize) -> P
     resolves_once(&one, n)?;
     server_map_matches_load(&one, config.n_chunkservers, n)?;
     utilization_matches_billed_busy(config, &one)?;
+    spans_in_completion_order(&one)?;
     let via_sharded = Cluster::new(config).unwrap().run_sharded(n, seed, 1);
     ensure!(one.trace == via_sharded.trace, "run and run_sharded(.., 1) traces differ");
     ensure_eq!(one.requests, via_sharded.requests);
@@ -237,6 +264,30 @@ fn repair_race_resolves_every_request_once() {
     config.workload = WorkloadMix::mixed();
     config.faults = Some(FaultSpec::parse("mttf=5,mttr=2,timeout=0.5,retries=8").unwrap());
     if let Err(e) = hostings_agree(&config, 1000, 1, 2) {
+        panic!("{e:?}");
+    }
+}
+
+/// Span order as a fixed case with real ties: on `sim_ideal`'s cluster
+/// shape, spans of different requests share a (start, span id), and the
+/// ties keep completion order.
+#[test]
+fn tied_spans_keep_completion_order() {
+    let mut config = ClusterConfig::cluster(64);
+    config.workload = WorkloadMix {
+        n_chunks: 20_000,
+        mean_interarrival_secs: 0.5e-3,
+        ..WorkloadMix::mixed()
+    };
+    let out = Cluster::new(&config).unwrap().run(1_000, 1);
+    let ties = out
+        .trace
+        .spans
+        .windows(2)
+        .filter(|w| (w[0].start_nanos, w[0].span_id) == (w[1].start_nanos, w[1].span_id))
+        .count();
+    assert!(ties > 0, "no tied spans to order");
+    if let Err(e) = spans_in_completion_order(&out) {
         panic!("{e:?}");
     }
 }

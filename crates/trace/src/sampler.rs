@@ -31,11 +31,6 @@ impl Sampler {
         Sampler { rate }
     }
 
-    /// The configured `N` in 1-in-N.
-    pub fn rate(&self) -> u32 {
-        self.rate
-    }
-
     /// Whether this trace is sampled. Pure function of the id: every
     /// participant in the request reaches the same verdict.
     pub fn keep(&self, trace_id: TraceId) -> bool {

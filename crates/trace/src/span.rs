@@ -381,55 +381,21 @@ impl TraceTree {
     }
 }
 
-/// Collects spans from many requests, applying per-trace sampling, and
-/// groups them into [`TraceTree`]s.
+/// Collects spans from many requests and groups them into [`TraceTree`]s.
 #[derive(Debug, Default)]
 pub struct SpanCollector {
     spans: Vec<Span>,
-    dropped: u64,
-    sampler: Option<crate::sampler::Sampler>,
 }
 
 impl SpanCollector {
-    /// A collector that keeps every span.
+    /// An empty collector.
     pub fn new() -> Self {
         SpanCollector::default()
     }
 
-    /// A collector that keeps spans of 1 in `rate` traces (Dapper samples
-    /// 1/1000 in production).
-    pub fn with_sampling(rate: u32) -> Self {
-        SpanCollector {
-            spans: Vec::new(),
-            dropped: 0,
-            sampler: Some(crate::sampler::Sampler::one_in(rate)),
-        }
-    }
-
-    /// Whether this collector would record the given trace — the hook the
-    /// instrumented application calls *before* doing any tracing work, so
-    /// unsampled requests pay (almost) nothing.
-    pub fn should_record(&self, trace_id: TraceId) -> bool {
-        self.sampler.map(|s| s.keep(trace_id)).unwrap_or(true)
-    }
-
-    /// Offers a span; it is kept only if its trace is sampled.
+    /// Adds a span.
     pub fn record(&mut self, span: Span) {
-        if self.should_record(span.trace_id) {
-            self.spans.push(span);
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// Spans recorded so far.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Spans discarded by sampling.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.spans.push(span);
     }
 
     /// Groups recorded spans into one tree per trace, skipping traces whose
@@ -543,35 +509,8 @@ mod tests {
                 c.record(span);
             }
         }
-        assert_eq!(c.dropped(), 0);
         let trees = c.into_trees();
         assert_eq!(trees.len(), 10);
-    }
-
-    #[test]
-    fn collector_sampling_drops_most_traces() {
-        let mut c = SpanCollector::with_sampling(10);
-        for tid in 0..10_000 {
-            for span in gfs_like_trace(tid) {
-                c.record(span);
-            }
-        }
-        let trees = c.into_trees();
-        // ~1000 expected of 10 000 traces.
-        assert!((500..2000).contains(&trees.len()), "kept {}", trees.len());
-        // Sampled traces are complete: all 7 spans survive together.
-        // (into_trees drops incomplete trees; equality proves none were.)
-    }
-
-    #[test]
-    fn sampling_is_per_trace_not_per_span() {
-        let c = SpanCollector::with_sampling(3);
-        for tid in 0..100 {
-            let t = TraceId(tid);
-            let a = c.should_record(t);
-            // Repeated asks agree — the decision is a function of trace id.
-            assert_eq!(a, c.should_record(t));
-        }
     }
 
     #[test]

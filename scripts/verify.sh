@@ -56,6 +56,22 @@ echo "== benchmarks compile and smoke-run =="
 cargo bench --offline -p kooza-bench --bench micro -- --mode smoke >/dev/null
 cargo bench --offline -p kooza-bench --bench trace_ingest -- --mode smoke >/dev/null
 
+echo "== kbench: builds and smoke-runs every workload =="
+# kbench (BENCHMARK.json) is a workspace of its own, so neither the build
+# nor the test step above compiles it: a public-API break, or a change
+# that fails its per-seed byte and count checks, would show only when the
+# benchmark runs. One 1 s run per workload; its last line must report
+# "correct": true and "failed": 0. No step reads its timings.
+cargo build --release --offline --manifest-path kbench/Cargo.toml
+for workload in sim_ideal sim_fabric_faults sim_sharded model_pipeline; do
+    last=$(cargo run --release --offline --quiet --manifest-path kbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    if ! grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' <<<"$last"; then
+        echo "kbench $workload: $last" >&2
+        exit 1
+    fi
+done
+
 echo "== thread-count determinism: tables identical at KOOZA_THREADS=8 =="
 # The test itself sweeps 1/2/8 via the thread override (and, since the
 # KTC format landed, direct vs JSONL vs KTC ingest at each count);
