@@ -9,9 +9,26 @@
 //! per-subsystem demands gets the right latency, and one that mis-orders
 //! or mis-correlates demands does not.
 //!
-//! Replay is one-request-at-a-time (no queueing), matching the paper's
-//! single-request Table 2 experiments; hardware state (disk head, memory
-//! bank) persists across requests so locality still matters.
+//! Two replays share those models:
+//!
+//! * [`Replayer`] and [`replay_latency_secs`] run one request at a time
+//!   (no queueing), matching the paper's single-request Table 2
+//!   experiments; hardware state (disk head, memory bank) persists across
+//!   requests so locality still matters.
+//! * [`replay_loaded_latency_secs`] and its batched form let requests
+//!   arrive at their generated inter-arrival times and queue at the CPU,
+//!   disk and NIC stations. The validation and cross-examination
+//!   harnesses use this one, since the latencies they compare against
+//!   include queueing.
+//!
+//! Loaded replay keeps its arrivals out of the event heap. The arrival
+//! instants stay in a time-ordered vector walked by a cursor, and the
+//! heap holds only service completions and the zero-delay starts of
+//! later phases. The merge rule reproduces the order of a heap filled
+//! with every arrival up front: the next arrival goes first whenever its
+//! instant is at or before the heap's next event, because arrivals
+//! scheduled before everything else held the lowest sequence numbers
+//! and so won every tie at equal instants.
 
 use kooza_gfs::{ClusterConfig, CpuParams, DiskParams, LinkParams, MemoryParams};
 use kooza_gfs::{DiskModel, LinkModel, MemoryModel};
@@ -164,18 +181,32 @@ fn replay_loaded_impl(requests: &[SyntheticRequest], config: ReplayConfig) -> Ve
         ServerPool::new(1),
     ];
 
-    let mut start_times = vec![SimTime::ZERO; requests.len()];
+    // Arrival instants at cumulative inter-arrival offsets, in time order.
+    let mut t = SimTime::ZERO;
+    let start_times: Vec<SimTime> = requests
+        .iter()
+        .map(|r| {
+            t += SimDuration::from_secs_f64(r.interarrival_secs.max(0.0));
+            t
+        })
+        .collect();
     let mut latencies = vec![f64::NAN; requests.len()];
 
-    // Schedule arrivals at cumulative inter-arrival offsets.
-    let mut t = SimTime::ZERO;
-    for (i, r) in requests.iter().enumerate() {
-        t += SimDuration::from_secs_f64(r.interarrival_secs.max(0.0));
-        engine.schedule_at(t, Ev::Start { req: i, phase: 0 });
-        start_times[i] = t;
-    }
-
-    while let Some((now, ev)) = engine.next() {
+    // Arrivals stream from `start_times`, winning ties with the heap (see
+    // the module doc). The engine's clock never sees them, so handlers
+    // schedule at absolute instants.
+    let mut arrived = 0;
+    loop {
+        let (now, ev) = match start_times.get(arrived) {
+            Some(&at) if engine.peek_time().is_none_or(|next| at <= next) => {
+                arrived += 1;
+                (at, Ev::Start { req: arrived - 1, phase: 0 })
+            }
+            _ => match engine.next() {
+                Some(event) => event,
+                None => break,
+            },
+        };
         match ev {
             Ev::Start { req, phase } => {
                 let Some(demand) = requests[req].phases.get(phase) else {
@@ -190,7 +221,7 @@ fn replay_loaded_impl(requests: &[SyntheticRequest], config: ReplayConfig) -> Ve
                 };
                 if let Some((r, p)) = started {
                     let service = hardware.service(&requests[r].phases[p]);
-                    engine.schedule(service, Ev::Done { req: r, phase: p });
+                    engine.schedule_at(now + service, Ev::Done { req: r, phase: p });
                 }
             }
             Ev::Done { req, phase } => {
@@ -199,12 +230,12 @@ fn replay_loaded_impl(requests: &[SyntheticRequest], config: ReplayConfig) -> Ve
                 if let Some(s) = station(&requests[req].phases[phase]) {
                     if let Some((r, p)) = pools[s].complete(now) {
                         let service = hardware.service(&requests[r].phases[p]);
-                        engine.schedule(service, Ev::Done { req: r, phase: p });
+                        engine.schedule_at(now + service, Ev::Done { req: r, phase: p });
                     }
                 }
                 // Advance the request.
                 if phase + 1 < requests[req].phases.len() {
-                    engine.schedule(SimDuration::ZERO, Ev::Start { req, phase: phase + 1 });
+                    engine.schedule_at(now, Ev::Start { req, phase: phase + 1 });
                 } else {
                     latencies[req] = (now - start_times[req]).as_secs_f64();
                 }
@@ -224,7 +255,8 @@ fn replay_loaded_impl(requests: &[SyntheticRequest], config: ReplayConfig) -> Ve
             10_000_000_000,
         ];
         reg.counter_add("replay.requests", requests.len() as u64);
-        reg.counter_add("replay.events", engine.processed());
+        // Arrivals are events too, though they never enter the heap.
+        reg.counter_add("replay.events", engine.processed() + requests.len() as u64);
         reg.gauge_max("replay.pending_high_water", engine.pending_high_water() as f64);
         let histogram = reg.histogram_mut("replay.latency_nanos", LATENCY_BOUNDS);
         for &latency in &latencies {
@@ -239,6 +271,8 @@ fn replay_loaded_impl(requests: &[SyntheticRequest], config: ReplayConfig) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kooza_sim::rng::Rng64;
+    use kooza_sim::{Engine, ServerPool, SimTime};
     use kooza_trace::record::IoOp;
 
     fn read_request(size: u64, lbn: u64) -> SyntheticRequest {
@@ -326,5 +360,121 @@ mod tests {
         let mut replayer = Replayer::new(ReplayConfig::default());
         let seq: Vec<f64> = reqs.iter().map(|r| replayer.latency_secs(r)).collect();
         assert_eq!(batch, seq);
+    }
+
+    /// Loaded replay with every arrival scheduled in the heap before the
+    /// first event: the loop `replay_loaded_impl` replaced, kept as the
+    /// reference for its event order.
+    fn reference_replay(requests: &[SyntheticRequest], config: ReplayConfig) -> Vec<f64> {
+        enum Ev {
+            Start { req: usize, phase: usize },
+            Done { req: usize, phase: usize },
+        }
+        let mut engine: Engine<Ev> = Engine::new();
+        let mut hardware = Replayer::new(config);
+        let mut pools: [ServerPool<(usize, usize)>; 4] = [
+            ServerPool::new(1),
+            ServerPool::new(1),
+            ServerPool::new(config.cpu.cores.max(1)),
+            ServerPool::new(1),
+        ];
+        let mut start_times = vec![SimTime::ZERO; requests.len()];
+        let mut latencies = vec![f64::NAN; requests.len()];
+        let mut t = SimTime::ZERO;
+        for (i, r) in requests.iter().enumerate() {
+            t += SimDuration::from_secs_f64(r.interarrival_secs.max(0.0));
+            engine.schedule_at(t, Ev::Start { req: i, phase: 0 });
+            start_times[i] = t;
+        }
+        while let Some((now, ev)) = engine.next() {
+            match ev {
+                Ev::Start { req, phase } => {
+                    let Some(demand) = requests[req].phases.get(phase) else {
+                        latencies[req] = (now - start_times[req]).as_secs_f64();
+                        continue;
+                    };
+                    let started = match station(demand) {
+                        Some(s) => pools[s].arrive(now, (req, phase)),
+                        None => Some((req, phase)),
+                    };
+                    if let Some((r, p)) = started {
+                        let service = hardware.service(&requests[r].phases[p]);
+                        engine.schedule(service, Ev::Done { req: r, phase: p });
+                    }
+                }
+                Ev::Done { req, phase } => {
+                    if let Some(s) = station(&requests[req].phases[phase]) {
+                        if let Some((r, p)) = pools[s].complete(now) {
+                            let service = hardware.service(&requests[r].phases[p]);
+                            engine.schedule(service, Ev::Done { req: r, phase: p });
+                        }
+                    }
+                    if phase + 1 < requests[req].phases.len() {
+                        engine.schedule(SimDuration::ZERO, Ev::Start { req, phase: phase + 1 });
+                    } else {
+                        latencies[req] = (now - start_times[req]).as_secs_f64();
+                    }
+                }
+            }
+        }
+        latencies
+    }
+
+    /// A batch built to put arrivals and completions on the same
+    /// nanosecond: interarrivals and CPU/opaque service times are small
+    /// whole microseconds, zero included, so ties are common. Memory and
+    /// opaque phases hold no station, and memory banks and disk blocks
+    /// make the hardware state depend on the order services start.
+    fn tied_batch(rng: &mut Rng64) -> Vec<SyntheticRequest> {
+        let micros = |rng: &mut Rng64, max: u64| rng.next_bounded(max + 1) * 1_000;
+        let n = rng.next_bounded(40) as usize;
+        (0..n)
+            .map(|_| {
+                let phases = (0..rng.next_bounded(5))
+                    .map(|_| match rng.next_bounded(6) {
+                        0 => PhaseDemand::Cpu { busy_nanos: micros(rng, 3) },
+                        1 => PhaseDemand::Opaque { duration_nanos: micros(rng, 3) },
+                        2 => PhaseDemand::Memory {
+                            bank: rng.next_bounded(4) as u32,
+                            bytes: 64 << rng.next_bounded(6),
+                            op: IoOp::Read,
+                        },
+                        3 => PhaseDemand::Disk {
+                            lbn: rng.next_bounded(4) * 1_000_000,
+                            bytes: 4096,
+                            op: IoOp::Write,
+                        },
+                        4 => PhaseDemand::NetworkIn { bytes: 1024 },
+                        _ => PhaseDemand::NetworkOut { bytes: 1024 },
+                    })
+                    .collect();
+                SyntheticRequest { interarrival_secs: micros(rng, 2) as f64 * 1e-9, phases }
+            })
+            .collect()
+    }
+
+    /// Streaming arrivals reproduce the pre-filled heap's order exactly,
+    /// ties at equal instants included: latencies agree bit for bit.
+    #[test]
+    fn streamed_arrivals_match_the_prefilled_heap() {
+        let mut batches = 0;
+        for seed in 0..40 {
+            let mut rng = Rng64::new(seed);
+            let batch = tied_batch(&mut rng);
+            for cores in [1, 8] {
+                let mut config = ReplayConfig::default();
+                config.cpu.cores = cores;
+                let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(replay_loaded_impl(&batch, config)),
+                    bits(reference_replay(&batch, config)),
+                    "seed {seed}, {cores} cores, {} requests",
+                    batch.len()
+                );
+            }
+            batches += usize::from(!batch.is_empty());
+        }
+        assert!(batches >= 20, "only {batches} non-empty batches");
+        assert!(replay_loaded_impl(&[], ReplayConfig::default()).is_empty());
     }
 }

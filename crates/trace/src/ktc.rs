@@ -239,6 +239,39 @@ fn guarded_capacity(count: u64, payload_len: usize) -> usize {
 // Writer
 // ---------------------------------------------------------------------------
 
+/// Slots in [`NameCache`]: more than the simulator's ten span names.
+const NAME_CACHE_SLOTS: usize = 16;
+
+/// Intern indices of the span names one [`KtcWriter::write_spans`] call
+/// has looked up, keyed by the name's address and length. A simulated
+/// trace shares one allocation per name across all its spans, so nearly
+/// every lookup hits here without hashing the string. A trace read from
+/// JSONL gives every span its own allocation; then every lookup misses,
+/// and the fixed slot count bounds what a miss costs. The cache borrows
+/// the span slice, so no cached address can be freed and reused by a
+/// different string while the cache lives.
+#[derive(Default)]
+struct NameCache<'a> {
+    slots: [Option<(&'a str, u64)>; NAME_CACHE_SLOTS],
+    /// The slot the next miss overwrites, round robin.
+    next: usize,
+}
+
+impl<'a> NameCache<'a> {
+    /// The intern index of `name`: the cached one if this call has seen
+    /// the same allocation, else the one `intern` returns, now cached.
+    fn index(&mut self, name: &'a str, intern: impl FnOnce() -> u64) -> u64 {
+        let mut cached = self.slots.iter().map_while(|slot| *slot);
+        if let Some((_, idx)) = cached.find(|&(seen, _)| std::ptr::eq(seen, name)) {
+            return idx;
+        }
+        let idx = intern();
+        self.slots[self.next] = Some((name, idx));
+        self.next = (self.next + 1) % NAME_CACHE_SLOTS;
+        idx
+    }
+}
+
 /// Streaming KTC encoder.
 ///
 /// Call the per-stream `write_*` methods in any order (each call emits one
@@ -424,6 +457,9 @@ impl<W: Write> KtcWriter<W> {
     ///
     /// Propagates I/O errors.
     pub fn write_spans(&mut self, rows: &[Span]) -> Result<()> {
+        // Fresh for every call: the cache compares name addresses, which
+        // only `rows` keeps from being reused by other strings.
+        let mut names = NameCache::default();
         for chunk in rows.chunks(BLOCK_ROWS) {
             let mut fresh = Vec::new();
             // Column buffers: names and annotations intern as we go.
@@ -444,7 +480,7 @@ impl<W: Write> KtcWriter<W> {
                 }
             }
             for s in chunk {
-                let idx = self.intern(&s.name, &mut fresh);
+                let idx = names.index(&s.name, || self.intern(&s.name, &mut fresh));
                 put_varint(&mut payload, idx);
             }
             let mut prev_start = 0u64;
@@ -1192,6 +1228,35 @@ mod tests {
         w.finish().unwrap();
         let back = TraceSet::read_ktc(buf.as_slice()).unwrap();
         assert_eq!(ts.spans, back.spans);
+    }
+
+    /// Spans sharing one allocation per name, like a simulated trace's.
+    fn spans_named(names: &[&str]) -> Vec<Span> {
+        let shared: Vec<SpanName> = names.iter().map(|&n| SpanName::from(n)).collect();
+        (0..40u64)
+            .map(|i| {
+                let name = shared[i as usize % shared.len()].clone();
+                Span::new(TraceId(i), SpanId(0), None, name, i, i + 1)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn name_cache_lives_for_one_call() {
+        // The first list's names are freed before the second's are made,
+        // so the allocator may hand their addresses to the new names of
+        // equal length: a cache kept across calls would write the old
+        // intern indices.
+        const FIRST: [&str; 3] = ["disk", "cpu.lookup", "net"];
+        const SECOND: [&str; 3] = ["wait", "mem.access", "ack"];
+        let mut buf = Vec::new();
+        let mut w = KtcWriter::new(&mut buf).unwrap();
+        w.write_spans(&spans_named(&FIRST)).unwrap();
+        w.write_spans(&spans_named(&SECOND)).unwrap();
+        w.finish().unwrap();
+        let mut expected = spans_named(&FIRST);
+        expected.extend(spans_named(&SECOND));
+        assert_eq!(TraceSet::read_ktc(buf.as_slice()).unwrap().spans, expected);
     }
 
     #[test]

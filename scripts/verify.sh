@@ -72,6 +72,18 @@ for workload in sim_ideal sim_fabric_faults sim_sharded model_pipeline; do
     fi
 done
 
+echo "== kbench_pairs: paired comparison script runs end to end =="
+# The same freshly built binary on both sides: one 1 s model_pipeline
+# pair checks that the script runs kbench, checks each run and prints a
+# row for every end-to-end metric. No step reads its timings.
+kbench="${CARGO_TARGET_DIR:-kbench/target}/release/kbench"
+rows=$(scripts/kbench_pairs.sh "$kbench" "$kbench" model_pipeline 1 1 1 |
+    grep -Ec ' (yes|no|unresolved)$')
+if [ "$rows" -ne 6 ]; then
+    echo "kbench_pairs printed $rows metric rows, expected 6" >&2
+    exit 1
+fi
+
 echo "== thread-count determinism: tables identical at KOOZA_THREADS=8 =="
 # The test itself sweeps 1/2/8 via the thread override (and, since the
 # KTC format landed, direct vs JSONL vs KTC ingest at each count);

@@ -198,22 +198,36 @@ fn lone_flow_matches_legacy_link_model() {
 }
 
 /// Every started flow eventually completes exactly once when the fabric
-/// is driven to quiescence — no lost or duplicated completions.
+/// is driven to quiescence — no lost or duplicated completions — and
+/// every link has carried exactly the bytes of the flows routed over it.
 #[test]
 fn all_flows_complete_exactly_once() {
+    // A flow completes with up to 1.5 ns of its rate undelivered
+    // (`drained`), and its finish estimate rounds up by up to 1 ns, so a
+    // link's carried bytes may miss its flows' total by this much per
+    // flow: rates never exceed the host link's `BW`.
+    const SLACK_PER_FLOW: f64 = BW * 2.5e-9 + 1e-6;
     checker("all_flows_complete_exactly_once").run(
         zip2(
             usize_range(1, 16), // hosts
-            vec_of(zip2(u64_range(0, 1 << 30), u64_range(0, 1 << 30)), 1, 20),
+            vec_of(
+                zip3(u64_range(0, 1 << 30), u64_range(0, 1 << 30), u64_range(1, 1 << 24)),
+                1,
+                20,
+            ),
         ),
         |&(hosts, ref picks)| {
             let spr = 4.min(hosts);
-            let mut fabric = Fabric::new(hosts, spr, 1.5f64.min(spr as f64), BW, LAT);
-            let flows = decode_flows(hosts, picks);
+            let oversub = 1.5f64.min(spr as f64);
+            let mut fabric = Fabric::new(hosts, spr, oversub, BW, LAT);
+            let ends: Vec<(u64, u64)> = picks.iter().map(|&(a, b, _)| (a, b)).collect();
+            let flows = decode_flows(hosts, &ends);
             let mut pending: Vec<u64> = flows
                 .iter()
-                .map(|&(from, to)| fabric.start_flow(from, to, 1 << 20))
+                .zip(picks)
+                .map(|(&(from, to), &(_, _, bytes))| fabric.start_flow(from, to, bytes))
                 .collect();
+            let mut end = SimTime::ZERO;
             for _ in 0..10_000 {
                 let Some(t) = fabric.next_change() else { break };
                 for id in fabric.advance(t) {
@@ -221,9 +235,28 @@ fn all_flows_complete_exactly_once() {
                     ensure!(pos.is_some(), "flow {id} completed twice or was never started");
                     pending.swap_remove(pos.unwrap());
                 }
+                end = t;
             }
             ensure!(pending.is_empty(), "{} flows never completed", pending.len());
             ensure!(fabric.in_flight() == 0, "fabric still holds flows at quiescence");
+            let mut requested = vec![0.0f64; fabric.link_count()];
+            let mut crossing = vec![0usize; fabric.link_count()];
+            for (&(from, to), &(_, _, bytes)) in flows.iter().zip(picks) {
+                for l in path(hosts, spr, from, to) {
+                    requested[l] += bytes as f64;
+                    crossing[l] += 1;
+                }
+            }
+            for (l, util) in fabric.link_utilization(end).into_iter().enumerate() {
+                let carried = util * capacity(hosts, spr, oversub, l) * end.as_secs_f64();
+                let slack = crossing[l] as f64 * SLACK_PER_FLOW;
+                ensure!(
+                    (carried - requested[l]).abs() <= slack,
+                    "link {l} carried {carried} B of {} B requested by {} flows",
+                    requested[l],
+                    crossing[l]
+                );
+            }
             Ok(())
         },
     );
