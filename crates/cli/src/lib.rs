@@ -33,8 +33,8 @@ usage: kooza <command> [options]
 
 commands:
   simulate     --out <path> [--requests N] [--seed S] [--workload read|write|mixed]
-               [--servers K] [--consult-master] [--faults <spec>]
-               [--shards N|auto] [--topology none|rack:<spr>:<oversub>]
+               [--servers K] [--faults <spec>] [--shards N|auto]
+               [--topology none|rack:<spr>:<oversub>]
                run the GFS simulator and write a trace (JSONL or KTC)
   characterize --trace <path>
                per-subsystem workload profiles of a trace
@@ -137,13 +137,15 @@ impl Options {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(err(format!("unexpected argument `{arg}`")));
             };
-            // Boolean flags take no value; everything else takes one.
-            if key == "consult-master" || key == "strip" {
+            // `--strip` is the one boolean flag; every other option takes a
+            // value, and another option is never one.
+            if key == "strip" {
                 flags.push(key.to_string());
                 i += 1;
             } else {
                 let value = args
                     .get(i + 1)
+                    .filter(|v| !v.starts_with("--"))
                     .ok_or_else(|| err(format!("--{key} needs a value")))?;
                 values.insert(key.to_string(), value.clone());
                 i += 2;
@@ -189,8 +191,8 @@ impl Options {
 fn command_keys(command: &str) -> Result<&'static [&'static str], CliError> {
     Ok(match command {
         "simulate" => &[
-            "out", "requests", "seed", "workload", "servers", "consult-master", "faults", "shards",
-            "topology", "format",
+            "out", "requests", "seed", "workload", "servers", "faults", "shards", "topology",
+            "format",
         ],
         "characterize" | "fit" => &["trace", "format"],
         "validate" => {
@@ -380,7 +382,6 @@ fn simulate(opts: &Options) -> Result<String, CliError> {
         ClusterConfig::small()
     };
     config.workload = workload;
-    config.consult_master = opts.has_flag("consult-master");
     config.faults = parse_faults(opts)?;
     config.topology = parse_topology(opts)?;
     let shards = parse_shards(opts, &config)?;
@@ -400,6 +401,13 @@ fn simulate(opts: &Options) -> Result<String, CliError> {
     if let Topology::Rack { servers_per_rack, oversub } = config.topology {
         shard_note += &format!(", rack fabric {servers_per_rack}:{oversub}");
     }
+    // The cluster's buffer-cache hit ratio: cache-hit reads over completed
+    // reads (writes always go to disk).
+    let (mut reads, mut hits) = (0u64, 0u64);
+    for r in outcome.requests.iter().filter(|r| r.is_read && !r.failed) {
+        reads += 1;
+        hits += u64::from(r.cache_hit);
+    }
     let mut report = format!(
         "simulated {} requests on {} server(s){shard_note} (seed {seed})\n\
          throughput {:.1} req/s | mean latency {:.3} ms | cache hit {:.1}%\n\
@@ -408,7 +416,7 @@ fn simulate(opts: &Options) -> Result<String, CliError> {
         servers,
         outcome.stats.throughput_per_sec(),
         outcome.stats.latency_secs.mean() * 1e3,
-        outcome.stats.cache_hit_ratio.first().copied().unwrap_or(0.0) * 100.0,
+        hits as f64 / reads.max(1) as f64 * 100.0,
         outcome.trace.len(),
     );
     if config.faults.is_some() {
@@ -628,14 +636,48 @@ mod tests {
     }
 
     #[test]
-    fn simulate_multi_server_with_master() {
+    fn simulate_multi_server() {
         let path = temp_path("multiserver");
         let out = run(&args(&format!(
-            "simulate --out {path} --requests 200 --servers 3 --consult-master --workload mixed"
+            "simulate --out {path} --requests 200 --servers 3 --workload mixed"
         )))
         .unwrap();
         assert!(out.contains("3 server(s)"), "{out}");
         cleanup(&path);
+    }
+
+    #[test]
+    fn cache_hit_is_the_clusters_read_hit_ratio_at_any_shard_count() {
+        // 2,588 of the 4,000 reads hit a buffer cache on either hosting;
+        // no one server's ratio is the cluster's.
+        for shards in ["1", "auto"] {
+            let path = temp_path(&format!("cache-hit-{shards}"));
+            let out = run(&args(&format!(
+                "simulate --out {path} --requests 4000 --seed 3 --servers 64 --workload read \
+                 --shards {shards}"
+            )))
+            .unwrap();
+            assert!(out.contains("| cache hit 64.7%"), "--shards {shards}: {out}");
+            cleanup(&path);
+        }
+    }
+
+    #[test]
+    fn an_option_is_never_another_options_value() {
+        let e = run(&args("simulate --requests 10 --out --threads")).unwrap_err();
+        assert_eq!(e.to_string(), "--out needs a value");
+        assert!(!Path::new("--threads").exists(), "simulate wrote a trace named --threads");
+        let path = temp_path("option-value");
+        // A removed flag is named, wherever it stands.
+        for cmd in [
+            format!("simulate --consult-master --out {path}"),
+            format!("simulate --out {path} --consult-master"),
+            format!("simulate --out {path} --consult-master --requests 10"),
+        ] {
+            let e = run(&args(&cmd)).unwrap_err();
+            assert!(e.to_string().contains("--consult-master"), "{cmd}: {e}");
+            assert!(!Path::new(&path).exists(), "{cmd} wrote a trace");
+        }
     }
 
     #[test]

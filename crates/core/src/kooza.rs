@@ -364,22 +364,22 @@ mod tests {
     }
 
     #[test]
-    fn master_lookup_phase_learned_as_opaque() {
-        // Full-path GFS (master consulted): the unfamiliar phase is
-        // reproduced by duration, and the model still trains/generates.
-        let mut config = ClusterConfig::small();
-        config.consult_master = true;
-        config.workload =
-            WorkloadMix { n_chunks: 100_000, zipf_skew: 0.5, ..WorkloadMix::read_heavy() };
+    fn unmodelled_phase_learned_as_opaque() {
+        // Replicated writes carry a `replicate` phase, which no subsystem
+        // model covers: KOOZA reproduces it by its duration.
+        let mut config = ClusterConfig::cluster(3);
+        config.workload = WorkloadMix::write_heavy();
         let outcome = Cluster::new(&config).unwrap().run(400, 52);
         let model = Kooza::fit(&outcome.trace).unwrap();
-        let dominant = model.structure().dominant();
-        assert_eq!(dominant.signature.0.first().map(String::as_str), Some("master.lookup"));
+        let signature = &model.structure().dominant().signature.0;
+        let replicate = signature.iter().position(|p| p == "replicate").expect("writes replicate");
         let mut rng = Rng64::new(53);
         let reqs = model.generate(50, &mut rng);
-        for r in &reqs {
-            assert!(matches!(r.phases[0], PhaseDemand::Opaque { .. }), "{:?}", r.phases[0]);
-            assert!(matches!(r.phases[1], PhaseDemand::NetworkIn { .. }));
+        let dominant: Vec<_> = reqs.iter().filter(|r| r.phases.len() == signature.len()).collect();
+        assert!(!dominant.is_empty());
+        for r in dominant {
+            let phase = &r.phases[replicate];
+            assert!(matches!(phase, PhaseDemand::Opaque { .. }), "{phase:?}");
         }
     }
 

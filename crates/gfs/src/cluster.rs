@@ -102,16 +102,10 @@ pub struct ClusterStats {
     pub cpu_utilization: Vec<f64>,
     /// Per-chunkserver disk utilization.
     pub disk_utilization: Vec<f64>,
-    /// Buffer-cache hit ratio per chunkserver.
-    pub cache_hit_ratio: Vec<f64>,
     /// Total CPU busy time across servers, seconds.
     pub total_cpu_busy_secs: f64,
     /// CPU time spent on tracing instrumentation, seconds.
     pub tracing_busy_secs: f64,
-    /// Master CPU utilization (0 when the master path is disabled).
-    pub master_utilization: f64,
-    /// Client metadata-cache hit ratio (1 when the master path is disabled).
-    pub metadata_hit_ratio: f64,
     /// Simulation events the engine processed.
     pub events_processed: u64,
     /// Deepest the engine's pending-event queue ever got.
@@ -216,11 +210,6 @@ impl Cluster {
             let mut cluster = Cluster::new(config).expect("config validated above");
             cluster.run(t.n_requests, t.seed)
         }))
-    }
-
-    /// The chunk-placement metadata.
-    pub fn master(&self) -> &Master {
-        &self.master
     }
 
     /// The configuration this cluster was built with.
@@ -375,7 +364,6 @@ mod tests {
         // Hot working set: fewer chunks than cache slots.
         let mix = WorkloadMix { n_chunks: 16, ..WorkloadMix::read_heavy() };
         let out = run_small(mix, 1000, 4);
-        assert!(out.stats.cache_hit_ratio[0] > 0.5, "hit ratio {}", out.stats.cache_hit_ratio[0]);
         let hits = out.requests.iter().filter(|r| r.cache_hit).count();
         assert!(hits > 500);
         // Disk records only for the misses.
@@ -484,66 +472,6 @@ mod tests {
             assert_eq!(m.size, 4 * 1024 * 1024 / 16); // 256 KB per 4 MB write
             assert_eq!(m.op, IoOp::Write);
         }
-    }
-
-    #[test]
-    fn master_path_disabled_by_default() {
-        let out = run_small(WorkloadMix::read_heavy(), 100, 30);
-        assert_eq!(out.stats.metadata_hit_ratio, 1.0);
-        assert_eq!(out.stats.master_utilization, 0.0);
-        // No master.lookup phases.
-        for tree in out.trace.span_trees() {
-            assert!(!tree.phase_sequence().contains(&"master.lookup"));
-        }
-    }
-
-    #[test]
-    fn master_path_adds_lookup_phase_on_misses() {
-        let mut config = ClusterConfig::small();
-        config.consult_master = true;
-        config.workload = WorkloadMix { n_chunks: 100_000, zipf_skew: 0.5, ..WorkloadMix::read_heavy() };
-        let mut cluster = Cluster::new(&config).unwrap();
-        let out = cluster.run(300, 31);
-        assert_eq!(out.stats.completed, 300);
-        // Cold, huge working set: almost every lookup misses.
-        assert!(out.stats.metadata_hit_ratio < 0.1, "hit {}", out.stats.metadata_hit_ratio);
-        assert!(out.stats.master_utilization > 0.0);
-        let with_lookup = out
-            .trace
-            .span_trees()
-            .iter()
-            .filter(|t| t.phase_sequence().first() == Some(&"master.lookup"))
-            .count();
-        assert!(with_lookup > 250, "only {with_lookup} requests consulted the master");
-    }
-
-    #[test]
-    fn metadata_cache_absorbs_hot_lookups() {
-        let mut config = ClusterConfig::small();
-        config.consult_master = true;
-        config.workload = WorkloadMix { n_chunks: 50, ..WorkloadMix::read_heavy() };
-        let mut cluster = Cluster::new(&config).unwrap();
-        let out = cluster.run(1000, 32);
-        // 50 chunks, 256-entry caches: everything hits after warmup.
-        assert!(out.stats.metadata_hit_ratio > 0.8, "hit {}", out.stats.metadata_hit_ratio);
-    }
-
-    #[test]
-    fn master_consult_increases_latency() {
-        let mix = WorkloadMix { n_chunks: 100_000, zipf_skew: 0.5, ..WorkloadMix::read_heavy() };
-        let mut with_cfg = ClusterConfig::small();
-        with_cfg.consult_master = true;
-        with_cfg.workload = mix;
-        let with_master = Cluster::new(&with_cfg).unwrap().run(300, 33);
-        let mut without_cfg = ClusterConfig::small();
-        without_cfg.workload = mix;
-        let without = Cluster::new(&without_cfg).unwrap().run(300, 33);
-        assert!(
-            with_master.stats.latency_secs.mean() > without.stats.latency_secs.mean(),
-            "with {} without {}",
-            with_master.stats.latency_secs.mean(),
-            without.stats.latency_secs.mean()
-        );
     }
 
     #[test]

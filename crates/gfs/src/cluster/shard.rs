@@ -4,7 +4,7 @@
 //! A shard owns an engine, a group of chunkservers (stations, hardware
 //! models, liveness and crash epochs), the transport seam (ideal links or a
 //! rack fabric), a mailbox and, on shard 0, the control plane: the workload
-//! generator, the master, client metadata caches, attempt timeouts and the
+//! generator, the master's placement table, attempt timeouts and the
 //! outcome ledger. Two hostings run the same handlers:
 //!
 //! * [`Cluster::run`] hosts one shard owning every server. Its mailbox
@@ -24,7 +24,7 @@
 //! ([`placement`]). DESIGN.md §11 lists each one next to its test.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
@@ -40,7 +40,7 @@ use kooza_trace::TraceSet;
 
 use super::{Cluster, ClusterOutcome, ClusterStats, FaultStats, RequestOutcome};
 use crate::config::{ClusterConfig, Topology};
-use crate::fault::{FaultPlan, FaultSpec, FAULT_HORIZON_SLACK_SECS};
+use crate::fault::{FaultPlan, FAULT_HORIZON_SLACK_SECS};
 use crate::hardware::{CpuModel, DiskModel, LinkModel, MemoryModel};
 use crate::master::{ChunkHandle, Master, LBNS_PER_CHUNK};
 
@@ -202,8 +202,6 @@ enum Ev {
         attempt: u32,
         epoch: u32,
     },
-    /// Master location lookup finished for this request.
-    MasterDone { id: u64 },
     /// A chunkserver goes down (pre-scheduled from the fault plan).
     Crash { server: usize },
     /// A crashed chunkserver comes back up.
@@ -264,7 +262,6 @@ pub(super) enum ShardMsg {
 #[derive(Debug, Clone, Copy)]
 enum Phase {
     Request,
-    MasterLookup,
     FaultRetry,
     NetworkIn,
     CpuLookup,
@@ -277,9 +274,8 @@ enum Phase {
 
 impl Phase {
     /// Every phase, in discriminant order.
-    const ALL: [Phase; 10] = [
+    const ALL: [Phase; 9] = [
         Phase::Request,
-        Phase::MasterLookup,
         Phase::FaultRetry,
         Phase::NetworkIn,
         Phase::CpuLookup,
@@ -294,7 +290,6 @@ impl Phase {
     fn name(self) -> &'static str {
         match self {
             Phase::Request => "request",
-            Phase::MasterLookup => "master.lookup",
             Phase::FaultRetry => "fault.retry",
             Phase::NetworkIn => "network.in",
             Phase::CpuLookup => "cpu.lookup",
@@ -813,7 +808,7 @@ impl Host {
     }
 }
 
-/// The control plane (shard 0 only): workload generation, master metadata,
+/// The control plane (shard 0 only): workload generation, chunk placement,
 /// client timeouts and the outcome ledger.
 #[derive(Debug)]
 struct Control {
@@ -829,11 +824,6 @@ struct Control {
     gap: Exponential,
     /// Chunk placement; repairs rewrite it during the run.
     master: Master,
-    master_pool: ServerPool<(u64, SimDuration)>,
-    master_service: SimDuration,
-    metadata_caches: Vec<VecDeque<ChunkHandle>>,
-    metadata_lookups: u64,
-    metadata_hits: u64,
     /// Picks the requests whose span trees are recorded.
     sampler: Sampler,
     /// The sampled requests' spans, in completion order.
@@ -893,17 +883,6 @@ fn live_target(
             (!live.is_empty()).then(|| *rng.choose(&live))
         }
         Kind::Write => live.next(),
-    }
-}
-
-/// Arms the live attempt's timeout unless one is already running.
-fn arm_timeout(engine: &mut Engine<Ev>, faults: &FaultSpec, id: u64, st: &mut ReqState) {
-    if st.timeout.is_none() {
-        let ev = Ev::RequestTimeout {
-            id,
-            attempt: st.attempt,
-        };
-        st.timeout = Some(engine.schedule_cancellable(faults.timeout_for_attempt(st.attempt), ev));
     }
 }
 
@@ -1005,13 +984,6 @@ impl Shard {
             gap: Exponential::with_mean(cfg.workload.mean_interarrival_secs)
                 .expect("validated config"),
             master,
-            master_pool: ServerPool::new(1),
-            master_service: SimDuration::from_secs_f64(
-                2.0 * cfg.link.latency_secs + cfg.master_lookup_secs,
-            ),
-            metadata_caches: vec![VecDeque::new(); cfg.n_clients],
-            metadata_lookups: 0,
-            metadata_hits: 0,
             sampler: Sampler::one_in(cfg.trace_sampling),
             span_rows: Vec::new(),
             server_of: vec![0; n_requests as usize],
@@ -1215,7 +1187,6 @@ impl Shard {
             } => {
                 self.net_out_done(now, id, server, attempt, epoch);
             }
-            Ev::MasterDone { id } => self.master_done(now, id),
             Ev::Crash { server } => self.crash(now, server),
             Ev::Recover { server } => self.recover(server),
             Ev::RequestTimeout { id, attempt } => self.request_timeout(now, id, attempt),
@@ -1228,8 +1199,7 @@ impl Shard {
 
 // Control-plane handlers (shard 0).
 impl Shard {
-    /// `Ev::NewRequest`: draw request `id`, then dispatch it or queue it
-    /// behind the master lookup.
+    /// `Ev::NewRequest`: draw request `id` and dispatch it.
     fn new_request(&mut self, now: SimTime, id: u64) {
         let (ctl, ledger, host) = self.split();
         if id + 1 < ctl.n_requests {
@@ -1290,53 +1260,7 @@ impl Shard {
             replacements: Vec::new(),
             replicas: Vec::new(),
         };
-        let st = ledger.entry(id).insert_entry(st).into_mut();
-        // Metadata path: consult the master unless the client's location
-        // cache already knows the chunk.
-        let cached = !ctl.cfg.consult_master || {
-            ctl.metadata_lookups += 1;
-            let cache = &mut ctl.metadata_caches[(id % ctl.cfg.n_clients as u64) as usize];
-            let pos = cache.iter().position(|&c| c == chunk);
-            if let Some(pos) = pos {
-                cache.remove(pos);
-                cache.push_back(chunk);
-                ctl.metadata_hits += 1;
-            }
-            pos.is_some()
-        };
-        // A request with no reachable replica skips the master path: there
-        // is nothing to look up a location for, it just waits on its timer.
-        if cached || target.is_none() {
-            return self.dispatch(now, id, target);
-        }
-        // Arm the attempt timer over the master wait too.
-        if let Some(f) = &ctl.cfg.faults {
-            arm_timeout(&mut host.engine, f, id, st);
-        }
-        if let Some((job, service)) = ctl.master_pool.arrive(now, (id, ctl.master_service)) {
-            host.engine.schedule(service, Ev::MasterDone { id: job });
-        }
-    }
-
-    /// `Ev::MasterDone`: the location lookup is back; cache it and dispatch.
-    fn master_done(&mut self, now: SimTime, id: u64) {
-        let (ctl, ledger, host) = self.split();
-        if let Some((job, service)) = ctl.master_pool.complete(now) {
-            host.engine.schedule(service, Ev::MasterDone { id: job });
-        }
-        // The request may have failed or moved on to a retry while the
-        // lookup was queued; the pool bookkeeping above still had to happen.
-        let Some(st) = ledger.get_mut(&id).filter(|st| st.attempt == 0) else {
-            return;
-        };
-        st.mark(Phase::MasterLookup, now);
-        // Cache the location for this client (LRU).
-        let cache = &mut ctl.metadata_caches[(id % ctl.cfg.n_clients as u64) as usize];
-        cache.push_back(st.chunk);
-        while cache.len() > ctl.cfg.client_metadata_cache.max(1) {
-            cache.pop_front();
-        }
-        let target = Some(st.server);
+        ledger.insert(id, st);
         self.dispatch(now, id, target);
     }
 
@@ -1347,10 +1271,11 @@ impl Shard {
         let (ctl, ledger, host) = self.split();
         let st = ledger.get_mut(&id).expect("caller holds a live request");
         let mut sent = None;
-        // The target may have crashed between selection and dispatch
-        // (master lookups take time); an unreachable target just leaves the
-        // timer to drive the retry.
-        if let Some(server) = target.filter(|&s| host.alive[s]) {
+        // The caller chose the target among live replicas in this same
+        // event; `None` means none is reachable, and the timer drives the
+        // retry.
+        if let Some(server) = target {
+            debug_assert!(host.alive[server], "dispatch to crashed server {server}");
             st.server = server;
             ctl.server_of[id as usize] = server;
             // Ingress: a small header for reads, the payload for writes.
@@ -1382,12 +1307,16 @@ impl Shard {
         }
         let (ctl, ledger, host) = self.split();
         if let Some(f) = &ctl.cfg.faults {
-            arm_timeout(
-                &mut host.engine,
-                f,
+            // A first attempt has no timer yet, and a retry's was cleared
+            // when it fired.
+            let st = ledger.get_mut(&id).expect("still live");
+            debug_assert!(st.timeout.is_none(), "request {id} already has a timer");
+            let ev = Ev::RequestTimeout {
                 id,
-                ledger.get_mut(&id).expect("still live"),
-            );
+                attempt: st.attempt,
+            };
+            let delay = f.timeout_for_attempt(st.attempt);
+            st.timeout = Some(host.engine.schedule_cancellable(delay, ev));
         }
     }
 
@@ -1966,7 +1895,6 @@ pub(super) fn finish(cluster: &Cluster, mut shards: Vec<Shard>) -> ClusterOutcom
     }
     let mut cpu_utilization = vec![0.0; n];
     let mut disk_utilization = vec![0.0; n];
-    let mut cache_hit_ratio = vec![0.0; n];
     let mut queue_high_water_per_server = vec![0u64; n];
     let (mut total_cpu_busy, mut tracing_busy) = (SimDuration::ZERO, SimDuration::ZERO);
     let (mut events_processed, mut pending_high_water) = (0u64, 0u64);
@@ -1977,7 +1905,6 @@ pub(super) fn finish(cluster: &Cluster, mut shards: Vec<Shard>) -> ClusterOutcom
         for (s, server) in host.range.clone().zip(&host.servers) {
             cpu_utilization[s] = server.cpu_pool.utilization(end);
             disk_utilization[s] = server.disk_pool.utilization(end);
-            cache_hit_ratio[s] = server.memory.hit_ratio();
             queue_high_water_per_server[s] = server.queue_high_water();
         }
         total_cpu_busy += host.total_cpu_busy;
@@ -1997,15 +1924,8 @@ pub(super) fn finish(cluster: &Cluster, mut shards: Vec<Shard>) -> ClusterOutcom
         makespan_secs: end.as_secs_f64(),
         cpu_utilization,
         disk_utilization,
-        cache_hit_ratio,
         total_cpu_busy_secs: total_cpu_busy.as_secs_f64(),
         tracing_busy_secs: tracing_busy.as_secs_f64(),
-        master_utilization: ctl.master_pool.utilization(end),
-        metadata_hit_ratio: if ctl.metadata_lookups == 0 {
-            1.0
-        } else {
-            ctl.metadata_hits as f64 / ctl.metadata_lookups as f64
-        },
         events_processed,
         pending_high_water,
         requests_per_server,

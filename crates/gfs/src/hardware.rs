@@ -82,8 +82,6 @@ pub struct MemoryModel {
     last_bank: u32,
     /// LRU queue of cached chunks, most recent at the back.
     cache: VecDeque<ChunkHandle>,
-    hits: u64,
-    lookups: u64,
 }
 
 impl MemoryModel {
@@ -93,8 +91,6 @@ impl MemoryModel {
             params,
             last_bank: 0,
             cache: VecDeque::new(),
-            hits: 0,
-            lookups: 0,
         }
     }
 
@@ -117,10 +113,8 @@ impl MemoryModel {
     /// Buffer-cache lookup: returns whether `chunk` was cached, and makes
     /// it most-recently-used (inserting it if absent, evicting LRU).
     pub fn cache_access(&mut self, chunk: ChunkHandle) -> bool {
-        self.lookups += 1;
         let hit = if let Some(pos) = self.cache.iter().position(|&c| c == chunk) {
             self.cache.remove(pos);
-            self.hits += 1;
             true
         } else {
             false
@@ -130,15 +124,6 @@ impl MemoryModel {
             self.cache.pop_front();
         }
         hit
-    }
-
-    /// Cache hit ratio so far.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
     }
 
     /// Number of banks.
@@ -240,7 +225,6 @@ mod tests {
         assert!(!m.cache_access(ChunkHandle(3))); // miss, evicts 2
         assert!(!m.cache_access(ChunkHandle(2))); // miss (was evicted)
         assert!(m.cache_access(ChunkHandle(2))); // hit
-        assert!((m.hit_ratio() - 2.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

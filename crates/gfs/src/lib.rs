@@ -16,7 +16,7 @@
 //! * [`MemoryModel`] — banked memory with bank-switch penalties and an
 //!   LRU chunk buffer cache.
 //! * [`LinkModel`] — latency + bandwidth network links.
-//! * [`Master`] — chunk metadata, placement and replication.
+//! * [`Master`] — chunk placement and replication.
 //! * [`FaultPlan`] — deterministic crash/recover schedules, degraded
 //!   disks and link drops (armed via `ClusterConfig::faults`).
 //! * [`Cluster`] — the simulation: clients issue a configurable workload

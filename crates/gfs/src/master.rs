@@ -20,11 +20,8 @@ pub const LBNS_PER_CHUNK: u64 = 64 * 1024 * 1024 / 512;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Master {
     n_servers: usize,
-    replication: usize,
     /// `placements[chunk][r]` = server index of replica `r`.
     placements: Vec<Vec<usize>>,
-    /// Per-server count of primary replicas (load-balance bookkeeping).
-    primaries: Vec<u64>,
 }
 
 impl Master {
@@ -61,20 +58,13 @@ impl Master {
             });
         }
         let mut placements = Vec::with_capacity(n_chunks as usize);
-        let mut primaries = vec![0u64; n_servers];
         for _ in 0..n_chunks {
             let start = rng.next_bounded(n_servers as u64) as usize;
             let replicas: Vec<usize> =
                 (0..replication).map(|r| (start + r) % n_servers).collect();
-            primaries[replicas[0]] += 1;
             placements.push(replicas);
         }
-        Ok(Master {
-            n_servers,
-            replication,
-            placements,
-            primaries,
-        })
+        Ok(Master { n_servers, placements })
     }
 
     /// Creates a master with *group-aligned* placement for sharded runs:
@@ -119,7 +109,6 @@ impl Master {
         let mut rngs: Vec<Rng64> =
             (0..groups).map(|g| Rng64::for_stream(seed, g as u64)).collect();
         let mut placements = Vec::with_capacity(n_chunks as usize);
-        let mut primaries = vec![0u64; n_servers];
         for c in 0..n_chunks {
             let g = (c % groups as u64) as usize;
             let range = &ranges[g];
@@ -127,30 +116,9 @@ impl Master {
             let off = rngs[g].next_bounded(len as u64) as usize;
             let replicas: Vec<usize> =
                 (0..replication).map(|r| range.start + (off + r) % len).collect();
-            primaries[replicas[0]] += 1;
             placements.push(replicas);
         }
-        Ok(Master {
-            n_servers,
-            replication,
-            placements,
-            primaries,
-        })
-    }
-
-    /// Number of chunks tracked.
-    pub fn n_chunks(&self) -> u64 {
-        self.placements.len() as u64
-    }
-
-    /// Number of chunkservers.
-    pub fn n_servers(&self) -> usize {
-        self.n_servers
-    }
-
-    /// Replication factor.
-    pub fn replication(&self) -> usize {
-        self.replication
+        Ok(Master { n_servers, placements })
     }
 
     /// The primary replica's server for a chunk.
@@ -192,9 +160,8 @@ impl Master {
     }
 
     /// Re-replication commit: replaces replica `old` with server `new` in
-    /// a chunk's placement, keeping the primary bookkeeping consistent.
-    /// A no-op if `old` no longer holds the chunk or `new` already does
-    /// (a concurrent re-replication won the race).
+    /// a chunk's placement. A no-op if `old` no longer holds the chunk or
+    /// `new` already does (a concurrent re-replication won the race).
     ///
     /// # Panics
     ///
@@ -207,10 +174,6 @@ impl Master {
         }
         if let Some(pos) = reps.iter().position(|&s| s == old) {
             reps[pos] = new;
-            if pos == 0 {
-                self.primaries[old] -= 1;
-                self.primaries[new] += 1;
-            }
         }
     }
 
@@ -251,8 +214,12 @@ mod tests {
         let mut rng = Rng64::new(1701);
         let m = Master::place(10_000, 8, 3, &mut rng).unwrap();
         // Max/mean primaries per server (1 = perfect).
-        let max = *m.primaries.iter().max().unwrap() as f64;
-        let mean = m.primaries.iter().sum::<u64>() as f64 / m.primaries.len() as f64;
+        let mut primaries = [0u64; 8];
+        for c in 0..10_000 {
+            primaries[m.primary(ChunkHandle(c))] += 1;
+        }
+        let max = *primaries.iter().max().unwrap() as f64;
+        let mean = primaries.iter().sum::<u64>() as f64 / primaries.len() as f64;
         assert!(max / mean < 1.15, "imbalance {}", max / mean);
     }
 
@@ -318,7 +285,7 @@ mod tests {
         let before = m.clone();
         m.replace_replica(chunk, old, new);
         assert_eq!(m, before);
-        // Replacing the primary updates the primary bookkeeping.
+        // Replacing the primary moves the primary.
         let primary = m.primary(chunk);
         let target = (0..4).find(|s| !m.replicas(chunk).contains(s)).unwrap();
         m.replace_replica(chunk, primary, target);

@@ -239,7 +239,7 @@ fn guarded_capacity(count: u64, payload_len: usize) -> usize {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Slots in [`NameCache`]: more than the simulator's ten span names.
+/// Slots in [`NameCache`]: more than the simulator's nine span names.
 const NAME_CACHE_SLOTS: usize = 16;
 
 /// Intern indices of the span names one [`KtcWriter::write_spans`] call
