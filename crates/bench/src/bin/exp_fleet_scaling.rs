@@ -41,7 +41,8 @@ fn main() {
     );
     let groups = observations_by_server(&outcome).expect("assembles");
     for (i, obs) in groups.iter().enumerate() {
-        let span_secs = (obs.last().unwrap().arrival_nanos - obs[0].arrival_nanos) as f64 / 1e9;
+        let (first, last) = (obs.iter().next().unwrap(), obs.iter().next_back().unwrap());
+        let span_secs = (last.arrival_nanos - first.arrival_nanos) as f64 / 1e9;
         let orig_rate = (obs.len() - 1) as f64 / span_secs;
         let orig_lat = obs.iter().map(|o| o.latency_nanos as f64 / 1e6).sum::<f64>()
             / obs.len() as f64;

@@ -3,13 +3,14 @@
 //! Models train on *requests*, not raw record streams; this module joins
 //! the four per-subsystem streams and the span tree of each request id
 //! (the Dapper global-identifier discipline makes that join possible) into
-//! a [`RequestObservation`], and derives the request's structural
+//! one [`Observations`] table, read a request at a time through
+//! [`RequestObservation`], and derives each request's structural
 //! *class* — its phase sequence signature. Classes are what KOOZA's
 //! time-dependency queue is built from.
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hasher};
 use std::ops::Range;
 
 use kooza_trace::record::{Direction, IoOp};
@@ -27,18 +28,144 @@ impl std::fmt::Display for ClassSignature {
     }
 }
 
+/// A span name interned in one [`Observations`] table. Ids from different
+/// tables are unrelated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PhaseId(usize);
+
 /// One leaf phase of a request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObservedPhase {
-    /// The leaf span's name, shared with the span it came from.
-    pub name: SpanName,
+    /// The leaf span's name, interned in the table the phase belongs to
+    /// (spelled by [`RequestObservation::phase_name`]).
+    pub name: PhaseId,
     /// The leaf span's duration, nanoseconds.
     pub duration_nanos: u64,
 }
 
-/// Everything observed about one request across all subsystems.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RequestObservation {
+/// Per-request observations joined from a trace: one row per request with
+/// a complete span tree, in (arrival, request id) order.
+///
+/// Rows are fixed-size. A row's leaf phases, memory accesses and storage
+/// accesses are ranges of three columns the rows share, laid out row after
+/// row, and each distinct leaf name is stored once per table. Read rows
+/// with [`iter`](Observations::iter) or [`get`](Observations::get).
+#[derive(Debug, Clone, Default)]
+pub struct Observations {
+    rows: Vec<Row>,
+    phases: Vec<ObservedPhase>,
+    memory: Vec<(u32, u64, IoOp)>,
+    storage: Vec<(u64, u64, IoOp)>,
+    /// What a [`PhaseId`] indexes: each leaf name once, in order of first
+    /// use.
+    names: Vec<SpanName>,
+}
+
+/// One request of an [`Observations`] table; `phases`, `memory` and
+/// `storage` index the table's columns.
+#[derive(Debug, Clone)]
+struct Row {
+    request_id: u64,
+    arrival_nanos: u64,
+    network_in_bytes: u64,
+    network_out_bytes: u64,
+    cpu_busy_nanos: u64,
+    cpu_utilization: f64,
+    latency_nanos: u64,
+    phases: Range<usize>,
+    memory: Range<usize>,
+    storage: Range<usize>,
+}
+
+impl Observations {
+    /// Number of requests.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the table has no requests.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The request in row `index`, if there is one.
+    pub fn get(&self, index: usize) -> Option<RequestObservation<'_>> {
+        self.rows.get(index).map(|row| self.view(row))
+    }
+
+    /// The requests, in row order.
+    pub fn iter(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = RequestObservation<'_>> + ExactSizeIterator {
+        self.rows.iter().map(|row| self.view(row))
+    }
+
+    /// Every request's memory accesses `(bank, bytes, op)`, request after
+    /// request, each request's in stream order.
+    pub fn memory(&self) -> &[(u32, u64, IoOp)] {
+        &self.memory
+    }
+
+    /// Every request's storage accesses `(lbn, bytes, op)`, request after
+    /// request, each request's in stream order.
+    pub fn storage(&self) -> &[(u64, u64, IoOp)] {
+        &self.storage
+    }
+
+    fn view(&self, row: &Row) -> RequestObservation<'_> {
+        RequestObservation {
+            request_id: row.request_id,
+            arrival_nanos: row.arrival_nanos,
+            network_in_bytes: row.network_in_bytes,
+            network_out_bytes: row.network_out_bytes,
+            cpu_busy_nanos: row.cpu_busy_nanos,
+            cpu_utilization: row.cpu_utilization,
+            memory: &self.memory[row.memory.clone()],
+            storage: &self.storage[row.storage.clone()],
+            latency_nanos: row.latency_nanos,
+            phases: &self.phases[row.phases.clone()],
+            names: &self.names,
+        }
+    }
+
+    /// Splits the table into `parts` tables, each row going to
+    /// `part(row)`; every part keeps the rows' order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part` returns `parts` or more.
+    pub(crate) fn partition(
+        &self,
+        parts: usize,
+        part: impl Fn(RequestObservation<'_>) -> usize,
+    ) -> Vec<Observations> {
+        let mut out: Vec<Observations> = (0..parts)
+            .map(|_| Observations { names: self.names.clone(), ..Observations::default() })
+            .collect();
+        for row in &self.rows {
+            let to = &mut out[part(self.view(row))];
+            to.rows.push(Row {
+                phases: append(&mut to.phases, &self.phases[row.phases.clone()]),
+                memory: append(&mut to.memory, &self.memory[row.memory.clone()]),
+                storage: append(&mut to.storage, &self.storage[row.storage.clone()]),
+                ..row.clone()
+            });
+        }
+        out
+    }
+}
+
+/// Appends `items` to `column`, returning where they landed.
+fn append<T: Clone>(column: &mut Vec<T>, items: &[T]) -> Range<usize> {
+    let start = column.len();
+    column.extend_from_slice(items);
+    start..column.len()
+}
+
+/// Everything observed about one request across all subsystems: a row of
+/// an [`Observations`] table, borrowed from it.
+#[derive(Debug, Clone, Copy)]
+pub struct RequestObservation<'a> {
     /// Global request id.
     pub request_id: u64,
     /// Arrival time, nanoseconds.
@@ -52,83 +179,56 @@ pub struct RequestObservation {
     /// CPU utilization over the request lifetime, `[0, 1]`.
     pub cpu_utilization: f64,
     /// Memory accesses: (bank, bytes, op).
-    pub memory: Vec<(u32, u64, IoOp)>,
+    pub memory: &'a [(u32, u64, IoOp)],
     /// Storage accesses: (lbn, bytes, op).
-    pub storage: Vec<(u64, u64, IoOp)>,
+    pub storage: &'a [(u64, u64, IoOp)],
     /// End-to-end latency from the span tree, nanoseconds.
     pub latency_nanos: u64,
     /// Leaf phases in execution order (start time, then span id).
-    pub phases: Vec<ObservedPhase>,
+    pub phases: &'a [ObservedPhase],
+    names: &'a [SpanName],
 }
 
-impl RequestObservation {
+impl<'a> RequestObservation<'a> {
+    /// The name `phase` stands for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `phase` comes from a table with fewer names than this
+    /// request's.
+    pub fn phase_name(&self, phase: PhaseId) -> &'a SpanName {
+        &self.names[phase.0]
+    }
+
     /// The request's structural class: the phase sequence with memory and
     /// storage phases suffixed by their access type (`disk.r`/`disk.w`),
     /// so a read pipeline and a write pipeline with the same phase names
     /// are distinct classes — they stress the subsystems differently.
     pub fn signature(&self) -> ClassSignature {
-        ClassKey::of(self).signature()
+        let memory = MEMORY[majority(self.memory.iter().map(|m| m.2))];
+        let disk = DISK[majority(self.storage.iter().map(|s| s.2))];
+        ClassSignature(
+            self.phases
+                .iter()
+                .map(|p| match self.phase_name(p.name).as_str() {
+                    "memory" => memory,
+                    "disk" => disk,
+                    other => other,
+                })
+                .map(str::to_owned)
+                .collect(),
+        )
     }
 }
 
-/// A request's class read in place from its observation: the entries of
-/// [`RequestObservation::signature`], borrowed instead of built. Keys
-/// compare and hash by those entries, so a raw `memory.r` phase and a
-/// `memory` phase with mostly reads are the same class.
-#[derive(Clone, Copy)]
-struct ClassKey<'a> {
-    phases: &'a [ObservedPhase],
-    /// How a `memory` phase is spelled: `memory`, `memory.r` or `memory.w`.
-    memory: &'static str,
-    /// How a `disk` phase is spelled: `disk`, `disk.r` or `disk.w`.
-    disk: &'static str,
-}
+/// How a `memory` phase is spelled in a signature, by [`majority`].
+const MEMORY: [&str; 3] = ["memory", "memory.r", "memory.w"];
+/// How a `disk` phase is spelled in a signature, by [`majority`].
+const DISK: [&str; 3] = ["disk", "disk.r", "disk.w"];
 
-impl<'a> ClassKey<'a> {
-    fn of(obs: &'a RequestObservation) -> Self {
-        ClassKey {
-            phases: &obs.phases,
-            memory: by_majority(obs.memory.iter().map(|m| m.2), ["memory", "memory.r", "memory.w"]),
-            disk: by_majority(obs.storage.iter().map(|s| s.2), ["disk", "disk.r", "disk.w"]),
-        }
-    }
-
-    fn entries(self) -> impl Iterator<Item = &'a str> {
-        self.phases.iter().map(move |p| match p.name.as_str() {
-            "memory" => self.memory,
-            "disk" => self.disk,
-            other => other,
-        })
-    }
-
-    fn signature(self) -> ClassSignature {
-        ClassSignature(self.entries().map(str::to_owned).collect())
-    }
-}
-
-impl PartialEq for ClassKey<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.phases.len() == other.phases.len() && self.entries().eq(other.entries())
-    }
-}
-
-impl Eq for ClassKey<'_> {}
-
-impl Hash for ClassKey<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_usize(self.phases.len());
-        for entry in self.entries() {
-            entry.hash(state);
-        }
-    }
-}
-
-/// The spelling for no accesses, for mostly reads (ties included), or
-/// for mostly writes.
-fn by_majority(
-    ops: impl Iterator<Item = IoOp>,
-    [none, read, write]: [&'static str; 3],
-) -> &'static str {
+/// 0 for no accesses, 1 for mostly reads (ties included), 2 for mostly
+/// writes.
+fn majority(ops: impl Iterator<Item = IoOp>) -> usize {
     let mut reads = 0usize;
     let mut writes = 0usize;
     for op in ops {
@@ -138,11 +238,11 @@ fn by_majority(
         }
     }
     if reads == 0 && writes == 0 {
-        none
+        0
     } else if reads >= writes {
-        read
+        1
     } else {
-        write
+        2
     }
 }
 
@@ -158,7 +258,7 @@ fn by_majority(
 /// Returns [`ModelError::MissingStream`] if the trace has no network
 /// records, or [`ModelError::InsufficientRequests`] if no request has a
 /// complete span tree.
-pub fn assemble_observations(trace: &TraceSet) -> Result<Vec<RequestObservation>> {
+pub fn assemble_observations(trace: &TraceSet) -> Result<Observations> {
     if trace.network.is_empty() {
         return Err(ModelError::MissingStream("network"));
     }
@@ -188,28 +288,29 @@ pub fn assemble_observations(trace: &TraceSet) -> Result<Vec<RequestObservation>
     }
     trees.sort_unstable_by_key(|t| (t.arrival_nanos, t.request_id));
 
-    // Each slot's position in the output, `None` for invalid trees.
+    // Each slot's row, `None` for invalid trees.
     let mut position: Vec<Option<usize>> = vec![None; groups.len()];
-    let mut out: Vec<RequestObservation> = Vec::with_capacity(trees.len());
+    let mut names = NameTable::default();
+    let mut rows: Vec<Row> = Vec::with_capacity(trees.len());
+    let mut phases: Vec<ObservedPhase> = Vec::with_capacity(leaves.len());
     for tree in &trees {
-        position[tree.slot] = Some(out.len());
-        out.push(RequestObservation {
+        position[tree.slot] = Some(rows.len());
+        let first_phase = phases.len();
+        phases.extend(leaves[tree.leaves.clone()].iter().map(|&i| ObservedPhase {
+            name: names.id(&spans[i].name),
+            duration_nanos: spans[i].duration_nanos(),
+        }));
+        rows.push(Row {
             request_id: tree.request_id,
             arrival_nanos: tree.arrival_nanos,
             network_in_bytes: 0,
             network_out_bytes: 0,
             cpu_busy_nanos: 0,
             cpu_utilization: 0.0,
-            memory: Vec::new(),
-            storage: Vec::new(),
             latency_nanos: tree.latency_nanos,
-            phases: leaves[tree.leaves.clone()]
-                .iter()
-                .map(|&i| ObservedPhase {
-                    name: spans[i].name.clone(),
-                    duration_nanos: spans[i].duration_nanos(),
-                })
-                .collect(),
+            phases: first_phase..phases.len(),
+            memory: 0..0,
+            storage: 0..0,
         });
     }
 
@@ -217,28 +318,72 @@ pub fn assemble_observations(trace: &TraceSet) -> Result<Vec<RequestObservation>
     for r in &trace.network {
         if let Some(at) = locate(r.request_id) {
             match r.direction {
-                Direction::Ingress => out[at].network_in_bytes += r.size,
-                Direction::Egress => out[at].network_out_bytes += r.size,
+                Direction::Ingress => rows[at].network_in_bytes += r.size,
+                Direction::Egress => rows[at].network_out_bytes += r.size,
             }
         }
     }
     for r in &trace.cpu {
         if let Some(at) = locate(r.request_id) {
-            out[at].cpu_busy_nanos += r.busy_nanos;
-            out[at].cpu_utilization = r.utilization;
+            rows[at].cpu_busy_nanos += r.busy_nanos;
+            rows[at].cpu_utilization = r.utilization;
         }
     }
-    for r in &trace.memory {
-        if let Some(at) = locate(r.request_id) {
-            out[at].memory.push((r.bank, r.size, r.op));
+    let memory = column(
+        &mut rows,
+        &trace.memory,
+        |r| locate(r.request_id),
+        |row| &mut row.memory,
+        |r| (r.bank, r.size, r.op),
+    );
+    let storage = column(
+        &mut rows,
+        &trace.storage,
+        |r| locate(r.request_id),
+        |row| &mut row.storage,
+        |r| (r.lbn, r.size, r.op),
+    );
+    Ok(Observations {
+        rows,
+        phases,
+        memory,
+        storage,
+        names: names.names,
+    })
+}
+
+/// Lays one record stream out as a column: the `entry` of every record
+/// `row_of` places, row after row, each row's in stream order. Sets each
+/// row's `range` of the column.
+fn column<R, T>(
+    rows: &mut [Row],
+    records: &[R],
+    row_of: impl Fn(&R) -> Option<usize>,
+    range: fn(&mut Row) -> &mut Range<usize>,
+    entry: impl Fn(&R) -> T,
+) -> Vec<T> {
+    let located: Vec<Option<usize>> = records.iter().map(row_of).collect();
+    // Counts first, in the ranges' ends; then each range starts, empty,
+    // where the previous one ends, and grows as its records are placed.
+    for &at in located.iter().flatten() {
+        range(&mut rows[at]).end += 1;
+    }
+    let mut end = 0;
+    for row in rows.iter_mut() {
+        let range = range(row);
+        let count = range.end;
+        *range = end..end;
+        end += count;
+    }
+    let mut order = vec![0usize; end];
+    for (k, &at) in located.iter().enumerate() {
+        if let Some(at) = at {
+            let range = range(&mut rows[at]);
+            order[range.end] = k;
+            range.end += 1;
         }
     }
-    for r in &trace.storage {
-        if let Some(at) = locate(r.request_id) {
-            out[at].storage.push((r.lbn, r.size, r.op));
-        }
-    }
-    Ok(out)
+    order.iter().map(|&k| entry(&records[k])).collect()
 }
 
 /// A request whose spans form a valid tree.
@@ -251,11 +396,60 @@ struct Tree {
     leaves: Range<usize>,
 }
 
+/// The keys of one trace-id table's hash: a draw from the
+/// multiply-add-shift family h(x) = ((a·x + b) mod 2^128) >> 64, with `a`
+/// and `b` taken from a fresh std [`RandomState`]. The family is strongly
+/// universal, so ids fixed in a trace file cannot be chosen to collide
+/// without knowing the keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct IdKeys {
+    a: u128,
+    b: u128,
+}
+
+impl IdKeys {
+    fn random() -> Self {
+        let state = RandomState::new();
+        let word = |i: u64| u128::from(state.hash_one(i));
+        IdKeys { a: word(0) << 64 | word(1), b: word(2) << 64 | word(3) }
+    }
+}
+
+impl BuildHasher for IdKeys {
+    type Hasher = IdHash;
+
+    fn build_hasher(&self) -> IdHash {
+        IdHash { keys: *self, hash: 0 }
+    }
+}
+
+/// [`IdKeys`]'s hash of one `u64` id.
+struct IdHash {
+    keys: IdKeys,
+    hash: u64,
+}
+
+impl Hasher for IdHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("trace-id tables hash u64 keys only");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let IdKeys { a, b } = self.keys;
+        // The high half of a 128-bit value: the cast keeps every bit.
+        self.hash = (a.wrapping_mul(u128::from(id)).wrapping_add(b) >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 /// Span indices grouped by trace id. Each distinct id gets a dense slot,
 /// numbered in order of first appearance, and a counting sort lays every
 /// slot's span indices out contiguously, in trace order.
 struct SpanGroups {
-    slot_of: HashMap<u64, usize>,
+    slot_of: HashMap<u64, usize, IdKeys>,
     /// Slot `s` owns `by_slot[bounds[s]..bounds[s + 1]]`.
     bounds: Vec<usize>,
     by_slot: Vec<usize>,
@@ -263,7 +457,7 @@ struct SpanGroups {
 
 impl SpanGroups {
     fn new(spans: &[Span]) -> Self {
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
+        let mut slot_of: HashMap<u64, usize, IdKeys> = HashMap::with_hasher(IdKeys::random());
         let mut slots: Vec<usize> = Vec::with_capacity(spans.len());
         // Spans of one request tend to sit together (each request's are
         // emitted when it completes), so a run of equal ids costs one
@@ -330,8 +524,12 @@ impl TreeCheck {
     /// group forms a valid tree, appending its leaves to `leaves` in
     /// (start, span id) order. Returns `None`, appending nothing, for
     /// exactly the groups [`kooza_trace::TraceTree::build`] rejects: a
-    /// duplicate span id, not exactly one root, or a missing parent.
+    /// span that ends before it starts, a duplicate span id, not exactly
+    /// one root, or a missing parent.
     fn root(&mut self, spans: &[Span], group: &[usize], leaves: &mut Vec<usize>) -> Option<usize> {
+        if group.iter().any(|&i| spans[i].end_nanos < spans[i].start_nanos) {
+            return None;
+        }
         self.ids.clear();
         self.ids.extend(group.iter().map(|&i| (spans[i].span_id.0, i)));
         self.ids.sort_unstable();
@@ -368,24 +566,114 @@ impl TreeCheck {
     }
 }
 
+/// Slots in [`NameTable`]'s address cache: more than the simulator's nine
+/// span names.
+const NAME_CACHE_SLOTS: usize = 16;
+
+/// Interns the leaf names of one join. A decoded or simulated trace
+/// shares one allocation per name across all its spans, so a small cache
+/// keyed by the name's address and length answers nearly every lookup
+/// without hashing the string. A trace read from JSONL gives every span
+/// its own allocation; then every lookup misses the cache and goes to the
+/// string map. The table borrows the spans, so no cached address can be
+/// freed and reused while it lives.
+#[derive(Default)]
+struct NameTable<'a> {
+    names: Vec<SpanName>,
+    ids: HashMap<&'a str, PhaseId>,
+    cache: [Option<(&'a str, PhaseId)>; NAME_CACHE_SLOTS],
+    /// The cache slot the next miss overwrites, round robin.
+    next: usize,
+}
+
+impl<'a> NameTable<'a> {
+    fn id(&mut self, name: &'a SpanName) -> PhaseId {
+        let name_str = name.as_str();
+        let mut cached = self.cache.iter().map_while(|slot| *slot);
+        if let Some((_, id)) = cached.find(|&(seen, _)| std::ptr::eq(seen, name_str)) {
+            return id;
+        }
+        let id = *self.ids.entry(name_str).or_insert_with(|| {
+            self.names.push(name.clone());
+            PhaseId(self.names.len() - 1)
+        });
+        self.cache[self.next] = Some((name_str, id));
+        self.next = (self.next + 1) % NAME_CACHE_SLOTS;
+        id
+    }
+}
+
 /// Groups observations by class signature: most frequent class first,
-/// ties by signature, members in observation order.
-pub fn group_by_class(
-    observations: &[RequestObservation],
-) -> Vec<(ClassSignature, Vec<&RequestObservation>)> {
-    let mut class_of: HashMap<ClassKey<'_>, usize> = HashMap::new();
-    let mut out: Vec<(ClassSignature, Vec<&RequestObservation>)> = Vec::new();
-    for obs in observations {
-        match class_of.entry(ClassKey::of(obs)) {
-            Entry::Occupied(class) => out[*class.get()].1.push(obs),
+/// ties by signature, members as row indices in row order.
+///
+/// Classes are keyed by small integers, never by strings: every spelling
+/// a signature entry can take is interned once, each phase maps to its
+/// entry's id through its [`PhaseId`], and a request's key is its run of
+/// entry ids. So a raw `memory.r` phase and a `memory` phase with mostly
+/// reads are one class, as their signatures are equal.
+pub fn group_by_class(observations: &Observations) -> Vec<(ClassSignature, Vec<usize>)> {
+    let mut entries = Entries::default();
+    let spellings: Vec<Spelling> = observations
+        .names
+        .iter()
+        .map(|name| match name.as_str() {
+            "memory" => Spelling::Memory(MEMORY.map(|s| entries.id(s))),
+            "disk" => Spelling::Disk(DISK.map(|s| entries.id(s))),
+            other => Spelling::Fixed(entries.id(other)),
+        })
+        .collect();
+    // One entry id per phase, at the phase's own position in the column.
+    let mut keys = vec![0usize; observations.phases.len()];
+    for row in &observations.rows {
+        let memory = majority(observations.memory[row.memory.clone()].iter().map(|m| m.2));
+        let disk = majority(observations.storage[row.storage.clone()].iter().map(|s| s.2));
+        for at in row.phases.clone() {
+            keys[at] = match spellings[observations.phases[at].name.0] {
+                Spelling::Fixed(entry) => entry,
+                Spelling::Memory(entry) => entry[memory],
+                Spelling::Disk(entry) => entry[disk],
+            };
+        }
+    }
+    let mut class_of: HashMap<&[usize], usize> = HashMap::new();
+    let mut out: Vec<(ClassSignature, Vec<usize>)> = Vec::new();
+    for (index, row) in observations.rows.iter().enumerate() {
+        match class_of.entry(&keys[row.phases.clone()]) {
+            Entry::Occupied(class) => out[*class.get()].1.push(index),
             Entry::Vacant(class) => {
-                out.push((class.key().signature(), vec![obs]));
+                let signature = class.key().iter().map(|&e| entries.spelled[e].to_owned());
+                out.push((ClassSignature(signature.collect()), vec![index]));
                 class.insert(out.len() - 1);
             }
         }
     }
     out.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then_with(|| a.0.cmp(&b.0)));
     out
+}
+
+/// The signature entry (or entries) a leaf name stands for.
+enum Spelling {
+    Fixed(usize),
+    /// Indexed by the request's memory [`majority`].
+    Memory([usize; 3]),
+    /// Indexed by the request's storage [`majority`].
+    Disk([usize; 3]),
+}
+
+/// Signature entries interned by spelling.
+#[derive(Default)]
+struct Entries<'a> {
+    ids: HashMap<&'a str, usize>,
+    spelled: Vec<&'a str>,
+}
+
+impl<'a> Entries<'a> {
+    fn id(&mut self, spelling: &'a str) -> usize {
+        *self.ids.entry(spelling).or_insert_with(|| {
+            self.spelled.push(spelling);
+            self.spelled.len() - 1
+        })
+    }
 }
 
 #[cfg(test)]
@@ -404,7 +692,7 @@ mod tests {
         let trace = gfs_trace(WorkloadMix::read_heavy(), 200);
         let obs = assemble_observations(&trace).unwrap();
         assert_eq!(obs.len(), 200);
-        for o in &obs {
+        for o in obs.iter() {
             // Reads: 1 KB request header in, 64 KB payload out.
             assert_eq!(o.network_in_bytes, 1024);
             assert_eq!(o.network_out_bytes, 64 * 1024);
@@ -419,8 +707,8 @@ mod tests {
     fn observations_sorted_by_arrival() {
         let trace = gfs_trace(WorkloadMix::mixed(), 150);
         let obs = assemble_observations(&trace).unwrap();
-        for w in obs.windows(2) {
-            assert!(w[0].arrival_nanos <= w[1].arrival_nanos);
+        for (a, b) in obs.iter().zip(obs.iter().skip(1)) {
+            assert!(a.arrival_nanos <= b.arrival_nanos);
         }
     }
 
@@ -442,8 +730,8 @@ mod tests {
         // Storage records only on the miss class.
         for (sig, members) in &groups {
             let has_disk = sig.0.iter().any(|p| p.starts_with("disk"));
-            for m in members {
-                assert_eq!(!m.storage.is_empty(), has_disk, "sig {sig}");
+            for &m in members {
+                assert_eq!(!obs.get(m).unwrap().storage.is_empty(), has_disk, "sig {sig}");
             }
         }
     }
@@ -467,8 +755,16 @@ mod tests {
         let t3 = TraceId(1_000_003);
         trace.spans.push(Span::new(t3, SpanId(0), None, "request", 1, 10));
         trace.spans.push(Span::new(t3, SpanId(0), Some(SpanId(0)), "cpu", 2, 9));
+        // A leaf that ends before it starts: invalid.
+        let t4 = TraceId(1_000_004);
+        trace.spans.push(Span::new(t4, SpanId(0), None, "request", 1, 10));
+        let mut inverted = Span::new(t4, SpanId(1), Some(SpanId(0)), "cpu", 2, 9);
+        inverted.end_nanos = 1;
+        trace.spans.push(inverted);
         let obs = assemble_observations(&trace).unwrap();
-        let mut reference: Vec<RequestObservation> = trace
+        // (request id, arrival, latency, phases), in the join's order.
+        type Expected = (u64, u64, u64, Vec<(String, u64)>);
+        let mut reference: Vec<Expected> = trace
             .span_trees()
             .into_iter()
             .map(|tree| {
@@ -477,36 +773,36 @@ mod tests {
                     .filter(|s| tree.children(s.span_id).is_empty())
                     .collect();
                 leaves.sort_by_key(|s| (s.start_nanos, s.span_id));
-                RequestObservation {
-                    request_id: tree.trace_id().0,
-                    arrival_nanos: tree.root().start_nanos,
-                    network_in_bytes: 0,
-                    network_out_bytes: 0,
-                    cpu_busy_nanos: 0,
-                    cpu_utilization: 0.0,
-                    memory: Vec::new(),
-                    storage: Vec::new(),
-                    latency_nanos: tree.total_latency_nanos(),
-                    phases: leaves
-                        .iter()
-                        .map(|s| ObservedPhase {
-                            name: s.name.clone(),
-                            duration_nanos: s.duration_nanos(),
-                        })
-                        .collect(),
-                }
+                let phases =
+                    leaves.iter().map(|s| (s.name.to_string(), s.duration_nanos())).collect();
+                let id = tree.trace_id().0;
+                (id, tree.root().start_nanos, tree.total_latency_nanos(), phases)
             })
             .collect();
-        reference.sort_by_key(|o| (o.arrival_nanos, o.request_id));
+        reference.sort_by_key(|&(id, arrival, ..)| (arrival, id));
         assert_eq!(obs.len(), reference.len());
-        for (a, b) in obs.iter().zip(&reference) {
-            assert_eq!(a.request_id, b.request_id);
-            assert_eq!(a.arrival_nanos, b.arrival_nanos);
-            assert_eq!(a.latency_nanos, b.latency_nanos);
-            assert_eq!(a.phases, b.phases);
+        for (a, (id, arrival, latency, phases)) in obs.iter().zip(&reference) {
+            assert_eq!(a.request_id, *id);
+            assert_eq!(a.arrival_nanos, *arrival);
+            assert_eq!(a.latency_nanos, *latency);
+            let got: Vec<(String, u64)> = a
+                .phases
+                .iter()
+                .map(|p| (a.phase_name(p.name).to_string(), p.duration_nanos))
+                .collect();
+            assert_eq!(&got, phases);
         }
-        // None of the three malformed traces survived.
+        // None of the four malformed traces survived.
         assert!(obs.iter().all(|o| o.request_id < 1_000_001));
+    }
+
+    #[test]
+    fn id_tables_draw_their_own_hash_keys() {
+        // Keys are per table, from std's per-process random state: two
+        // tables never share them, so they cannot have become constants.
+        let (a, b) = (IdKeys::random(), IdKeys::random());
+        assert_ne!(a, b);
+        assert_ne!(a.hash_one(7u64), b.hash_one(7u64));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use kooza_sim::rng::Rng64;
 use kooza_stats::ks::ks_two_sample;
 
-use crate::class::RequestObservation;
+use crate::class::Observations;
 use crate::replay::{replay_loaded_latency_secs, ReplayConfig};
 use crate::WorkloadModel;
 
@@ -101,7 +101,7 @@ fn mean<I: Iterator<Item = f64>>(iter: I) -> Option<f64> {
     (n > 0).then(|| sum / n as f64)
 }
 
-fn feature_error(observations: &[RequestObservation], synth: &[crate::SyntheticRequest]) -> f64 {
+fn feature_error(observations: &Observations, synth: &[crate::SyntheticRequest]) -> f64 {
     let mut errors = Vec::new();
     let rel = |orig: Option<f64>, gen: Option<f64>| -> Option<f64> {
         match (orig, gen) {
@@ -170,7 +170,7 @@ fn feature_error(observations: &[RequestObservation], synth: &[crate::SyntheticR
 /// is bit-identical at any thread count.
 pub fn cross_examine(
     models: &[&dyn WorkloadModel],
-    observations: &[RequestObservation],
+    observations: &Observations,
     replay_config: ReplayConfig,
     n_synthetic: usize,
     seed: u64,
@@ -184,7 +184,7 @@ pub fn cross_examine(
 
 fn cross_examine_impl(
     models: &[&dyn WorkloadModel],
-    observations: &[RequestObservation],
+    observations: &Observations,
     replay_config: ReplayConfig,
     n_synthetic: usize,
     seed: u64,

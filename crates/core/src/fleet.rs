@@ -6,11 +6,12 @@
 //! per-server synthetic streams — the unit of large-scale DC simulation §5
 //! argues for.
 //!
-//! The run's trace is joined into per-request observations once; the
-//! observations are then grouped by the chunkserver that served each
-//! request ([`ClusterOutcome::server_of`]). Every record of a request
-//! belongs to that request's server, so a group is exactly what joining
-//! only that server's records would give — without copying any record.
+//! The run's trace is joined into one observation table once; its rows
+//! are then split by the chunkserver that served each request
+//! ([`ClusterOutcome::server_of`]) into one table per server. Every
+//! record of a request belongs to that request's server, so a server's
+//! table is exactly what joining only that server's records would give —
+//! without copying any record.
 //!
 //! Training and generation fan out over `kooza-exec`: each server is an
 //! independent task, per-task randomness comes from serially pre-forked
@@ -20,23 +21,22 @@
 use kooza_gfs::ClusterOutcome;
 use kooza_sim::rng::Rng64;
 
-use crate::class::{assemble_observations, RequestObservation};
+use crate::class::{assemble_observations, Observations};
 use crate::kooza::{Kooza, KoozaOptions};
 use crate::{Result, SyntheticRequest, WorkloadModel};
 
-/// Joins a cluster run's trace into per-request observations and groups
-/// them by the chunkserver that served each request: one group per
+/// Joins a cluster run's trace into per-request observations and splits
+/// them by the chunkserver that served each request: one table per
 /// chunkserver, each in arrival order.
 ///
 /// # Errors
 ///
 /// Same as [`assemble_observations`] on the whole-cluster trace.
-pub fn observations_by_server(outcome: &ClusterOutcome) -> Result<Vec<Vec<RequestObservation>>> {
-    let mut groups = vec![Vec::new(); outcome.stats.requests_per_server.len()];
-    for obs in assemble_observations(&outcome.trace)? {
-        groups[outcome.server_of[obs.request_id as usize]].push(obs);
-    }
-    Ok(groups)
+pub fn observations_by_server(outcome: &ClusterOutcome) -> Result<Vec<Observations>> {
+    let observations = assemble_observations(&outcome.trace)?;
+    Ok(observations.partition(outcome.stats.requests_per_server.len(), |obs| {
+        outcome.server_of[obs.request_id as usize]
+    }))
 }
 
 /// One trained model per server.
@@ -174,13 +174,14 @@ mod tests {
         let outcome = multi_server_outcome();
         let groups = observations_by_server(&outcome).unwrap();
         assert_eq!(groups.len(), 3);
-        let total: usize = groups.iter().map(Vec::len).sum();
+        let total: usize = groups.iter().map(Observations::len).sum();
         assert_eq!(total, assemble_observations(&outcome.trace).unwrap().len());
         for (server, group) in groups.iter().enumerate() {
             // Reads spread across replicas: every server served a share.
             assert!(group.len() > 300, "server {server} saw only {} requests", group.len());
             assert!(group.iter().all(|o| outcome.server_of[o.request_id as usize] == server));
-            assert!(group.windows(2).all(|w| w[0].arrival_nanos <= w[1].arrival_nanos));
+            let mut pairs = group.iter().zip(group.iter().skip(1));
+            assert!(pairs.all(|(a, b)| a.arrival_nanos <= b.arrival_nanos));
         }
     }
 

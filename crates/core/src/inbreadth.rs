@@ -14,7 +14,7 @@
 use kooza_sim::rng::Rng64;
 use kooza_trace::TraceSet;
 
-use crate::class::{assemble_observations, RequestObservation};
+use crate::class::{assemble_observations, Observations};
 use crate::subsystem::{CpuChainModel, MemoryChainModel, NetworkModel, StorageChainModel};
 use crate::{PhaseDemand, Result, SyntheticRequest, WorkloadModel};
 
@@ -47,7 +47,7 @@ impl InBreadthModel {
     ///
     /// Same as [`fit`](InBreadthModel::fit), including too few
     /// observations.
-    pub fn fit_observations(observations: &[RequestObservation]) -> Result<Self> {
+    pub fn fit_observations(observations: &Observations) -> Result<Self> {
         Ok(InBreadthModel {
             network: NetworkModel::fit(observations)?,
             cpu: CpuChainModel::fit(observations)?,

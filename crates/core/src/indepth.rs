@@ -16,7 +16,7 @@ use kooza_sim::rng::Rng64;
 use kooza_stats::dist::Distribution;
 use kooza_trace::TraceSet;
 
-use crate::class::{assemble_observations, RequestObservation};
+use crate::class::{assemble_observations, Observations};
 use crate::structure::StructureModel;
 use crate::subsystem::NetworkModel;
 use crate::{PhaseDemand, Result, SyntheticRequest, WorkloadModel};
@@ -47,7 +47,7 @@ impl InDepthModel {
     ///
     /// Same as [`fit`](InDepthModel::fit), including too few
     /// observations.
-    pub fn fit_observations(observations: &[RequestObservation]) -> Result<Self> {
+    pub fn fit_observations(observations: &Observations) -> Result<Self> {
         Ok(InDepthModel {
             arrivals: NetworkModel::fit(observations)?,
             structure: StructureModel::fit(observations)?,

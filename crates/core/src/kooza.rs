@@ -5,7 +5,7 @@ use kooza_stats::dist::Distribution;
 use kooza_trace::record::IoOp;
 use kooza_trace::TraceSet;
 
-use crate::class::{assemble_observations, RequestObservation};
+use crate::class::{assemble_observations, Observations};
 use crate::structure::StructureModel;
 use crate::subsystem::{CpuChainModel, MemoryChainModel, NetworkModel, StorageChainModel};
 use crate::{PhaseDemand, Result, SyntheticRequest, WorkloadModel};
@@ -100,10 +100,7 @@ impl Kooza {
     ///
     /// Same as [`fit_with`](Kooza::fit_with), including too few
     /// observations.
-    pub fn fit_observations(
-        observations: &[RequestObservation],
-        options: KoozaOptions,
-    ) -> Result<Self> {
+    pub fn fit_observations(observations: &Observations, options: KoozaOptions) -> Result<Self> {
         kooza_obs::global::stage("train", || {
             let network = NetworkModel::fit(observations)?;
             let cpu = CpuChainModel::fit_with_bins(observations, options.cpu_bins)?;

@@ -64,7 +64,7 @@ pub mod subsystem;
 pub mod validate;
 
 pub use crate::kooza::Kooza;
-pub use class::{ClassSignature, ObservedPhase, RequestObservation};
+pub use class::{ClassSignature, ObservedPhase, Observations, PhaseId, RequestObservation};
 pub use fleet::KoozaFleet;
 pub use inbreadth::InBreadthModel;
 pub use indepth::InDepthModel;

@@ -11,7 +11,7 @@ use kooza_sim::rng::Rng64;
 use kooza_stats::dist::Empirical;
 use kooza_trace::record::IoOp;
 
-use crate::class::{group_by_class, ClassSignature, RequestObservation};
+use crate::class::{group_by_class, ClassSignature, Observations, RequestObservation};
 use crate::{ModelError, Result};
 
 /// Class-conditional feature distributions for one request class.
@@ -40,39 +40,43 @@ pub struct ClassModel {
 }
 
 impl ClassModel {
-    fn fit(signature: ClassSignature, members: &[&RequestObservation], total: usize) -> Result<Self> {
-        let collect = |f: &dyn Fn(&RequestObservation) -> f64| -> Vec<f64> {
-            members.iter().map(|o| f(o)).collect()
+    /// Fits the class whose members are rows `members` of `observations`.
+    fn fit(
+        signature: ClassSignature,
+        observations: &Observations,
+        members: &[usize],
+        total: usize,
+    ) -> Result<Self> {
+        let rows = || {
+            members
+                .iter()
+                .map(|&i| observations.get(i).expect("class members are rows of the table"))
+        };
+        let collect = |f: &dyn Fn(RequestObservation<'_>) -> f64| -> Vec<f64> {
+            rows().map(f).collect()
         };
         let net_in = Empirical::from_sample(&collect(&|o| o.network_in_bytes as f64))?;
         let net_out = Empirical::from_sample(&collect(&|o| o.network_out_bytes as f64))?;
         let cpu_busy = Empirical::from_sample(&collect(&|o| o.cpu_busy_nanos as f64))?;
-        let mem_sizes: Vec<f64> = members
-            .iter()
-            .flat_map(|o| o.memory.iter().map(|m| m.1 as f64))
-            .collect();
-        let mem_reads = members
-            .iter()
-            .flat_map(|o| o.memory.iter())
-            .filter(|m| m.2 == IoOp::Read)
-            .count();
-        let disk_sizes: Vec<f64> = members
-            .iter()
-            .flat_map(|o| o.storage.iter().map(|s| s.1 as f64))
-            .collect();
-        let disk_reads = members
-            .iter()
-            .flat_map(|o| o.storage.iter())
-            .filter(|s| s.2 == IoOp::Read)
-            .count();
+        let mem_sizes: Vec<f64> =
+            rows().flat_map(|o| o.memory.iter().map(|m| m.1 as f64)).collect();
+        let mem_reads = rows().flat_map(|o| o.memory.iter()).filter(|m| m.2 == IoOp::Read).count();
+        let disk_sizes: Vec<f64> =
+            rows().flat_map(|o| o.storage.iter().map(|s| s.1 as f64)).collect();
+        let disk_reads =
+            rows().flat_map(|o| o.storage.iter()).filter(|s| s.2 == IoOp::Read).count();
+        // Every phase's durations in one pass over the members, each in
+        // member order.
         let n_phases = signature.0.len();
+        let mut durations = vec![Vec::with_capacity(members.len()); n_phases];
+        for o in rows() {
+            for (column, phase) in durations.iter_mut().zip(o.phases) {
+                column.push(phase.duration_nanos as f64);
+            }
+        }
         let mut phase_durations = Vec::with_capacity(n_phases);
-        for p in 0..n_phases {
-            let durations: Vec<f64> = members
-                .iter()
-                .filter_map(|o| o.phases.get(p).map(|phase| phase.duration_nanos as f64))
-                .collect();
-            phase_durations.push(Empirical::from_sample(&durations)?);
+        for column in &durations {
+            phase_durations.push(Empirical::from_sample(column)?);
         }
         Ok(ClassModel {
             signature,
@@ -126,7 +130,7 @@ impl StructureModel {
     /// # Errors
     ///
     /// Errors if no observations are given.
-    pub fn fit(observations: &[RequestObservation]) -> Result<Self> {
+    pub fn fit(observations: &Observations) -> Result<Self> {
         if observations.is_empty() {
             return Err(ModelError::InsufficientRequests { needed: 1, got: 0 });
         }
@@ -134,7 +138,7 @@ impl StructureModel {
         let total = observations.len();
         let classes = groups
             .into_iter()
-            .map(|(sig, members)| ClassModel::fit(sig, &members, total))
+            .map(|(sig, members)| ClassModel::fit(sig, observations, &members, total))
             .collect::<Result<Vec<ClassModel>>>()?;
         let weights = classes.iter().map(|c| c.probability).collect();
         Ok(StructureModel { classes, weights })
@@ -175,7 +179,7 @@ mod tests {
     use kooza_stats::dist::Distribution;
     use kooza_gfs::{Cluster, ClusterConfig, WorkloadMix};
 
-    fn observations(mix: WorkloadMix, n: u64, seed: u64) -> Vec<RequestObservation> {
+    fn observations(mix: WorkloadMix, n: u64, seed: u64) -> Observations {
         let mut config = ClusterConfig::small();
         config.workload = mix;
         let trace = Cluster::new(&config).unwrap().run(n, seed).trace;
@@ -267,7 +271,7 @@ mod tests {
 
     #[test]
     fn empty_observations_error() {
-        assert!(StructureModel::fit(&[]).is_err());
+        assert!(StructureModel::fit(&Observations::default()).is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use kooza_stats::dist::{Distribution, Empirical, Exponential};
 use kooza_stats::fit::FitPipeline;
 use kooza_trace::record::IoOp;
 
-use crate::class::RequestObservation;
+use crate::class::Observations;
 use crate::{ModelError, Result};
 
 /// Default number of LBN locality buckets the storage chain tracks.
@@ -44,13 +44,14 @@ impl NetworkModel {
     /// # Errors
     ///
     /// Errors if fewer than 3 observations are available.
-    pub fn fit(observations: &[RequestObservation]) -> Result<Self> {
+    pub fn fit(observations: &Observations) -> Result<Self> {
         if observations.len() < 3 {
             return Err(ModelError::InsufficientRequests { needed: 3, got: observations.len() });
         }
         let gaps: Vec<f64> = observations
-            .windows(2)
-            .map(|w| (w[1].arrival_nanos.saturating_sub(w[0].arrival_nanos)) as f64 / 1e9)
+            .iter()
+            .zip(observations.iter().skip(1))
+            .map(|(a, b)| (b.arrival_nanos.saturating_sub(a.arrival_nanos)) as f64 / 1e9)
             .filter(|&g| g > 0.0)
             .collect();
         let sizes_in: Vec<f64> = observations.iter().map(|o| o.network_in_bytes as f64).collect();
@@ -138,7 +139,7 @@ impl CpuChainModel {
     /// # Errors
     ///
     /// Errors on empty input.
-    pub fn fit(observations: &[RequestObservation]) -> Result<Self> {
+    pub fn fit(observations: &Observations) -> Result<Self> {
         Self::fit_with_bins(observations, CPU_BINS)
     }
 
@@ -149,7 +150,7 @@ impl CpuChainModel {
     /// # Errors
     ///
     /// Errors on empty input or `bins == 0`.
-    pub fn fit_with_bins(observations: &[RequestObservation], bins: usize) -> Result<Self> {
+    pub fn fit_with_bins(observations: &Observations, bins: usize) -> Result<Self> {
         if bins == 0 {
             return Err(ModelError::InsufficientRequests { needed: 1, got: 0 });
         }
@@ -167,7 +168,7 @@ impl CpuChainModel {
         let mut builder = MarkovChainBuilder::new(bins).with_smoothing(0.05);
         let mut busy_by_bin = vec![Vec::new(); bins];
         let mut prev: Option<usize> = None;
-        for obs in observations {
+        for obs in observations.iter() {
             let bin = bin_of(obs.cpu_utilization);
             busy_by_bin[bin].push(obs.cpu_busy_nanos as f64);
             if let Some(p) = prev {
@@ -241,18 +242,15 @@ impl MemoryChainModel {
     /// # Errors
     ///
     /// Errors if no memory accesses are present.
-    pub fn fit(observations: &[RequestObservation]) -> Result<Self> {
-        let accesses: Vec<(u32, u64, IoOp)> = observations
-            .iter()
-            .flat_map(|o| o.memory.iter().copied())
-            .collect();
+    pub fn fit(observations: &Observations) -> Result<Self> {
+        let accesses = observations.memory();
         if accesses.is_empty() {
             return Err(ModelError::MissingStream("memory"));
         }
         let n_banks = accesses.iter().map(|a| a.0).max().unwrap() as usize + 1;
         let mut builder = MarkovChainBuilder::new(n_banks).with_smoothing(0.05);
         let mut prev: Option<usize> = None;
-        for &(bank, _, _) in &accesses {
+        for &(bank, _, _) in accesses {
             if let Some(p) = prev {
                 builder.record_transition(p, bank as usize);
             } else {
@@ -327,7 +325,7 @@ impl StorageChainModel {
     /// # Errors
     ///
     /// Errors if no storage accesses are present.
-    pub fn fit(observations: &[RequestObservation]) -> Result<Self> {
+    pub fn fit(observations: &Observations) -> Result<Self> {
         Self::fit_with_buckets(observations, LBN_BUCKETS)
     }
 
@@ -337,17 +335,11 @@ impl StorageChainModel {
     /// # Errors
     ///
     /// Errors if no storage accesses are present or `buckets == 0`.
-    pub fn fit_with_buckets(
-        observations: &[RequestObservation],
-        buckets: usize,
-    ) -> Result<Self> {
+    pub fn fit_with_buckets(observations: &Observations, buckets: usize) -> Result<Self> {
         if buckets == 0 {
             return Err(ModelError::MissingStream("storage buckets"));
         }
-        let accesses: Vec<(u64, u64, IoOp)> = observations
-            .iter()
-            .flat_map(|o| o.storage.iter().copied())
-            .collect();
+        let accesses = observations.storage();
         if accesses.is_empty() {
             return Err(ModelError::MissingStream("storage"));
         }
@@ -360,7 +352,7 @@ impl StorageChainModel {
         let mut builder = MarkovChainBuilder::new(buckets).with_smoothing(0.02);
         let mut lbns_by_bucket: Vec<Vec<u64>> = vec![Vec::new(); buckets];
         let mut prev: Option<usize> = None;
-        for &(lbn, _, _) in &accesses {
+        for &(lbn, _, _) in accesses {
             let b = bucket_of(lbn);
             lbns_by_bucket[b].push(lbn);
             if let Some(p) = prev {
@@ -424,14 +416,18 @@ impl StorageChainModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::class::{assemble_observations, ObservedPhase};
+    use crate::class::assemble_observations;
     use kooza_gfs::{Cluster, ClusterConfig, WorkloadMix};
+    use kooza_trace::TraceSet;
 
-    fn observations(mix: WorkloadMix, n: u64) -> Vec<RequestObservation> {
+    fn trace(mix: WorkloadMix, n: u64) -> TraceSet {
         let mut config = ClusterConfig::small();
         config.workload = mix;
-        let trace = Cluster::new(&config).unwrap().run(n, 21).trace;
-        assemble_observations(&trace).unwrap()
+        Cluster::new(&config).unwrap().run(n, 21).trace
+    }
+
+    fn observations(mix: WorkloadMix, n: u64) -> Observations {
+        assemble_observations(&trace(mix, n)).unwrap()
     }
 
     #[test]
@@ -497,8 +493,10 @@ mod tests {
     fn storage_model_locality_preserved() {
         // Handcrafted stream: long runs in a low region then a high region
         // of the LBN space. The bucket chain must learn that stickiness.
+        use kooza_trace::record::{Direction, NetworkRecord, StorageRecord};
+        use kooza_trace::{Span, SpanId, TraceId};
         let mut rng = Rng64::new(4);
-        let mut obs_list: Vec<RequestObservation> = Vec::new();
+        let mut trace = TraceSet::new();
         let mut region_low = true;
         for i in 0..2000u64 {
             if rng.chance(0.02) {
@@ -509,20 +507,18 @@ mod tests {
             } else {
                 900_000_000 + rng.next_bounded(1_000_000)
             };
-            obs_list.push(RequestObservation {
-                request_id: i,
-                arrival_nanos: i * 1_000_000,
-                network_in_bytes: 1024,
-                network_out_bytes: 65536,
-                cpu_busy_nanos: 100_000,
-                cpu_utilization: 0.02,
-                memory: vec![],
-                storage: vec![(lbn, 65536, IoOp::Read)],
-                latency_nanos: 5_000_000,
-                phases: vec![ObservedPhase { name: "disk".into(), duration_nanos: 4_000_000 }],
-            });
+            // One request a millisecond: a root and its one disk phase,
+            // an ingress record and one 64 KB read at `lbn`.
+            let (t, at) = (TraceId(i), i * 1_000_000);
+            trace.spans.push(Span::new(t, SpanId(0), None, "request", at, at + 5_000_000));
+            trace.spans.push(Span::new(t, SpanId(1), Some(SpanId(0)), "disk", at, at + 4_000_000));
+            let (ts_nanos, request_id) = (at, i);
+            let direction = Direction::Ingress;
+            trace.network.push(NetworkRecord { ts_nanos, size: 1024, direction, request_id });
+            let op = IoOp::Read;
+            trace.storage.push(StorageRecord { ts_nanos, lbn, size: 65536, op, request_id });
         }
-        let m = StorageChainModel::fit(&obs_list).unwrap();
+        let m = StorageChainModel::fit(&assemble_observations(&trace).unwrap()).unwrap();
         // Generated sequences stay in one region for long runs: successive
         // accesses land in the same half of the LBN space ≥ 90% of steps.
         let mut state = m.initial(&mut rng);
@@ -552,13 +548,12 @@ mod tests {
     fn models_error_on_missing_streams() {
         // Write-heavy with full cache coverage never happens; instead use
         // an empty observation list and a list with no storage records.
-        assert!(NetworkModel::fit(&[]).is_err());
-        assert!(CpuChainModel::fit(&[]).is_err());
-        let mut obs = observations(WorkloadMix::read_heavy(), 20);
-        for o in &mut obs {
-            o.storage.clear();
-            o.memory.clear();
-        }
+        assert!(NetworkModel::fit(&Observations::default()).is_err());
+        assert!(CpuChainModel::fit(&Observations::default()).is_err());
+        let mut trace = trace(WorkloadMix::read_heavy(), 20);
+        trace.storage.clear();
+        trace.memory.clear();
+        let obs = assemble_observations(&trace).unwrap();
         assert!(StorageChainModel::fit(&obs).is_err());
         assert!(MemoryChainModel::fit(&obs).is_err());
     }

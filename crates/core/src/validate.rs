@@ -16,7 +16,7 @@ use kooza_sim::rng::Rng64;
 use kooza_trace::record::IoOp;
 use kooza_trace::TraceSet;
 
-use crate::class::{assemble_observations, RequestObservation};
+use crate::class::{assemble_observations, Observations};
 use crate::kooza::KoozaOptions;
 use crate::replay::{replay_loaded_latency_secs, ReplayConfig};
 use crate::{Kooza, SyntheticRequest, WorkloadModel};
@@ -120,7 +120,7 @@ fn rel_variation(original: f64, synthetic: f64) -> f64 {
 /// in-depth baseline) yield a 100% variation for that row.
 pub fn validate(
     model: &dyn WorkloadModel,
-    observations: &[RequestObservation],
+    observations: &Observations,
     synthetic: &[SyntheticRequest],
     replay_config: ReplayConfig,
 ) -> ValidationReport {
@@ -132,7 +132,7 @@ pub fn validate(
 
 fn validate_impl(
     model: &dyn WorkloadModel,
-    observations: &[RequestObservation],
+    observations: &Observations,
     synthetic: &[SyntheticRequest],
     replay_config: ReplayConfig,
 ) -> ValidationReport {
@@ -311,7 +311,7 @@ pub struct ValidationCase<'a> {
     /// The model under validation (names the report).
     pub model: &'a dyn WorkloadModel,
     /// Original observations.
-    pub observations: &'a [RequestObservation],
+    pub observations: &'a Observations,
     /// The model's synthetic requests.
     pub synthetic: &'a [SyntheticRequest],
     /// Replay platform.

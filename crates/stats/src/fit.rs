@@ -296,8 +296,6 @@ pub struct FitEntry {
     pub dist: Box<dyn Distribution>,
     /// KS test of the data against the fitted distribution.
     pub ks: KsTest,
-    /// Mean log-likelihood of the data under the fitted distribution.
-    pub mean_log_likelihood: f64,
     /// Free-parameter count of the family (parsimony tie-breaking).
     pub n_params: usize,
 }
@@ -415,14 +413,7 @@ impl FitPipeline {
         for &(name, fitter, n_params) in &self.candidates {
             let Ok(dist) = fitter(data, &moments) else { continue };
             let ks = ks_one_sample_presorted(&sorted, dist.as_ref());
-            let mean_log_likelihood = dist.mean_log_likelihood(data);
-            entries.push(FitEntry {
-                family: name,
-                dist,
-                ks,
-                mean_log_likelihood,
-                n_params,
-            });
+            entries.push(FitEntry { family: name, dist, ks, n_params });
         }
         if entries.is_empty() {
             return Err(StatsError::InvalidInput("no candidate family fit the data".into()));

@@ -257,8 +257,8 @@ impl TraceTree {
     /// # Errors
     ///
     /// Returns [`TraceError::MalformedTree`] if the spans are empty, come
-    /// from different traces, contain duplicate ids, have no unique root,
-    /// or reference missing parents.
+    /// from different traces, contain duplicate ids or a span that ends
+    /// before it starts, have no unique root, or reference missing parents.
     pub fn build(spans: Vec<Span>) -> Result<Self> {
         if spans.is_empty() {
             return Err(TraceError::MalformedTree("no spans".into()));
@@ -271,6 +271,12 @@ impl TraceTree {
                 return Err(TraceError::MalformedTree(format!(
                     "mixed trace ids {:?} and {:?}",
                     trace_id, span.trace_id
+                )));
+            }
+            if span.end_nanos < span.start_nanos {
+                return Err(TraceError::MalformedTree(format!(
+                    "span {:?} ends before it starts",
+                    span.span_id
                 )));
             }
             if span.parent.is_none() {
@@ -485,6 +491,12 @@ mod tests {
             Span::new(TraceId(2), SpanId(1), Some(SpanId(0)), "b", 0, 1),
         ];
         assert!(TraceTree::build(spans).is_err());
+        // A span that ends before it starts (`Span::new` refuses to build
+        // one; a decoded trace can hold one).
+        let mut inverted = Span::new(t, SpanId(1), Some(SpanId(0)), "b", 0, 1);
+        (inverted.start_nanos, inverted.end_nanos) = (5, 2);
+        let spans = vec![Span::new(t, SpanId(0), None, "a", 0, 9), inverted];
+        assert!(matches!(TraceTree::build(spans), Err(TraceError::MalformedTree(_))));
     }
 
     #[test]

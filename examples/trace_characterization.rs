@@ -53,7 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for entry in report.entries() {
         println!(
             "  {:<12} D = {:.4}  p = {:.4}  mean-LL = {:.2}",
-            entry.family, entry.ks.statistic, entry.ks.p_value, entry.mean_log_likelihood
+            entry.family,
+            entry.ks.statistic,
+            entry.ks.p_value,
+            entry.dist.mean_log_likelihood(&ap.interarrivals)
         );
     }
 

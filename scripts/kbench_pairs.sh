@@ -24,6 +24,12 @@
 #   parent's median), no when it is; unresolved when either side's
 #   quartile spread is wider than the bound, unless every change run
 #   beats every parent run.
+#
+# Last, it compares the two runs of each pair on their exact_counts line
+# (the second-to-last line of kbench's output), which repeats at one seed
+# whatever the run length, and prints one summary: "exact counts:
+# identical in P/P pairs", or how many pairs differ and, for the first of
+# them, its seed and the keys whose values differ.
 
 set -euo pipefail
 
@@ -62,14 +68,17 @@ metrics=$(awk -F'"' '
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-mkdir "$work/values"
+mkdir "$work/values" "$work/counts"
 
 # run SIDE BIN SEED: one kbench run; appends each metric's value (or
-# "nan" when the run does not report it) to values/<metric>.<side>.
+# "nan" when the run does not report it) to values/<metric>.<side>, and
+# writes the run's exact_counts line to counts/<seed>.<side>.
 run() {
-    local side=$1 bin=$2 seed=$3 last line=""
-    last=$(cd "$work" && env -u CARGO_MANIFEST_DIR "$bin" --workload "$workload" \
-        --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1) || true
+    local side=$1 bin=$2 seed=$3 tail2 last line=""
+    tail2=$(cd "$work" && env -u CARGO_MANIFEST_DIR "$bin" --workload "$workload" \
+        --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 2) || true
+    last=$(tail -n 1 <<<"$tail2")
+    head -n 1 <<<"$tail2" >"$work/counts/$seed.$side"
     if ! grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' <<<"$last"; then
         echo "kbench_pairs: $side run at seed $seed failed: $last" >&2
         exit 1
@@ -133,3 +142,27 @@ while read -r name better bound; do
                 sprintf("%d/%d", wins, n), won ? "yes" : "no", held
         }'
 done <<<"$metrics"
+
+# The keys of two exact_counts lines whose values differ (or that only
+# one line has), space-separated.
+differing_keys() {
+    { diff <(grep -o '"[^"]*": [^,}]*' "$1" | sort) <(grep -o '"[^"]*": [^,}]*' "$2" | sort) || true; } |
+        sed -n 's/^[<>] "\([^"]*\)".*/\1/p' | sort -u | paste -sd ' ' -
+}
+
+echo
+differ=0
+first=""
+for ((i = 0; i < pairs; i++)); do
+    seed=$((first_seed + i))
+    if ! cmp -s "$work/counts/$seed.parent" "$work/counts/$seed.change"; then
+        differ=$((differ + 1))
+        [ -n "$first" ] ||
+            first="seed $seed: $(differing_keys "$work/counts/$seed.parent" "$work/counts/$seed.change")"
+    fi
+done
+if ((differ == 0)); then
+    echo "exact counts: identical in $pairs/$pairs pairs"
+else
+    echo "exact counts: differ in $differ/$pairs pairs; first at $first"
+fi

@@ -74,13 +74,19 @@ done
 
 echo "== kbench_pairs: paired comparison script runs end to end =="
 # The same freshly built binary on both sides: one 1 s model_pipeline
-# pair checks that the script runs kbench, checks each run and prints a
-# row for every end-to-end metric. No step reads its timings.
+# pair checks that the script runs kbench, checks each run, prints a row
+# for every end-to-end metric and finds the pair's exact counts
+# identical. No step reads its timings.
 kbench="${CARGO_TARGET_DIR:-kbench/target}/release/kbench"
-rows=$(scripts/kbench_pairs.sh "$kbench" "$kbench" model_pipeline 1 1 1 |
-    grep -Ec ' (yes|no|unresolved)$')
+pairs_out=$(scripts/kbench_pairs.sh "$kbench" "$kbench" model_pipeline 1 1 1)
+rows=$(grep -Ec ' (yes|no|unresolved)$' <<<"$pairs_out")
 if [ "$rows" -ne 6 ]; then
     echo "kbench_pairs printed $rows metric rows, expected 6" >&2
+    exit 1
+fi
+if ! grep -qx 'exact counts: identical in 1/1 pairs' <<<"$pairs_out"; then
+    echo "kbench_pairs did not find the pair's exact counts identical:" >&2
+    tail -n 1 <<<"$pairs_out" >&2
     exit 1
 fi
 

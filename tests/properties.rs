@@ -354,17 +354,17 @@ const PHASE_NAMES: [&str; 10] = [
 ];
 
 /// Builds a trace from generated requests. Trace ids are dense and
-/// colliding, sparse, huge or arbitrary; span groups may carry a
-/// duplicate span id, a second root or a missing parent, or have no
-/// spans at all. With `interleave`, spans and records of all requests
-/// are listed by their order keys; otherwise request by request. Four
-/// fixed requests pin the class spellings: a raw `memory.r` phase on a
+/// colliding, sparse, huge, equal in every low bit or arbitrary; span
+/// groups may carry a duplicate span id, a second root, a missing parent
+/// or a span that ends before it starts, or have no spans at all. With
+/// `interleave`, spans and records of all requests are listed by their
+/// order keys; otherwise request by request. Four fixed requests pin the class spellings: a raw `memory.r` phase on a
 /// request whose memory records are writes, a `memory` phase with as many
 /// reads as writes, a bare `memory` phase next to a `disk` phase, and a
 /// `memory` phase whose records are writes.
 fn generated_trace(requests: &[RequestSpec], interleave: bool) -> kooza_trace::TraceSet {
     use kooza_trace::record::{CpuRecord, MemoryRecord};
-    use kooza_trace::{Span, SpanId, TraceId, TraceSet};
+    use kooza_trace::{Span, SpanId, SpanName, TraceId, TraceSet};
 
     let op = |bit: u64| if bit == 0 { IoOp::Read } else { IoOp::Write };
     let mut spans: Vec<(u64, Span)> = Vec::new();
@@ -375,6 +375,7 @@ fn generated_trace(requests: &[RequestSpec], interleave: bool) -> kooza_trace::T
             0 => raw % 4,
             1 => raw * 1_000_003,
             2 => u64::MAX - raw,
+            3 => raw << 40,
             _ => *raw,
         };
         let t = TraceId(id);
@@ -392,6 +393,19 @@ fn generated_trace(requests: &[RequestSpec], interleave: bool) -> kooza_trace::T
             3 => spans.push((key, Span::new(t, SpanId(3 * n), Some(SpanId(3 * n)), "cpu", 1, 2))),
             4 => spans.push((key, Span::new(t, SpanId(1), None, "request", 0, 9))),
             5 => spans.push((key, Span::new(t, SpanId(2), Some(SpanId(4)), "cpu", 1, 2))),
+            // A literal, since `Span::new` refuses to build it.
+            6 => spans.push((
+                key,
+                Span {
+                    trace_id: t,
+                    span_id: SpanId(4),
+                    parent: Some(SpanId(3 * n)),
+                    name: SpanName::from("cpu"),
+                    start_nanos: 2,
+                    end_nanos: 1,
+                    annotations: Vec::new(),
+                },
+            )),
             _ => {}
         }
         for &(kind, value, bit, key) in record_specs {
@@ -463,23 +477,61 @@ fn generated_trace(requests: &[RequestSpec], interleave: bool) -> kooza_trace::T
     trace
 }
 
+/// One request as the span-tree reference joins it: the fields of
+/// `kooza::RequestObservation`, owned, with phase names spelled out.
+#[derive(Debug, PartialEq)]
+struct JoinedRequest {
+    request_id: u64,
+    arrival_nanos: u64,
+    network_in_bytes: u64,
+    network_out_bytes: u64,
+    cpu_busy_nanos: u64,
+    cpu_utilization: f64,
+    memory: Vec<(u32, u64, IoOp)>,
+    storage: Vec<(u64, u64, IoOp)>,
+    latency_nanos: u64,
+    phases: Vec<(String, u64)>,
+}
+
+impl JoinedRequest {
+    /// Every field of one row of the join, read through its row view.
+    fn of(o: &kooza::RequestObservation<'_>) -> Self {
+        JoinedRequest {
+            request_id: o.request_id,
+            arrival_nanos: o.arrival_nanos,
+            network_in_bytes: o.network_in_bytes,
+            network_out_bytes: o.network_out_bytes,
+            cpu_busy_nanos: o.cpu_busy_nanos,
+            cpu_utilization: o.cpu_utilization,
+            memory: o.memory.to_vec(),
+            storage: o.storage.to_vec(),
+            latency_nanos: o.latency_nanos,
+            phases: o
+                .phases
+                .iter()
+                .map(|p| (o.phase_name(p.name).to_string(), p.duration_nanos))
+                .collect(),
+        }
+    }
+}
+
 /// The join as the span-tree API spells it: `span_trees()` for the trees,
 /// then every record of a request with a tree, in stream order.
 fn reference_observations(
     trace: &kooza_trace::TraceSet,
-) -> Result<Vec<kooza::RequestObservation>, kooza::ModelError> {
-    use kooza::{ModelError, ObservedPhase, RequestObservation};
+) -> Result<Vec<JoinedRequest>, kooza::ModelError> {
+    use kooza::ModelError;
     use std::collections::BTreeMap;
 
     if trace.network.is_empty() {
         return Err(ModelError::MissingStream("network"));
     }
-    let mut by_id: BTreeMap<u64, RequestObservation> = BTreeMap::new();
+    let mut by_id: BTreeMap<u64, JoinedRequest> = BTreeMap::new();
     for tree in trace.span_trees() {
         let mut leaves: Vec<&kooza_trace::Span> =
             tree.spans().filter(|s| tree.children(s.span_id).is_empty()).collect();
         leaves.sort_by_key(|s| (s.start_nanos, s.span_id));
-        let observation = RequestObservation {
+        let observation = JoinedRequest {
             request_id: tree.trace_id().0,
             arrival_nanos: tree.root().start_nanos,
             network_in_bytes: 0,
@@ -489,10 +541,7 @@ fn reference_observations(
             memory: Vec::new(),
             storage: Vec::new(),
             latency_nanos: tree.total_latency_nanos(),
-            phases: leaves
-                .iter()
-                .map(|s| ObservedPhase { name: s.name.clone(), duration_nanos: s.duration_nanos() })
-                .collect(),
+            phases: leaves.iter().map(|s| (s.name.to_string(), s.duration_nanos())).collect(),
         };
         by_id.insert(observation.request_id, observation);
     }
@@ -523,15 +572,15 @@ fn reference_observations(
             o.storage.push((r.lbn, r.size, r.op));
         }
     }
-    let mut out: Vec<RequestObservation> = by_id.into_values().collect();
+    let mut out: Vec<JoinedRequest> = by_id.into_values().collect();
     out.sort_by_key(|o| (o.arrival_nanos, o.request_id));
     Ok(out)
 }
 
-/// The observation join equals the span-tree reference on every field,
-/// over malformed span groups, orphaned records and arbitrary id layouts;
-/// and class grouping equals grouping by `signature()` in a `BTreeMap`,
-/// most frequent class first, ties by signature.
+/// The observation join equals the span-tree reference on every field of
+/// every row, over malformed span groups, orphaned records and arbitrary
+/// id layouts; and class grouping equals grouping by `signature()` in a
+/// `BTreeMap`, most frequent class first, ties by signature.
 #[test]
 fn observation_join_and_grouping_match_reference() {
     use kooza::class::{assemble_observations, group_by_class};
@@ -552,10 +601,12 @@ fn observation_join_and_grouping_match_reference() {
         u64_range(0, 1000), // order key
     );
     let request = zip5(
-        u64_range(0, 4),       // id kind
+        u64_range(0, 5),       // id kind
         u64_range(0, 1 << 20), // raw id
         vec_of(span, 0, 7),
-        usize_range(0, 6), // defect: none (0-2), duplicate id, two roots, missing parent
+        // Defect: none (0-2), duplicate id, two roots, missing parent, or a
+        // span that ends before it starts.
+        usize_range(0, 7),
         vec_of(record, 0, 8),
     );
     checker("observation_join_and_grouping_match_reference").run(
@@ -580,7 +631,8 @@ fn observation_join_and_grouping_match_reference() {
                 want.len()
             );
             for (g, w) in got.iter().zip(&want) {
-                ensure!(g == w, "observation {g:?} != reference {w:?}");
+                let g = JoinedRequest::of(&g);
+                ensure!(g == *w, "observation {g:?} != reference {w:?}");
                 ensure!(
                     g.cpu_utilization.to_bits() == w.cpu_utilization.to_bits(),
                     "request {}: utilization {} != {}",
@@ -590,12 +642,13 @@ fn observation_join_and_grouping_match_reference() {
                 );
             }
 
+            let request = |row: usize| got.get(row).unwrap().request_id;
             let groups: Vec<(ClassSignature, Vec<u64>)> = group_by_class(&got)
                 .into_iter()
-                .map(|(sig, members)| (sig, members.iter().map(|o| o.request_id).collect()))
+                .map(|(sig, members)| (sig, members.into_iter().map(request).collect()))
                 .collect();
             let mut by_signature: BTreeMap<ClassSignature, Vec<u64>> = BTreeMap::new();
-            for o in &got {
+            for o in got.iter() {
                 by_signature.entry(o.signature()).or_default().push(o.request_id);
             }
             let mut expected: Vec<(ClassSignature, Vec<u64>)> = by_signature.into_iter().collect();
