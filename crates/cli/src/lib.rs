@@ -33,7 +33,7 @@ usage: kooza <command> [options]
 
 commands:
   simulate     --out <path> [--requests N] [--seed S] [--workload read|write|mixed]
-               [--servers K] [--faults <spec>] [--shards N|auto]
+               [--servers K] [--faults <spec>]
                [--topology none|rack:<spr>:<oversub>]
                run the GFS simulator and write a trace (JSONL or KTC)
   characterize --trace <path>
@@ -50,7 +50,7 @@ commands:
   crossexam    --trace <path> [--n N] [--seed S]
                score kooza vs in-breadth vs in-depth on this trace (Table 1)
   crossexam    --faults <spec> [--requests N] [--servers K] [--seed S]
-               [--workload read|write|mixed] [--n N] [--shards N|auto]
+               [--workload read|write|mixed] [--n N]
                [--topology none|rack:<spr>:<oversub>]
                the same, trained on an internally simulated fault-injected
                trace instead of --trace
@@ -85,16 +85,6 @@ network topology (simulate, crossexam --faults):
                servers per rack and rack uplinks carrying 1/<oversub> of
                their hosts' aggregate bandwidth (1 <= oversub <= spr);
                concurrent transfers share links max-min fairly
-
-sharded simulation (simulate, crossexam --faults):
-  --shards     number of server-group shards, each with its own event
-               loop, advancing in lockstep time windows; 1 (the default)
-               is the exact one-engine simulation, `auto` picks one
-               shard per ~8 servers. Cross-shard messages wait for the
-               next window boundary, which inflates latency at N > 1.
-               Clamped so every shard holds a full replica set (small
-               clusters run on one shard). Deterministic for a fixed
-               shard count at any --threads
 
 global options (accepted by every command; any other option a command
 does not list above is an error):
@@ -169,6 +159,14 @@ impl Options {
         }
     }
 
+    /// Like [`Options::parse_num`], for a count that must be at least 1.
+    fn parse_count(&self, key: &str, default: usize) -> Result<usize, CliError> {
+        match self.parse_num(key, default)? {
+            0 => Err(err(format!("--{key} must be at least 1"))),
+            n => Ok(n),
+        }
+    }
+
     fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
@@ -191,16 +189,14 @@ impl Options {
 fn command_keys(command: &str) -> Result<&'static [&'static str], CliError> {
     Ok(match command {
         "simulate" => &[
-            "out", "requests", "seed", "workload", "servers", "faults", "shards", "topology",
-            "format",
+            "out", "requests", "seed", "workload", "servers", "faults", "topology", "format",
         ],
         "characterize" | "fit" => &["trace", "format"],
         "validate" => {
             &["trace", "n", "seed", "format", "faults", "requests", "servers", "workload"]
         }
         "crossexam" => &[
-            "trace", "n", "seed", "format", "faults", "requests", "servers", "workload", "shards",
-            "topology",
+            "trace", "n", "seed", "format", "faults", "requests", "servers", "workload", "topology",
         ],
         "trace convert" => &["in", "out", "in-format", "out-format"],
         "obs" => &["report", "strip"],
@@ -231,14 +227,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let keys = command_keys(&command)?;
     let opts = Options::parse(rest)?;
     opts.check(&command, keys)?;
-    if let Some(v) = opts.get("threads") {
-        let n: usize = v
-            .parse()
-            .map_err(|_| err(format!("--threads: cannot parse `{v}`")))?;
-        if n == 0 {
-            return Err(err("--threads must be at least 1"));
-        }
-        kooza_exec::set_thread_override(Some(n));
+    if opts.get("threads").is_some() {
+        kooza_exec::set_thread_override(Some(opts.parse_count("threads", 1)?));
     }
     // `--obs <path>`: self-instrument this invocation and write the
     // JSONL report when the command finishes (even a failing one leaves
@@ -309,27 +299,6 @@ fn parse_topology(opts: &Options) -> Result<Topology, CliError> {
     }
 }
 
-/// `--shards N|auto`, resolved against the cluster: the option's absence
-/// means one shard, `auto` picks [`kooza_gfs::default_shards`], and any
-/// request is clamped by [`kooza_gfs::effective_shards`] — the clamp
-/// `run_sharded` applies — so the report shows the real shard count.
-fn parse_shards(opts: &Options, config: &ClusterConfig) -> Result<usize, CliError> {
-    let requested = match opts.get("shards") {
-        None => 1,
-        Some("auto") => kooza_gfs::default_shards(config),
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| err(format!("--shards must be a count or `auto`, got `{v}`")))?;
-            if n == 0 {
-                return Err(err("--shards must be at least 1"));
-            }
-            n
-        }
-    };
-    Ok(kooza_gfs::effective_shards(config, requested))
-}
-
 /// Parses a `--format`-style option into a trace format; `None` when the
 /// option is absent (callers fall back to extension/content detection).
 fn parse_format(opts: &Options, key: &str) -> Result<Option<TraceFormat>, CliError> {
@@ -373,7 +342,7 @@ fn simulate(opts: &Options) -> Result<String, CliError> {
     let out = opts.require("out")?;
     let requests: u64 = opts.parse_num("requests", 1000)?;
     let seed: u64 = opts.parse_num("seed", 1)?;
-    let servers: usize = opts.parse_num("servers", 1)?;
+    let servers = opts.parse_count("servers", 1)?;
     let workload = workload_by_name(opts.get("workload").unwrap_or("mixed"))?;
 
     let mut config = if servers > 1 {
@@ -384,23 +353,21 @@ fn simulate(opts: &Options) -> Result<String, CliError> {
     config.workload = workload;
     config.faults = parse_faults(opts)?;
     config.topology = parse_topology(opts)?;
-    let shards = parse_shards(opts, &config)?;
     let mut cluster = Cluster::new(&config).map_err(|e| err(e.to_string()))?;
-    let outcome = cluster.run_sharded(requests, seed, shards);
+    let outcome = cluster.run(requests, seed);
 
     let format = parse_format(opts, "format")?;
     outcome
         .trace
         .write_file(Path::new(out), format)
         .map_err(|e| err(format!("cannot write {out}: {e}")))?;
-    let mut shard_note = if shards > 1 {
-        format!(", {shards} shards")
-    } else {
-        String::new()
+    let fabric_note = match config.topology {
+        Topology::Rack {
+            servers_per_rack,
+            oversub,
+        } => format!(", rack fabric {servers_per_rack}:{oversub}"),
+        Topology::None => String::new(),
     };
-    if let Topology::Rack { servers_per_rack, oversub } = config.topology {
-        shard_note += &format!(", rack fabric {servers_per_rack}:{oversub}");
-    }
     // The cluster's buffer-cache hit ratio: cache-hit reads over completed
     // reads (writes always go to disk).
     let (mut reads, mut hits) = (0u64, 0u64);
@@ -409,7 +376,7 @@ fn simulate(opts: &Options) -> Result<String, CliError> {
         hits += u64::from(r.cache_hit);
     }
     let mut report = format!(
-        "simulated {} requests on {} server(s){shard_note} (seed {seed})\n\
+        "simulated {} requests on {} server(s){fabric_note} (seed {seed})\n\
          throughput {:.1} req/s | mean latency {:.3} ms | cache hit {:.1}%\n\
          wrote {} records to {out}",
         outcome.stats.completed,
@@ -504,7 +471,7 @@ fn fit(opts: &Options) -> Result<String, CliError> {
 /// simulates internally: multi-server by default so replication and
 /// failover have somewhere to go.
 fn fault_mode_config(opts: &Options) -> Result<(ClusterConfig, u64), CliError> {
-    let servers: usize = opts.parse_num("servers", 3)?;
+    let servers = opts.parse_count("servers", 3)?;
     let requests: u64 = opts.parse_num("requests", 800)?;
     let mut config = if servers > 1 {
         ClusterConfig::cluster(servers)
@@ -534,9 +501,9 @@ fn validate_cmd(opts: &Options) -> Result<String, CliError> {
     if let Some(faults) = parse_faults(opts)? {
         return validate_faults(opts, faults);
     }
-    let (trace, path) = load_trace(opts)?;
-    let n: usize = opts.parse_num("n", 1000)?;
+    let n = opts.parse_count("n", 1000)?;
     let seed: u64 = opts.parse_num("seed", 1)?;
+    let (trace, path) = load_trace(opts)?;
     let observations = assemble_observations(&trace).map_err(|e| err(e.to_string()))?;
     let model = Kooza::fit_observations(&observations, KoozaOptions::default())
         .map_err(|e| err(e.to_string()))?;
@@ -553,15 +520,14 @@ fn validate_cmd(opts: &Options) -> Result<String, CliError> {
 }
 
 fn crossexam(opts: &Options) -> Result<String, CliError> {
-    let n: usize = opts.parse_num("n", 1000)?;
+    let n = opts.parse_count("n", 1000)?;
     let seed: u64 = opts.parse_num("seed", 1)?;
     let (trace, path) = if let Some(faults) = parse_faults(opts)? {
         let (mut config, requests) = fault_mode_config(opts)?;
         config.faults = Some(faults);
         config.topology = parse_topology(opts)?;
-        let shards = parse_shards(opts, &config)?;
         let mut cluster = Cluster::new(&config).map_err(|e| err(e.to_string()))?;
-        let outcome = cluster.run_sharded(requests, seed, shards);
+        let outcome = cluster.run(requests, seed);
         let label = format!(
             "fault-injected cluster ({} servers, {} requests, {} crashes)",
             config.n_chunkservers, requests, outcome.stats.faults.crashes,
@@ -647,19 +613,16 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_is_the_clusters_read_hit_ratio_at_any_shard_count() {
-        // 2,588 of the 4,000 reads hit a buffer cache on either hosting;
-        // no one server's ratio is the cluster's.
-        for shards in ["1", "auto"] {
-            let path = temp_path(&format!("cache-hit-{shards}"));
-            let out = run(&args(&format!(
-                "simulate --out {path} --requests 4000 --seed 3 --servers 64 --workload read \
-                 --shards {shards}"
-            )))
-            .unwrap();
-            assert!(out.contains("| cache hit 64.7%"), "--shards {shards}: {out}");
-            cleanup(&path);
-        }
+    fn cache_hit_is_the_clusters_read_hit_ratio() {
+        // 2,588 of the 4,000 reads hit a buffer cache; no one server's
+        // ratio is the cluster's.
+        let path = temp_path("cache-hit");
+        let out = run(&args(&format!(
+            "simulate --out {path} --requests 4000 --seed 3 --servers 64 --workload read"
+        )))
+        .unwrap();
+        assert!(out.contains("| cache hit 64.7%"), "{out}");
+        cleanup(&path);
     }
 
     #[test]
@@ -777,8 +740,6 @@ mod tests {
 
     #[test]
     fn validate_rejects_the_options_only_simulate_and_crossexam_read() {
-        let e = run(&args("validate --faults mttf=5 --shards 4 --topology rack:4:2")).unwrap_err();
-        assert_eq!(e.to_string(), "`kooza validate` does not take --shards");
         let e = run(&args("validate --faults mttf=5 --topology rack:4:2")).unwrap_err();
         assert_eq!(e.to_string(), "`kooza validate` does not take --topology");
     }
@@ -895,78 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn simulate_shards_flag_shards_reports_and_stays_deterministic() {
-        let p1 = temp_path("shards1");
-        let p2 = temp_path("shards2");
-        let cmd =
-            |p: &str| format!("simulate --out {p} --requests 300 --seed 3 --servers 12 --shards 4");
-        let out = run(&args(&cmd(&p1))).unwrap();
-        assert!(out.contains("12 server(s), 4 shards"), "{out}");
-        run(&args(&cmd(&p2))).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&p1).unwrap(),
-            std::fs::read_to_string(&p2).unwrap()
-        );
-        cleanup(&p1);
-        cleanup(&p2);
-
-        // `--shards 1` is the one-shard hosting, bit-identical to a run
-        // without the option; small clusters clamp any request down to it.
-        let legacy = temp_path("shards-legacy");
-        let one = temp_path("shards-one");
-        run(&args(&format!("simulate --out {legacy} --requests 200 --seed 5 --servers 4")))
-            .unwrap();
-        let out = run(&args(&format!(
-            "simulate --out {one} --requests 200 --seed 5 --servers 4 --shards 8"
-        )))
-        .unwrap();
-        // 4 servers / replication 3 -> 1 shard: no shard note printed.
-        assert!(out.contains("4 server(s) (seed"), "{out}");
-        assert_eq!(
-            std::fs::read_to_string(&legacy).unwrap(),
-            std::fs::read_to_string(&one).unwrap()
-        );
-        cleanup(&legacy);
-        cleanup(&one);
-    }
-
-    #[test]
-    fn shards_default_to_one_and_auto_is_opt_in() {
-        // Without --shards a 64-server cluster runs on one shard: the same
-        // trace bytes as `--shards 1`. `auto` still picks 8 shards.
-        let cmd = |p: &str, shards: &str| {
-            format!("simulate --out {p} --requests 200 --seed 3 --servers 64 --workload read")
-                + " "
-                + shards
-        };
-        let (default, one, auto) =
-            (temp_path("shards-default"), temp_path("shards-1"), temp_path("shards-auto64"));
-        let out = run(&args(&cmd(&default, ""))).unwrap();
-        assert!(out.contains("64 server(s) (seed 3)"), "{out}");
-        run(&args(&cmd(&one, "--shards 1"))).unwrap();
-        assert_eq!(std::fs::read(&default).unwrap(), std::fs::read(&one).unwrap());
-        let out = run(&args(&cmd(&auto, "--shards auto"))).unwrap();
-        assert!(out.contains("64 server(s), 8 shards"), "{out}");
-        for p in [default, one, auto] {
-            cleanup(&p);
-        }
-    }
-
-    #[test]
-    fn shards_auto_and_bad_values() {
-        let p = temp_path("shards-auto");
-        let out = run(&args(&format!(
-            "simulate --out {p} --requests 100 --seed 2 --servers 16 --shards auto"
-        )))
-        .unwrap();
-        // auto on 16 servers -> 2 groups of 8.
-        assert!(out.contains("16 server(s), 2 shards"), "{out}");
-        cleanup(&p);
-        assert!(run(&args("simulate --out /tmp/x --shards 0")).is_err());
-        assert!(run(&args("simulate --out /tmp/x --shards nope")).is_err());
-    }
-
-    #[test]
     fn simulate_topology_flag_reports_and_stays_deterministic() {
         let p1 = temp_path("topo1");
         let p2 = temp_path("topo2");
@@ -1017,38 +906,56 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_shard_configs_clamp_to_a_single_engine() {
-        // Fewer servers than the replication factor: the integer division
-        // bottoms out at zero and the clamp must recover to one shard, not
-        // panic or produce an empty placement group.
-        let mut config = ClusterConfig::cluster(2);
-        config.replication = 3;
-        let opts = Options::parse(&args("--shards 8")).unwrap();
-        assert_eq!(parse_shards(&opts, &config).unwrap(), 1);
-        let opts = Options::parse(&args("--shards auto")).unwrap();
-        assert_eq!(parse_shards(&opts, &config).unwrap(), 1);
-
-        // A pathological zero-replication config must not divide by zero;
-        // it caps at one shard per server instead.
-        config.replication = 0;
-        let opts = Options::parse(&args("--shards 4")).unwrap();
-        assert_eq!(parse_shards(&opts, &config).unwrap(), 2);
-
-        // And the degenerate single-server cluster stays at one shard.
-        let config = ClusterConfig::cluster(1);
-        let opts = Options::parse(&args("--shards auto")).unwrap();
-        assert_eq!(parse_shards(&opts, &config).unwrap(), 1);
+    fn shards_is_not_an_option() {
+        // Every shard count but one simulated a slower cluster; the
+        // N-shard hosting is no longer reachable from the CLI.
+        let e = run(&args("simulate --shards 4")).unwrap_err();
+        assert_eq!(e.to_string(), "`kooza simulate` does not take --shards");
+        let path = temp_path("shards");
+        let e = run(&args(&format!(
+            "simulate --out {path} --servers 12 --shards 1"
+        )))
+        .unwrap_err();
+        assert_eq!(e.to_string(), "`kooza simulate` does not take --shards");
+        assert!(!Path::new(&path).exists(), "simulate ran despite --shards");
+        let e = run(&args("crossexam --faults mttf=3 --servers 12 --shards 4")).unwrap_err();
+        assert_eq!(e.to_string(), "`kooza crossexam` does not take --shards");
     }
 
     #[test]
-    fn crossexam_faults_accepts_shards() {
-        let out = run(&args(
-            "crossexam --faults mttf=3,mttr=0.5,timeout=0.4,retries=10 \
-             --requests 300 --servers 12 --shards 4 --n 200 --seed 5",
-        ))
-        .unwrap();
-        assert!(out.contains("fault-injected cluster (12 servers"), "{out}");
-        assert!(out.contains("kooza"), "{out}");
+    fn simulate_rejects_zero_servers() {
+        let path = temp_path("zero-servers");
+        let e = run(&args(&format!(
+            "simulate --out {path} --servers 0 --requests 5"
+        )))
+        .unwrap_err();
+        assert_eq!(e.to_string(), "--servers must be at least 1");
+        assert!(!Path::new(&path).exists(), "simulate wrote a trace");
+    }
+
+    #[test]
+    fn validate_rejects_zero_n() {
+        // The check comes before the trace is read.
+        let e = run(&args("validate --trace /nonexistent/t.jsonl --n 0")).unwrap_err();
+        assert_eq!(e.to_string(), "--n must be at least 1");
+    }
+
+    #[test]
+    fn crossexam_rejects_zero_n() {
+        let e = run(&args("crossexam --trace /nonexistent/t.jsonl --n 0")).unwrap_err();
+        assert_eq!(e.to_string(), "--n must be at least 1");
+    }
+
+    #[test]
+    fn validate_faults_rejects_zero_servers() {
+        let e = run(&args("validate --faults mttf=3 --servers 0")).unwrap_err();
+        assert_eq!(e.to_string(), "--servers must be at least 1");
+    }
+
+    #[test]
+    fn crossexam_faults_rejects_zero_servers() {
+        let e = run(&args("crossexam --faults mttf=3 --servers 0")).unwrap_err();
+        assert_eq!(e.to_string(), "--servers must be at least 1");
     }
 
     #[test]

@@ -68,13 +68,8 @@ pub use class::{ClassSignature, ObservedPhase, Observations, PhaseId, RequestObs
 pub use fleet::KoozaFleet;
 pub use inbreadth::InBreadthModel;
 pub use indepth::InDepthModel;
-pub use replay::{
-    replay_latency_secs, replay_loaded_latency_secs, replay_loaded_latency_secs_batches,
-    ReplayConfig,
-};
-pub use validate::{
-    fault_drift, validate_batch, FaultDriftReport, FaultDriftRow, ValidationCase,
-};
+pub use replay::{replay_loaded_latency_secs, ReplayConfig};
+pub use validate::{fault_drift, FaultDriftReport, FaultDriftRow};
 
 use kooza_sim::rng::Rng64;
 use kooza_trace::record::IoOp;

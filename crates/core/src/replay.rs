@@ -9,17 +9,15 @@
 //! per-subsystem demands gets the right latency, and one that mis-orders
 //! or mis-correlates demands does not.
 //!
-//! Two replays share those models:
-//!
-//! * [`Replayer`] and [`replay_latency_secs`] run one request at a time
-//!   (no queueing), matching the paper's single-request Table 2
-//!   experiments; hardware state (disk head, memory bank) persists across
-//!   requests so locality still matters.
-//! * [`replay_loaded_latency_secs`] and its batched form let requests
-//!   arrive at their generated inter-arrival times and queue at the CPU,
-//!   disk and NIC stations. The validation and cross-examination
-//!   harnesses use this one, since the latencies they compare against
-//!   include queueing.
+//! [`replay_loaded_latency_secs`] lets requests arrive at their generated
+//! inter-arrival times and queue at the CPU, disk and NIC stations, as in
+//! the simulator that produced the training traces; hardware state (disk
+//! head, memory bank) persists across requests, so locality still matters.
+//! The validation and cross-examination harnesses use it, since the
+//! latencies they compare against include queueing. A request that
+//! arrives after the one before it left meets idle stations, so its
+//! latency is the sum of its phase times, as in the paper's
+//! single-request Table 2 experiments.
 //!
 //! Loaded replay keeps its arrivals out of the event heap. The arrival
 //! instants stay in a time-ordered vector walked by a cursor, and the
@@ -65,32 +63,22 @@ impl From<&ClusterConfig> for ReplayConfig {
 }
 
 
-/// Stateful replayer: hardware state persists across requests.
+/// The replay platform's hardware state, which persists across requests.
 #[derive(Debug)]
-pub struct Replayer {
+struct Replayer {
     disk: DiskModel,
     memory: MemoryModel,
     link: LinkModel,
 }
 
 impl Replayer {
-    /// Creates a replayer with fresh hardware state.
-    pub fn new(config: ReplayConfig) -> Self {
+    /// A replayer with fresh hardware state.
+    fn new(config: ReplayConfig) -> Self {
         Replayer {
             disk: DiskModel::new(config.disk),
             memory: MemoryModel::new(config.memory),
             link: LinkModel::new(config.link),
         }
-    }
-
-    /// Latency of one request in seconds: the sum of its phase times on
-    /// this hardware.
-    pub fn latency_secs(&mut self, request: &SyntheticRequest) -> f64 {
-        let mut total = 0.0f64;
-        for phase in &request.phases {
-            total += self.service(phase).as_secs_f64();
-        }
-        total
     }
 
     /// Service time of one phase on this hardware. Disk and memory
@@ -107,24 +95,6 @@ impl Replayer {
             PhaseDemand::Opaque { duration_nanos } => SimDuration::from_nanos(*duration_nanos),
         }
     }
-}
-
-/// Replays a batch of requests, returning per-request latencies (seconds).
-pub fn replay_latency_secs(requests: &[SyntheticRequest], config: ReplayConfig) -> Vec<f64> {
-    let mut replayer = Replayer::new(config);
-    requests.iter().map(|r| replayer.latency_secs(r)).collect()
-}
-
-/// Replays several independent batches concurrently (each on its own
-/// fresh hardware state), returning per-batch latency vectors in batch
-/// order. Identical to calling [`replay_loaded_latency_secs`] per batch
-/// serially: contention exists within a batch, never across batches —
-/// the unit of parallelism for per-server and per-class replay.
-pub fn replay_loaded_latency_secs_batches(
-    batches: &[Vec<SyntheticRequest>],
-    config: ReplayConfig,
-) -> Vec<Vec<f64>> {
-    kooza_exec::par_map(batches, |batch| replay_loaded_latency_secs(batch, config))
 }
 
 /// Replays requests **with contention**: requests arrive at their
@@ -275,9 +245,12 @@ mod tests {
     use kooza_sim::{Engine, ServerPool, SimTime};
     use kooza_trace::record::IoOp;
 
+    /// A read of `size` bytes at `lbn`. Reads arrive a second apart, long
+    /// after the one before has left, so each meets idle stations and its
+    /// latency is the sum of its phase times.
     fn read_request(size: u64, lbn: u64) -> SyntheticRequest {
         SyntheticRequest {
-            interarrival_secs: 0.01,
+            interarrival_secs: 1.0,
             phases: vec![
                 PhaseDemand::NetworkIn { bytes: 1024 },
                 PhaseDemand::Cpu { busy_nanos: 50_000 },
@@ -289,9 +262,12 @@ mod tests {
         }
     }
 
+    fn replay(requests: &[SyntheticRequest]) -> Vec<f64> {
+        replay_loaded_latency_secs(requests, ReplayConfig::default())
+    }
+
     #[test]
     fn latency_is_sum_of_phases() {
-        let mut r = Replayer::new(ReplayConfig::default());
         let req = SyntheticRequest {
             interarrival_secs: 0.0,
             phases: vec![
@@ -299,29 +275,30 @@ mod tests {
                 PhaseDemand::Opaque { duration_nanos: 2_000_000 },
             ],
         };
-        let lat = r.latency_secs(&req);
+        let lat = replay(&[req])[0];
         assert!((lat - 0.003).abs() < 1e-12, "lat {lat}");
     }
 
     #[test]
     fn bigger_requests_take_longer() {
-        let mut r = Replayer::new(ReplayConfig::default());
-        let small = r.latency_secs(&read_request(64 * 1024, 1_000_000));
-        let big = r.latency_secs(&read_request(4 * 1024 * 1024, 1_000_000));
+        let lat = replay(&[
+            read_request(64 * 1024, 1_000_000),
+            read_request(4 * 1024 * 1024, 1_000_000),
+        ]);
+        let (small, big) = (lat[0], lat[1]);
         assert!(big > 3.0 * small, "small {small} big {big}");
     }
 
     #[test]
     fn disk_head_state_carries_across_requests() {
-        let mut r = Replayer::new(ReplayConfig::default());
         // Request far away, then an adjacent one: the second is cheaper
         // than a far jump would be.
-        let _ = r.latency_secs(&read_request(4096, 1_000_000_000));
-        let near = r.latency_secs(&read_request(4096, 1_000_000_008));
-        let mut r2 = Replayer::new(ReplayConfig::default());
-        let _ = r2.latency_secs(&read_request(4096, 1_000_000_000));
-        let far = r2.latency_secs(&read_request(4096, 1));
-        assert!(near < far, "near {near} far {far}");
+        let near = replay(&[
+            read_request(4096, 1_000_000_000),
+            read_request(4096, 1_000_000_008),
+        ]);
+        let far = replay(&[read_request(4096, 1_000_000_000), read_request(4096, 1)]);
+        assert!(near[1] < far[1], "near {} far {}", near[1], far[1]);
     }
 
     #[test]
@@ -330,36 +307,14 @@ mod tests {
         // faster disk shows the win without touching application code.
         let reqs: Vec<SyntheticRequest> =
             (0..50).map(|i| read_request(1024 * 1024, i * 1_000_000)).collect();
-        let slow = replay_latency_secs(&reqs, ReplayConfig::default());
+        let slow = replay(&reqs);
         let mut fast_cfg = ReplayConfig::default();
         fast_cfg.disk.transfer_bytes_per_sec = 500e6; // SSD-class streaming
         fast_cfg.disk.seek_base_secs = 0.0001;
         fast_cfg.disk.seek_full_secs = 0.0002;
-        let fast = replay_latency_secs(&reqs, fast_cfg);
+        let fast = replay_loaded_latency_secs(&reqs, fast_cfg);
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         assert!(mean(&fast) < mean(&slow) * 0.7, "fast {} slow {}", mean(&fast), mean(&slow));
-    }
-
-    #[test]
-    fn batched_loaded_replay_matches_serial() {
-        let batches: Vec<Vec<SyntheticRequest>> = (0..3)
-            .map(|b| (0..20).map(|i| read_request(65536, (b * 100 + i) * 500_000)).collect())
-            .collect();
-        let parallel = replay_loaded_latency_secs_batches(&batches, ReplayConfig::default());
-        assert_eq!(parallel.len(), 3);
-        for (batch, latencies) in batches.iter().zip(&parallel) {
-            assert_eq!(*latencies, replay_loaded_latency_secs(batch, ReplayConfig::default()));
-        }
-    }
-
-    #[test]
-    fn batch_replay_matches_sequential() {
-        let reqs: Vec<SyntheticRequest> =
-            (0..10).map(|i| read_request(65536, i * 500_000)).collect();
-        let batch = replay_latency_secs(&reqs, ReplayConfig::default());
-        let mut replayer = Replayer::new(ReplayConfig::default());
-        let seq: Vec<f64> = reqs.iter().map(|r| replayer.latency_secs(r)).collect();
-        assert_eq!(batch, seq);
     }
 
     /// Loaded replay with every arrival scheduled in the heap before the

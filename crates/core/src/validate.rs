@@ -301,34 +301,6 @@ fn nan_to(x: f64, fallback: f64) -> f64 {
     }
 }
 
-/// One independent validation run for [`validate_batch`]: a model's
-/// synthetic stream compared against a set of observations on a replay
-/// platform.
-#[derive(Debug, Clone, Copy)]
-pub struct ValidationCase<'a> {
-    /// Display label (e.g. the workload class: "64 KB read").
-    pub label: &'a str,
-    /// The model under validation (names the report).
-    pub model: &'a dyn WorkloadModel,
-    /// Original observations.
-    pub observations: &'a Observations,
-    /// The model's synthetic requests.
-    pub synthetic: &'a [SyntheticRequest],
-    /// Replay platform.
-    pub replay_config: ReplayConfig,
-}
-
-/// Validates several independent cases concurrently, returning reports in
-/// case order. Each case replays on its own hardware state (contention is
-/// within a case, never across cases), so the reports are bit-identical
-/// to validating each case serially — this is what lets the Table-2
-/// harness run its workload classes in parallel.
-pub fn validate_batch(cases: &[ValidationCase<'_>]) -> Vec<ValidationReport> {
-    kooza_exec::par_map(cases, |case| {
-        validate(case.model, case.observations, case.synthetic, case.replay_config)
-    })
-}
-
 /// One metric's movement between the healthy and faulty validations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultDriftRow {
@@ -537,38 +509,6 @@ mod tests {
         // But latency is still close (it captures time dependencies).
         let lat = report.latency_variation().unwrap();
         assert!(lat < 15.0, "latency variation {lat}");
-    }
-
-    #[test]
-    fn batch_validation_matches_serial() {
-        let (config, trace) = setup(WorkloadMix::read_heavy(), 400, 89);
-        let obs = assemble_observations(&trace).unwrap();
-        let kooza = Kooza::fit(&trace).unwrap();
-        let indepth = InDepthModel::fit(&trace).unwrap();
-        let synth_k = kooza.generate(400, &mut Rng64::new(90));
-        let synth_d = indepth.generate(400, &mut Rng64::new(90));
-        let cases = [
-            ValidationCase {
-                label: "kooza",
-                model: &kooza,
-                observations: &obs,
-                synthetic: &synth_k,
-                replay_config: ReplayConfig::from(&config),
-            },
-            ValidationCase {
-                label: "in-depth",
-                model: &indepth,
-                observations: &obs,
-                synthetic: &synth_d,
-                replay_config: ReplayConfig::from(&config),
-            },
-        ];
-        let batch = validate_batch(&cases);
-        assert_eq!(batch.len(), 2);
-        for (case, report) in cases.iter().zip(&batch) {
-            let serial = validate(case.model, case.observations, case.synthetic, case.replay_config);
-            assert_eq!(*report, serial, "case {}", case.label);
-        }
     }
 
     #[test]

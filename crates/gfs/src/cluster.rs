@@ -8,8 +8,9 @@
 //!
 //! The protocol is written once, as handlers over a per-shard host context
 //! (`cluster/shard.rs`). [`Cluster::run`] hosts it on one shard that owns
-//! every server; [`Cluster::run_sharded`] hosts it on N shards advancing in
-//! lockstep time windows (`cluster/sharded.rs`).
+//! every server; [`Cluster::run_sharded`] hosts a fault-free, ideal-link
+//! cluster on N shards advancing in lockstep time windows
+//! (`cluster/sharded.rs`).
 //!
 //! Every request is instrumented (subject to Dapper-style 1-in-N trace
 //! sampling): per-subsystem records plus a span tree land in a
@@ -26,17 +27,7 @@ use crate::master::Master;
 
 mod shard;
 mod sharded;
-pub use sharded::{default_shards, effective_shards};
-
-/// One independent run specification for [`Cluster::run_trials`]: a
-/// request count plus the workload seed driving it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Trial {
-    /// Requests to issue.
-    pub n_requests: u64,
-    /// Workload seed (controls arrivals, sizes, placement targets).
-    pub seed: u64,
-}
+pub use sharded::default_shards;
 
 /// Summary of one completed request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,26 +183,6 @@ impl Cluster {
         Ok(Cluster { config: config.clone(), master })
     }
 
-    /// Runs `trials.len()` independent simulations of `config` in
-    /// parallel (one fresh cluster per trial) and returns the outcomes in
-    /// trial order. Bit-identical to running each trial serially: every
-    /// trial owns its own engine and RNG, and `kooza-exec` merges results
-    /// in submission order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::GfsError::InvalidConfig`] on bad parameters.
-    pub fn run_trials(
-        config: &ClusterConfig,
-        trials: &[Trial],
-    ) -> crate::Result<Vec<ClusterOutcome>> {
-        config.validate()?;
-        Ok(kooza_exec::par_map(trials, |t| {
-            let mut cluster = Cluster::new(config).expect("config validated above");
-            cluster.run(t.n_requests, t.seed)
-        }))
-    }
-
     /// The configuration this cluster was built with.
     pub fn config(&self) -> &ClusterConfig {
         &self.config
@@ -236,10 +207,10 @@ impl Cluster {
     /// Publishes one finished run's aggregate metrics to the global
     /// observability registry (no-op unless `--obs` enabled it).
     ///
-    /// Runs may execute inside `par_map` workers (`run_trials`), so only
-    /// commutative operations appear here — counter adds, gauge maxima,
-    /// integer histogram records — keeping the registry state identical
-    /// at any thread count. One `with_registry` call takes the lock once
+    /// Runs may execute inside `par_map` workers, so only commutative
+    /// operations appear here — counter adds, gauge maxima, integer
+    /// histogram records — keeping the registry state identical at any
+    /// thread count. One `with_registry` call takes the lock once
     /// per run, not once per event.
     fn publish_metrics(&self, stats: &ClusterStats, outcomes: &[RequestOutcome]) {
         if !kooza_obs::global::is_enabled() {
@@ -487,23 +458,6 @@ mod tests {
         assert_eq!(load, out.stats.requests_per_server);
         // Every server served a share of the mixed workload.
         assert!(load.iter().all(|&n| n > 0), "load {load:?}");
-    }
-
-    #[test]
-    fn run_trials_matches_serial_runs() {
-        let mut config = ClusterConfig::small();
-        config.workload = WorkloadMix::mixed();
-        let trials = [
-            Trial { n_requests: 150, seed: 5 },
-            Trial { n_requests: 150, seed: 6 },
-            Trial { n_requests: 80, seed: 7 },
-        ];
-        let parallel = Cluster::run_trials(&config, &trials).unwrap();
-        for (trial, out) in trials.iter().zip(&parallel) {
-            let serial = Cluster::new(&config).unwrap().run(trial.n_requests, trial.seed);
-            assert_eq!(out.trace, serial.trace, "seed {}", trial.seed);
-            assert_eq!(out.requests, serial.requests, "seed {}", trial.seed);
-        }
     }
 
     #[test]

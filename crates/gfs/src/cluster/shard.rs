@@ -11,17 +11,17 @@
 //!   calls the receiving handler at once, the serving and control roles
 //!   share one record per request and the live master, placement comes from
 //!   [`Cluster::new`], and the loop stops as soon as every request resolved
-//!   and no repair is in flight.
+//!   and no repair is in flight. Every fault-injected or rack-fabric run is
+//!   hosted this way, so crashes, timeouts, repairs and the fabric never
+//!   meet a window barrier.
 //! * [`Cluster::run_sharded`] hosts N shards whose mailboxes buffer in an
-//!   [`Outbox`] until the window barrier (see `sharded.rs`). Each serving
-//!   shard builds its own record of an attempt, with the replica-set
-//!   snapshot, from the `Attempt` message.
+//!   [`Outbox`] until the window barrier (see `sharded.rs`), for fault-free
+//!   runs on ideal links only. Each serving shard builds its own record of
+//!   an attempt, with the replica-set snapshot, from the `Attempt` message.
 //!
-//! Every 1-vs-N difference other than group-aligned placement and window
-//! latency is decided by the host, not inside a handler: by the mailbox
-//! (the `mail_*` functions), by which table holds the control plane's
-//! records ([`Shard::split`]) and by which placement write fanout reads
-//! ([`placement`]). DESIGN.md §11 lists each one next to its test.
+//! The host, not a handler, decides the two ways N shards differ from one:
+//! group-aligned placement, and a dispatch or completion landing at the
+//! next window boundary. DESIGN.md §11 lists both next to their tests.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -147,7 +147,7 @@ impl ReqState {
 /// One in-flight background re-replication: disk read at `from`, network
 /// transfer to `to`, disk write at `to`, then the placement commit.
 #[derive(Debug, Clone, Copy)]
-pub(super) struct RerepJob {
+struct RerepJob {
     chunk: ChunkHandle,
     dead: usize,
     from: usize,
@@ -217,8 +217,9 @@ enum Ev {
     Msg(Box<ShardMsg>),
 }
 
-/// A cross-shard message. `Attempt`/`Cancel`/`Rerep` flow control→serving;
-/// `Done`/`Commit`/`RerepDone` flow serving→control (shard 0).
+/// A cross-shard message of the N-shard hosting, which runs only fault-free
+/// clusters: `Attempt` flows control→serving, `Done` serving→control
+/// (shard 0).
 #[derive(Debug)]
 pub(super) enum ShardMsg {
     /// Dispatch the live attempt of request `id` to `server`, with the
@@ -229,30 +230,12 @@ pub(super) enum ShardMsg {
         wire: u64,
         record: ReqState,
     },
-    /// The client timed out attempt `attempt`; drop its serving record.
-    Cancel { id: u64, attempt: u32 },
-    /// Master repair command: copy a chunk from `job.from` to `job.to`.
-    Rerep { rid: u64, job: RerepJob },
     /// An attempt completed; `served` is its serving record.
     Done {
         id: u64,
         attempt: u32,
         done_at: SimTime,
         served: ReqState,
-    },
-    /// A write-triggered stand-in replica became durable: commit the
-    /// placement change on the master.
-    Commit {
-        chunk: ChunkHandle,
-        dead: usize,
-        stand_in: usize,
-    },
-    /// A master-driven repair finished (`committed`) or was destroyed by a
-    /// crash; either way it leaves the in-flight ledger.
-    RerepDone {
-        rid: u64,
-        job: RerepJob,
-        committed: bool,
     },
 }
 
@@ -547,9 +530,8 @@ enum Transport {
     /// server's egress NIC for responses, for `LinkModel::transfer`.
     Links,
     /// A rack/spine fabric: concurrent flows share links max-min fairly.
-    /// In sharded runs each shard's fabric spans the global host index
-    /// space; group-aligned placement keeps host-to-host flows shard-local
-    /// and client flows attach at the spine.
+    /// Fabric runs are hosted on one shard, so one fabric carries every
+    /// host's flows and each rack has exactly one uplink.
     Fabric(Box<FabricState>),
 }
 
@@ -561,8 +543,8 @@ struct Host {
     engine: Engine<Ev>,
     /// Owned servers, indexed by `server - range.start`.
     servers: Vec<Server>,
-    /// Liveness by global server index: exact for the owned range and, on
-    /// shard 0 (which sees every crash), for the whole cluster.
+    /// Liveness by global server index. Only crashes clear it, and fault
+    /// runs are hosted on one shard, which sees every crash.
     alive: Vec<bool>,
     transport: Transport,
     trace: TraceSet,
@@ -747,9 +729,9 @@ impl Host {
         }
     }
 
-    /// An owned server crashes: its stations drop every job and, on a
-    /// fabric, every flow crossing its access links dies with it (the
-    /// completions never fire). Both count as lost jobs.
+    /// A server crashes: its stations drop every job and, on a fabric,
+    /// every flow crossing its access links dies with it (the completions
+    /// never fire). Both count as lost jobs.
     fn crash(&mut self, now: SimTime, server: usize) {
         let s = &mut self.servers[server - self.range.start];
         s.epoch += 1;
@@ -782,7 +764,7 @@ impl Host {
     /// Publishes the fabric's counters and per-link utilization to the
     /// observability registry; ideal links publish nothing, so
     /// `--topology none` reports keep the pre-fabric format. Commutative
-    /// operations only: sharded runs publish once per shard fabric.
+    /// operations only, since runs may execute inside `par_map` workers.
     fn publish_transport(&self, end: SimTime) {
         let Transport::Fabric(fab) = &self.transport else {
             return;
@@ -838,9 +820,8 @@ struct Control {
     rerep_inflight: HashSet<u64>,
     /// Requests resolved so far, completed or failed.
     finished: u64,
-    /// Each server's shard, and each shard's servers.
+    /// Each server's shard.
     shard_of: Vec<usize>,
-    ranges: Vec<Range<usize>>,
 }
 
 impl Control {
@@ -887,9 +868,9 @@ fn live_target(
 }
 
 /// Where a write's primary forwards the payload: every live secondary in
-/// `placement`, plus, with faults armed, a live stand-in from the shard's
-/// servers for each dead one (pushed to `replacements`) so the write
-/// re-acks at full replication.
+/// `placement`, plus, with faults armed, a live stand-in from the cluster
+/// for each dead one (pushed to `replacements`) so the write re-acks at
+/// full replication.
 fn write_fanout(
     host: &Host,
     placement: &[usize],
@@ -904,7 +885,7 @@ fn write_fanout(
         .collect();
     if host.plan.is_some() {
         for &dead in placement.iter().filter(|&&s| s != server && !alive[s]) {
-            let stand_in = host.range.clone().find(|&s| {
+            let stand_in = (0..alive.len()).find(|&s| {
                 alive[s] && s != server && !placement.contains(&s) && !fanout.contains(&s)
             });
             if let Some(stand_in) = stand_in {
@@ -951,7 +932,8 @@ pub(super) struct Shard {
 
 impl Shard {
     /// Builds a hosting's shards, one per server range; shard 0 carries
-    /// the control plane. `outboxes` is `None` for the one-shard hosting.
+    /// the control plane. `outboxes` is `None` for the one-shard hosting,
+    /// the only one that takes faults or a fabric.
     pub(super) fn build(
         cfg: &ClusterConfig,
         master: Master,
@@ -961,6 +943,10 @@ impl Shard {
         outboxes: Option<Vec<Outbox<ShardMsg>>>,
     ) -> Vec<Shard> {
         let n = cfg.n_chunkservers;
+        debug_assert!(
+            ranges.len() == 1 || (cfg.faults.is_none() && cfg.topology == Topology::None),
+            "faults and fabrics run on one shard"
+        );
         // The fault horizon derives only from the run parameters — never
         // from elapsed wall time or event counts — so the plan is identical
         // at any thread count. Twice the expected workload span plus slack
@@ -994,7 +980,6 @@ impl Shard {
             rerep_inflight: HashSet::new(),
             finished: 0,
             shard_of,
-            ranges: ranges.to_vec(),
         });
         let mut outboxes = outboxes.map(Vec::into_iter);
         ranges
@@ -1003,14 +988,7 @@ impl Shard {
                 let mut control = control.take();
                 let mut engine = Engine::new();
                 if let Some(p) = &plan {
-                    // Shard 0 watches every server: it tracks cluster-wide
-                    // liveness and drives repair.
-                    let watched = if control.is_some() {
-                        0..n
-                    } else {
-                        range.clone()
-                    };
-                    for s in watched {
+                    for s in 0..n {
                         for w in p.windows(s) {
                             engine.schedule_at(w.down, Ev::Crash { server: s });
                             engine.schedule_at(w.up, Ev::Recover { server: s });
@@ -1320,24 +1298,21 @@ impl Shard {
         }
     }
 
-    /// `Ev::RequestTimeout`: cancel the attempt, then retry (with
+    /// `Ev::RequestTimeout`: give up on the attempt, then retry (with
     /// failover) or abandon the request.
     fn request_timeout(&mut self, now: SimTime, id: u64, attempt: u32) {
-        let (ctl, ledger, _) = self.split();
+        let (ctl, ledger, host) = self.split();
         let Some(st) = ledger.get_mut(&id).filter(|st| st.attempt == attempt) else {
             return; // stale timer
         };
         st.timeout = None;
         let prev = st.server;
         ctl.fstats.timeouts += 1;
-        self.mail_cancel(now, id, attempt, prev);
-        let (ctl, ledger, host) = self.split();
         let f = ctl
             .cfg
             .faults
             .as_ref()
             .expect("timeouts only exist under faults");
-        let st = ledger.get_mut(&id).expect("present above");
         if st.retries >= f.max_retries {
             let st = ledger.remove(&id).expect("present above");
             ctl.fstats.requests_failed += 1;
@@ -1364,8 +1339,8 @@ impl Shard {
     }
 
     /// `Ev::Rereplicate`: resolve source and target at fire time (the
-    /// cluster may have changed since the crash was detected) and mail the
-    /// repair to the source.
+    /// cluster may have changed since the crash was detected) and start the
+    /// repair at the source.
     fn rereplicate(&mut self, now: SimTime, chunk: ChunkHandle, dead: usize) {
         let (ctl, _, host) = self.split();
         let alive = &host.alive;
@@ -1379,9 +1354,8 @@ impl Shard {
         let Some(from) = reps.iter().copied().find(|&s| s != dead && alive[s]) else {
             return; // no live source holds the chunk
         };
-        let group = ctl.ranges[ctl.shard_of[dead]].clone();
-        let Some(to) = group.into_iter().find(|&s| alive[s] && !reps.contains(&s)) else {
-            return; // nowhere in the dead server's group to put a new replica
+        let Some(to) = (0..alive.len()).find(|&s| alive[s] && !reps.contains(&s)) else {
+            return; // no live server without a replica to put a new one on
         };
         let rid = REREP_BASE + ctl.rerep_seq;
         ctl.rerep_seq += 1;
@@ -1393,7 +1367,7 @@ impl Shard {
             to,
             lbn: ctl.master.chunk_base_lbn(chunk),
         };
-        self.mail_rerep(now, rid, job);
+        self.on_rerep(now, rid, job);
     }
 
     /// `ShardMsg::Done`: the live attempt completed at `done_at`. At N
@@ -1422,21 +1396,20 @@ impl Shard {
         }
     }
 
-    /// `ShardMsg::Commit`: a write's stand-in replica is durable.
+    /// A write's stand-in replica is durable: commit the placement change.
     fn on_commit(&mut self, chunk: ChunkHandle, dead: usize, stand_in: usize) {
         let (ctl, _, _) = self.split();
         ctl.master.replace_replica(chunk, dead, stand_in);
         ctl.fstats.rereplications += 1;
     }
 
-    /// `ShardMsg::RerepDone`: a repair committed, or a crash destroyed it.
-    fn on_rerep_done(&mut self, rid: u64, job: RerepJob, committed: bool) {
+    /// A master-driven repair's copy is durable: commit it. A crash that
+    /// destroys a repair takes it out of the in-flight set itself.
+    fn on_rerep_done(&mut self, rid: u64, job: RerepJob) {
         let (ctl, _, _) = self.split();
         ctl.rerep_inflight.remove(&rid);
-        if committed {
-            ctl.master.replace_replica(job.chunk, job.dead, job.to);
-            ctl.fstats.rereplications += 1;
-        }
+        ctl.master.replace_replica(job.chunk, job.dead, job.to);
+        ctl.fstats.rereplications += 1;
     }
 }
 
@@ -1453,9 +1426,12 @@ impl Shard {
         wire: u64,
         record: Option<ReqState>,
     ) {
-        if !self.host.alive[server] {
-            return; // crashed in transit; the timeout retries
-        }
+        // One shard delivers in the event that picked a live target, and
+        // N-shard runs have no crashes.
+        debug_assert!(
+            self.host.alive[server],
+            "attempt reached crashed server {server}"
+        );
         if let Some(record) = record {
             self.reqs.insert(id, record);
         }
@@ -1463,20 +1439,13 @@ impl Shard {
             .send_in(now, Endpoint::Client, server, (id, wire, false, attempt));
     }
 
-    /// `ShardMsg::Cancel`: the client gave up on `attempt`; drop its record.
-    fn on_cancel(&mut self, id: u64, attempt: u32) {
-        if self.reqs.get(&id).is_some_and(|st| st.attempt == attempt) {
-            self.reqs.remove(&id);
-        }
-    }
-
-    /// `ShardMsg::Rerep`: start a repair with a disk read at its source.
+    /// A repair starts with a disk read at its source.
     fn on_rerep(&mut self, now: SimTime, rid: u64, job: RerepJob) {
-        if !self.host.alive[job.from] || !self.host.alive[job.to] {
-            // An end died in transit: report the repair lost so the control
-            // ledger doesn't leak.
-            return self.mail_rerep_done(now, rid, job, false);
-        }
+        // `rereplicate` picked both ends live in this same event.
+        debug_assert!(
+            self.host.alive[job.from] && self.host.alive[job.to],
+            "repair {rid} between crashed servers"
+        );
         self.rerep_jobs.insert(rid, job);
         self.host
             .offer_disk(now, job.from, (rid, job.lbn, REREP_BYTES, false, 0));
@@ -1624,7 +1593,7 @@ impl Shard {
                 }
             } else if let Some(job) = self.rerep_jobs.remove(&id) {
                 // Replacement copy is durable: commit it.
-                self.mail_rerep_done(now, id, job, true);
+                self.on_rerep_done(id, job);
             }
             return;
         }
@@ -1650,7 +1619,7 @@ impl Shard {
                 }
             }
             if let Some((chunk, (dead, stand_in))) = commit {
-                self.mail_commit(now, chunk, dead, stand_in);
+                self.on_commit(chunk, dead, stand_in);
             }
             return;
         }
@@ -1699,47 +1668,40 @@ impl Shard {
         self.mail_done(now, id, attempt);
     }
 
-    /// `Ev::Crash`: a server goes down; shard 0 also schedules the master's
-    /// repairs of its chunks.
+    /// `Ev::Crash`: a server goes down, the repairs touching it die with
+    /// it, and the master schedules repairs of its chunks.
     fn crash(&mut self, now: SimTime, server: usize) {
         self.host.alive[server] = false;
-        if self.host.range.contains(&server) {
-            self.host.crash(now, server);
-            // Repair pipelines touching the dead server die with it; report
-            // them in ascending rid order so the mail sequence is
-            // deterministic.
-            let mut lost: Vec<u64> = self
-                .rerep_jobs
-                .iter()
-                .filter(|(_, j)| j.from == server || j.to == server)
-                .map(|(&rid, _)| rid)
-                .collect();
-            lost.sort_unstable();
-            for rid in lost {
-                let job = self.rerep_jobs.remove(&rid).expect("collected above");
-                self.mail_rerep_done(now, rid, job, false);
+        self.host.crash(now, server);
+        let ctl = self
+            .control
+            .as_mut()
+            .expect("fault runs are hosted on one shard");
+        self.rerep_jobs.retain(|rid, j| {
+            let lost = j.from == server || j.to == server;
+            if lost {
+                ctl.rerep_inflight.remove(rid);
             }
-        }
-        if let Some(ctl) = self.control.as_mut() {
-            ctl.fstats.crashes += 1;
-            // The master notices after its detection delay and repairs a
-            // batch of the under-replicated chunks.
-            if let Some(f) = &ctl.cfg.faults {
-                let detect = SimDuration::from_secs_f64(f.detect_secs);
-                for chunk in ctl
-                    .master
-                    .chunks_on(server)
-                    .into_iter()
-                    .take(f.rereplicate_batch)
-                {
-                    self.host.engine.schedule(
-                        detect,
-                        Ev::Rereplicate {
-                            chunk,
-                            dead: server,
-                        },
-                    );
-                }
+            !lost
+        });
+        ctl.fstats.crashes += 1;
+        // The master notices after its detection delay and repairs a
+        // batch of the under-replicated chunks.
+        if let Some(f) = &ctl.cfg.faults {
+            let detect = SimDuration::from_secs_f64(f.detect_secs);
+            for chunk in ctl
+                .master
+                .chunks_on(server)
+                .into_iter()
+                .take(f.rereplicate_batch)
+            {
+                self.host.engine.schedule(
+                    detect,
+                    Ev::Rereplicate {
+                        chunk,
+                        dead: server,
+                    },
+                );
             }
         }
     }
@@ -1747,19 +1709,17 @@ impl Shard {
     /// `Ev::Recover`: a crashed server comes back up.
     fn recover(&mut self, server: usize) {
         self.host.alive[server] = true;
-        if self.host.range.contains(&server) {
-            self.host.recover(server);
-        }
-        if let Some(ctl) = self.control.as_mut() {
-            ctl.fstats.recoveries += 1;
-        }
+        self.host.recover(server);
+        let (ctl, _, _) = self.split();
+        ctl.fstats.recoveries += 1;
     }
 }
 
-// The mailbox. At one shard it calls the receiving handler at once; both
-// roles already share the request record and the live master, so nothing
-// is copied and a cancel has nothing to drop. At N shards it buffers each
-// message in the outbox until the window barrier.
+// The mailbox, for the two messages that cross shards: an attempt's
+// dispatch and its completion. At one shard it calls the receiving handler
+// at once; both roles already share the request record and the live
+// master, so nothing is copied. At N shards it buffers each message in the
+// outbox until the window barrier.
 impl Shard {
     fn mail_attempt(&mut self, now: SimTime, id: u64, attempt: u32, server: usize, wire: u64) {
         let Some(outbox) = self.outbox.as_mut() else {
@@ -1780,20 +1740,6 @@ impl Shard {
         );
     }
 
-    fn mail_cancel(&mut self, now: SimTime, id: u64, attempt: u32, server: usize) {
-        if let (Some(outbox), Some(ctl)) = (self.outbox.as_mut(), self.control.as_ref()) {
-            outbox.send(ctl.shard_of[server], now, ShardMsg::Cancel { id, attempt });
-        }
-    }
-
-    fn mail_rerep(&mut self, now: SimTime, rid: u64, job: RerepJob) {
-        let Some(outbox) = self.outbox.as_mut() else {
-            return self.on_rerep(now, rid, job);
-        };
-        let ctl = self.control.as_ref().expect("repairs leave shard 0");
-        outbox.send(ctl.shard_of[job.from], now, ShardMsg::Rerep { rid, job });
-    }
-
     fn mail_done(&mut self, now: SimTime, id: u64, attempt: u32) {
         let Some(outbox) = self.outbox.as_mut() else {
             return self.on_done(id, attempt, now, None);
@@ -1811,36 +1757,6 @@ impl Shard {
         );
     }
 
-    fn mail_commit(&mut self, now: SimTime, chunk: ChunkHandle, dead: usize, stand_in: usize) {
-        let Some(outbox) = self.outbox.as_mut() else {
-            return self.on_commit(chunk, dead, stand_in);
-        };
-        outbox.send(
-            0,
-            now,
-            ShardMsg::Commit {
-                chunk,
-                dead,
-                stand_in,
-            },
-        );
-    }
-
-    fn mail_rerep_done(&mut self, now: SimTime, rid: u64, job: RerepJob, committed: bool) {
-        let Some(outbox) = self.outbox.as_mut() else {
-            return self.on_rerep_done(rid, job, committed);
-        };
-        outbox.send(
-            0,
-            now,
-            ShardMsg::RerepDone {
-                rid,
-                job,
-                committed,
-            },
-        );
-    }
-
     /// `Ev::Msg`: a barrier-delivered message goes to its handler.
     fn deliver(&mut self, now: SimTime, msg: ShardMsg) {
         match msg {
@@ -1852,8 +1768,6 @@ impl Shard {
             } => {
                 self.on_attempt(now, id, record.attempt, server, wire, Some(record));
             }
-            ShardMsg::Cancel { id, attempt } => self.on_cancel(id, attempt),
-            ShardMsg::Rerep { rid, job } => self.on_rerep(now, rid, job),
             ShardMsg::Done {
                 id,
                 attempt,
@@ -1862,16 +1776,6 @@ impl Shard {
             } => {
                 self.on_done(id, attempt, done_at, Some(served));
             }
-            ShardMsg::Commit {
-                chunk,
-                dead,
-                stand_in,
-            } => self.on_commit(chunk, dead, stand_in),
-            ShardMsg::RerepDone {
-                rid,
-                job,
-                committed,
-            } => self.on_rerep_done(rid, job, committed),
         }
     }
 }

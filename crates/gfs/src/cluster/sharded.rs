@@ -3,15 +3,19 @@
 //! cross-shard mail exchanged at the window barrier (see
 //! [`kooza_sim::ShardedEngine`]).
 //!
+//! It hosts fault-free runs on ideal links only. A fault-injected or
+//! rack-fabric configuration runs on one shard whatever shard count is
+//! asked for: its crashes, timeouts and repairs would race the barrier, and
+//! a fabric split across shards gives a rack one uplink per shard.
+//!
 //! # Roles
 //!
 //! Servers are split into contiguous *groups* ([`kooza_sim::shard_ranges`]);
 //! shard `g` owns group `g`'s chunkservers. Shard 0 additionally runs the
 //! control plane. Placement is *group-aligned* ([`Master::place_grouped`]):
-//! every replica set lives inside one group, so write fanout and
-//! re-replication pipelines never leave their shard — only client↔server
-//! hops (`Attempt`/`Cancel`/`Done`), repair commands and placement commits
-//! cross shard boundaries.
+//! every replica set lives inside one group, so write fanout never leaves
+//! its shard — only client↔server hops (`Attempt`/`Done`) cross shard
+//! boundaries.
 //!
 //! # Determinism
 //!
@@ -29,9 +33,7 @@
 //! The handlers are the one-shard hosting's; a request that clamps to one
 //! shard runs [`Cluster::run`] itself. At N shards, group-aligned
 //! placement changes which servers hold which chunk, and each cross-shard
-//! hop lands at the next window boundary. The remaining differences come
-//! from the mailbox and the per-attempt serving records and are listed,
-//! each next to the test that pins it, in DESIGN.md §11.
+//! hop lands at the next window boundary (DESIGN.md §11).
 //!
 //! The window width is derived from the configuration alone
 //! (≈50 mean interarrival gaps, clamped to [0.2 ms, 20 ms]) so the
@@ -41,22 +43,26 @@ use kooza_sim::{shard_ranges, ShardedEngine, SimDuration};
 
 use super::shard::{self, Shard, ShardMsg};
 use super::{Cluster, ClusterOutcome};
-use crate::config::ClusterConfig;
+use crate::config::{ClusterConfig, Topology};
 use crate::master::Master;
 
 /// The default shard count for a cluster: one shard per ~8 chunkservers,
 /// capped at 8 — small clusters (including [`ClusterConfig::small`]) stay
 /// on one shard. Derived from the configuration only, never from the
-/// host, so "auto" is the same simulation on every machine.
-/// [`effective_shards`] further clamps to what replication allows.
+/// host, so it gives the same simulation on every machine.
+/// [`Cluster::run_sharded`] further clamps it.
 pub fn default_shards(config: &ClusterConfig) -> usize {
     (config.n_chunkservers / 8).clamp(1, 8)
 }
 
-/// The shard count [`Cluster::run_sharded`] actually runs a request for
-/// `requested` shards with: every group must hold a full replica set, so
-/// at most `n_chunkservers / replication` groups, and at least one.
-pub fn effective_shards(config: &ClusterConfig, requested: usize) -> usize {
+/// The shard count [`Cluster::run_sharded`] runs a request for `requested`
+/// shards with: one for a fault-injected or rack-fabric configuration;
+/// otherwise as many as asked, up to one group per full replica set
+/// (`n_chunkservers / replication`), and at least one.
+fn effective_shards(config: &ClusterConfig, requested: usize) -> usize {
+    if config.faults.is_some() || config.topology != Topology::None {
+        return 1;
+    }
     requested
         .min(config.n_chunkservers / config.replication.max(1))
         .max(1)
@@ -76,8 +82,9 @@ fn window_width(config: &ClusterConfig) -> SimDuration {
 impl Cluster {
     /// Runs `n_requests` requests with the given workload seed on a
     /// sharded, time-windowed multi-engine simulation (see the module
-    /// docs). `shards` is clamped by [`effective_shards`]; a request that
-    /// clamps to 1 is [`Cluster::run`].
+    /// docs). `shards` is clamped to one for a fault-injected or
+    /// rack-fabric configuration, and so that every shard group holds a
+    /// full replica set; a request that clamps to 1 is [`Cluster::run`].
     ///
     /// Deterministic: equal `(config, n_requests, seed, shards)` gives
     /// identical outcomes at any worker-thread count.
@@ -139,9 +146,6 @@ mod tests {
     use super::*;
     use crate::config::WorkloadMix;
     use crate::fault::FaultSpec;
-    use std::collections::HashMap;
-
-    use crate::{CpuModel, RequestOutcome};
 
     /// A cluster big enough for 4 groups of 3 (replication 3).
     fn sharded_config() -> ClusterConfig {
@@ -225,26 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_faulty_run_resolves_every_request() {
-        let mut config = sharded_config();
-        config.workload.mean_interarrival_secs = 0.05;
-        config.faults =
-            Some(FaultSpec::parse("mttf=3,mttr=0.5,timeout=0.4,retries=10,detect=0.1").unwrap());
-        let a = Cluster::new(&config).unwrap().run_sharded(400, 21, 4);
-        let f = &a.stats.faults;
-        assert!(f.crashes > 0, "no crashes: {f:?}");
-        assert_eq!(a.stats.completed + f.requests_failed, 400);
-        assert_eq!(a.requests.len(), 400);
-        let failed = a.requests.iter().filter(|r| r.failed).count() as u64;
-        assert_eq!(failed, f.requests_failed);
-        // Deterministic under faults too.
-        let b = Cluster::new(&config).unwrap().run_sharded(400, 21, 4);
-        assert_eq!(a.trace, b.trace);
-        assert_eq!(a.requests, b.requests);
-        assert_eq!(a.stats.faults, b.stats.faults);
-    }
-
-    #[test]
     fn sharded_writes_replicate_within_their_group() {
         let mut config = sharded_config();
         config.workload = WorkloadMix::write_heavy();
@@ -262,128 +246,61 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fabric_run_completes_and_is_deterministic() {
+    fn dispatches_land_at_the_next_window_boundary() {
+        // A light read load: each attempt finds its server's ingress NIC
+        // idle, so `network.in` ends one header transfer after the attempt
+        // reached the server.
         let mut config = sharded_config();
-        config.topology = crate::config::Topology::Rack { servers_per_rack: 3, oversub: 1.5 };
-        let a = Cluster::new(&config).unwrap().run_sharded(300, 51, 4);
-        assert_eq!(a.stats.completed, 300);
-        assert_eq!(a.trace.network.len(), 600);
-        let b = Cluster::new(&config).unwrap().run_sharded(300, 51, 4);
-        assert_eq!(a.trace, b.trace);
-        assert_eq!(a.requests, b.requests);
-        // One shard is the one-shard hosting, fabric included.
-        let legacy = Cluster::new(&config).unwrap().run(300, 51);
-        let one = Cluster::new(&config).unwrap().run_sharded(300, 51, 1);
-        assert_eq!(legacy.trace, one.trace);
-    }
-
-    #[test]
-    fn repair_whose_target_crashed_in_transit_is_reported_lost() {
-        // Control picks a live repair target that crashes before the
-        // barrier delivers the command; the source shard must report the
-        // repair lost instead of shipping the chunk to a down NIC.
-        let mut config = sharded_config();
-        config.faults = Some(FaultSpec::parse("mttf=5,mttr=2,timeout=0.5,retries=8").unwrap());
-        let out = Cluster::new(&config).unwrap().run_sharded(1000, 1, 2);
-        assert_eq!(out.stats.completed + out.stats.faults.requests_failed, 1000);
-        let mut ids: Vec<u64> = out.requests.iter().map(|r| r.id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..1000).collect::<Vec<u64>>());
-    }
-
-    /// Timeouts that race service times: attempts time out mid-pipeline or
-    /// just after finishing, and some requests exhaust their retries.
-    fn racing_config() -> ClusterConfig {
-        let mut config = sharded_config();
-        config.workload.mean_interarrival_secs = 0.01;
-        let spec = "mttf=1000,mttr=1,timeout=0.05,retries=2,backoff=1";
-        config.faults = Some(FaultSpec::parse(spec).unwrap());
-        config
-    }
-
-    /// `racing_config` hosted on one shard and on two.
-    fn racing_runs() -> [ClusterOutcome; 2] {
-        let config = racing_config();
-        [1, 2].map(|shards| Cluster::new(&config).unwrap().run_sharded(600, 3, shards))
-    }
-
-    #[test]
-    fn retried_request_cpu_counts_every_attempt_at_one_shard_and_the_last_at_n() {
-        let config = racing_config();
-        let cpu = CpuModel::new(config.cpu);
-        let overhead = SimDuration::from_secs_f64(config.tracing_overhead_secs);
-        // Both CPU stages of one complete attempt, with tracing overhead.
-        let one_attempt = |r: &RequestOutcome| {
-            let stages = cpu.phase(1024) + cpu.phase(r.size);
-            (stages + if r.sampled { overhead + overhead } else { SimDuration::ZERO }).as_nanos()
+        config.workload = WorkloadMix {
+            mean_interarrival_secs: 1.0,
+            ..WorkloadMix::read_heavy()
         };
-        let [one, two] = racing_runs();
-        let retried = |out: &ClusterOutcome| -> Vec<(u64, u64)> {
-            let done = out.requests.iter().filter(|r| !r.failed && r.retries > 0);
-            done.map(|r| (r.cpu_busy_nanos, one_attempt(r))).collect()
-        };
-        // One shard bills the CPU stages cancelled attempts reached.
-        assert!(retried(&one).iter().any(|&(busy, attempt)| busy > attempt));
-        // N shards report the completing attempt's serving record only.
-        let at_n = retried(&two);
-        assert!(!at_n.is_empty());
-        assert!(at_n.iter().all(|&(busy, attempt)| busy == attempt), "{at_n:?}");
-    }
-
-    #[test]
-    fn failed_request_reports_serving_cpu_and_cache_hit_only_at_one_shard() {
-        let [one, two] = racing_runs();
-        assert!(one.requests.iter().any(|r| r.failed && r.cpu_busy_nanos > 0));
-        // At N shards the control plane's record never sees the serving side.
-        let failed: Vec<&RequestOutcome> = two.requests.iter().filter(|r| r.failed).collect();
-        assert!(!failed.is_empty());
-        assert!(failed.iter().all(|r| r.cpu_busy_nanos == 0 && !r.cache_hit));
-    }
-
-    #[test]
-    fn cancelled_attempt_phases_stay_in_the_span_tree_only_at_one_shard() {
-        // Trees with a serving phase before the last retry: phases of a
-        // cancelled attempt.
-        let cancelled = |out: &ClusterOutcome| {
-            let trees = out.trace.span_trees();
-            let with = trees.iter().filter(|t| {
-                let phases = t.phase_sequence();
-                let last_retry = phases.iter().rposition(|&p| p == "fault.retry");
-                last_retry.is_some_and(|i| phases[..i].contains(&"network.in"))
-            });
-            with.count()
-        };
-        let [one, two] = racing_runs();
-        assert!(cancelled(&one) > 0);
-        assert!(two.requests.iter().any(|r| r.sampled && !r.failed && r.retries > 0));
-        assert_eq!(cancelled(&two), 0);
-    }
-
-    #[test]
-    fn completion_racing_its_timeout_in_one_window_retries_only_at_n() {
-        let config = racing_config();
-        let timeout = config.faults.unwrap().timeout_for_attempt(0).as_nanos();
-        // Completed requests that retried although an attempt finished
-        // serving (its CPU record) before the first attempt's timer fired.
-        let raced = |out: &ClusterOutcome| {
-            let mut served: HashMap<u64, Vec<u64>> = HashMap::new();
-            for c in &out.trace.cpu {
-                served.entry(c.request_id).or_default().push(c.ts_nanos);
+        let width = window_width(&config).as_nanos();
+        let header = crate::LinkModel::new(config.link).transfer(1024).as_nanos();
+        for shards in [1, 4] {
+            let out = Cluster::new(&config).unwrap().run_sharded(100, 3, shards);
+            let ingress: Vec<_> = out
+                .trace
+                .spans
+                .iter()
+                .filter(|s| s.name == "network.in")
+                .collect();
+            assert_eq!(ingress.len(), 100);
+            for span in ingress {
+                let (sent, reached) = (span.start_nanos, span.end_nanos - header);
+                // One shard delivers at once; N shards at the end of the
+                // window the dispatch happened in.
+                let expected = if shards == 1 {
+                    sent
+                } else {
+                    (sent / width + 1) * width
+                };
+                assert_eq!(reached, expected, "{shards} shards, dispatch at {sent} ns");
             }
-            let retried = out.requests.iter().filter(|r| !r.failed && r.retries > 0);
-            let raced = retried.filter(|r| {
-                let ts = &served[&r.id];
-                let start = ts.iter().max().expect("completed") - r.latency_nanos;
-                ts.iter().any(|&t| t < start + timeout)
-            });
-            raced.count()
+        }
+    }
+
+    #[test]
+    fn faults_and_fabrics_run_on_one_shard() {
+        let mut faulty = sharded_config();
+        faulty.workload.mean_interarrival_secs = 0.05;
+        faulty.faults =
+            Some(FaultSpec::parse("mttf=3,mttr=0.5,timeout=0.4,retries=10,detect=0.1").unwrap());
+        let mut rack = sharded_config();
+        rack.topology = Topology::Rack {
+            servers_per_rack: 3,
+            oversub: 1.5,
         };
-        let [one, two] = racing_runs();
-        // One shard: a completion cancels its timer in the same instant.
-        assert_eq!(raced(&one), 0);
-        // N shards: `Done` waits for the barrier, so a timer firing later
-        // in the same window retries a completed attempt.
-        assert!(raced(&two) > 0);
+        for config in [faulty, rack] {
+            assert_eq!(effective_shards(&config, 4), 1);
+            let one = Cluster::new(&config).unwrap().run(400, 21);
+            let four = Cluster::new(&config).unwrap().run_sharded(400, 21, 4);
+            assert_eq!(one.trace, four.trace);
+            assert_eq!(one.requests, four.requests);
+            assert_eq!(one.stats.faults, four.stats.faults);
+            let crashes = one.stats.faults.crashes;
+            assert_eq!(crashes > 0, config.faults.is_some(), "{crashes} crashes");
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ mod fault;
 mod hardware;
 mod master;
 
-pub use cluster::{default_shards, effective_shards, Cluster, ClusterOutcome, ClusterStats, FaultStats, RequestOutcome, Trial};
+pub use cluster::{default_shards, Cluster, ClusterOutcome, ClusterStats, FaultStats, RequestOutcome};
 pub use config::{ClusterConfig, CpuParams, DiskParams, LinkParams, MemoryParams, Topology, WorkloadMix};
 pub use fault::{FaultPlan, FaultSpec, FaultWindow, FAULT_HORIZON_SLACK_SECS, MAX_EXPECTED_WINDOWS};
 pub use hardware::{CpuModel, DiskModel, LinkModel, MemoryModel};

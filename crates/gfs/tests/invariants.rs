@@ -12,6 +12,7 @@ use kooza_gfs::{
     WorkloadMix, FAULT_HORIZON_SLACK_SECS, MAX_EXPECTED_WINDOWS,
 };
 use kooza_sim::SimDuration;
+use kooza_trace::record::Direction;
 use kooza_trace::Span;
 
 /// The trace's spans are in the order the simulator records and sorts
@@ -207,7 +208,9 @@ fn utilization_matches_billed_busy(config: &ClusterConfig, out: &ClusterOutcome)
 /// maps every request to a chunkserver consistently with its stats,
 /// integrates its CPU utilization to its billed busy time, the sharded
 /// run is the same at 1 and 2 threads, and `run` and `run_sharded(.., 1)`
-/// are the same simulation.
+/// are the same simulation. A fault-injected or rack-fabric configuration
+/// runs on one shard whatever the count asked for, so there `run` equals
+/// `run_sharded(.., shards)` too.
 fn hostings_agree(config: &ClusterConfig, n: u64, seed: u64, shards: usize) -> PropResult {
     let [sharded, two_threads] = sharded_at_one_and_two_threads(config, n, seed, shards);
     resolves_once(&sharded, n)?;
@@ -226,6 +229,14 @@ fn hostings_agree(config: &ClusterConfig, n: u64, seed: u64, shards: usize) -> P
     let via_sharded = Cluster::new(config).unwrap().run_sharded(n, seed, 1);
     ensure!(one.trace == via_sharded.trace, "run and run_sharded(.., 1) traces differ");
     ensure_eq!(one.requests, via_sharded.requests);
+    if config.faults.is_some() || config.topology != Topology::None {
+        ensure!(
+            one.trace == sharded.trace,
+            "run and run_sharded(.., {shards}) traces differ"
+        );
+        ensure_eq!(one.requests, sharded.requests);
+        ensure_eq!(format!("{:?}", one.stats), format!("{:?}", sharded.stats));
+    }
     Ok(())
 }
 
@@ -256,15 +267,58 @@ fn every_hosting_resolves_every_request_once() {
     );
 }
 
-/// The sharded repair race as a fixed case: a repair target that crashes
-/// before the barrier delivers the repair command.
+/// Tay's utilization law on rack uplinks: a rack's egress throughput is at
+/// most its uplink's capacity. Twelve servers sit in racks of 4 at
+/// oversubscription 4, so each uplink carries one host link's bandwidth,
+/// and 64 KB reads of 16 cache-resident chunks arrive far faster than the
+/// three uplinks drain them, so every rack runs saturated. Asked for on 4
+/// shards, whose server groups each straddle two racks, the run must still
+/// give each rack one uplink. A rack's throughput is its requests' egress
+/// bytes over the time from its first egress record to its last
+/// completion (ingress timestamp plus latency).
 #[test]
-fn repair_race_resolves_every_request_once() {
+fn saturated_racks_run_at_their_uplink_capacity() {
     let mut config = ClusterConfig::cluster(12);
-    config.workload = WorkloadMix::mixed();
-    config.faults = Some(FaultSpec::parse("mttf=5,mttr=2,timeout=0.5,retries=8").unwrap());
-    if let Err(e) = hostings_agree(&config, 1000, 1, 2) {
-        panic!("{e:?}");
+    config.topology = Topology::Rack {
+        servers_per_rack: 4,
+        oversub: 4.0,
+    };
+    config.workload = WorkloadMix {
+        n_chunks: 16,
+        mean_interarrival_secs: 50e-6,
+        ..WorkloadMix::read_heavy()
+    };
+    let uplink = config.link.bandwidth_bytes_per_sec;
+    for seed in 1..=3 {
+        let out = Cluster::new(&config).unwrap().run_sharded(2_000, seed, 4);
+        let rack_of = |id: u64| out.server_of[id as usize] / 4;
+        // Per rack: egress bytes, first egress record, last completion.
+        let mut racks = [(0u64, u64::MAX, 0u64); 3];
+        let mut arrival = HashMap::new();
+        for rec in &out.trace.network {
+            match rec.direction {
+                Direction::Ingress => {
+                    arrival.insert(rec.request_id, rec.ts_nanos);
+                }
+                Direction::Egress => {
+                    let rack = &mut racks[rack_of(rec.request_id)];
+                    rack.0 += rec.size;
+                    rack.1 = rack.1.min(rec.ts_nanos);
+                }
+            }
+        }
+        for r in &out.requests {
+            let rack = &mut racks[rack_of(r.id)];
+            rack.2 = rack.2.max(arrival[&r.id] + r.latency_nanos);
+        }
+        for (rack, &(bytes, first, last)) in racks.iter().enumerate() {
+            let throughput = bytes as f64 / ((last - first) as f64 * 1e-9);
+            let ratio = throughput / uplink;
+            assert!(
+                (ratio - 1.0).abs() <= 0.01,
+                "seed {seed}: rack {rack} moved {ratio:.3}x its uplink's capacity"
+            );
+        }
     }
 }
 

@@ -3,7 +3,6 @@
 //! * [`Tally`] — per-observation statistics (Welford mean/variance, min/max).
 //! * [`TimeWeighted`] — time-averaged piecewise-constant signals such as
 //!   queue length or busy-server count.
-//! * [`Counter`] — a plain monotone event counter with rate reporting.
 
 use crate::time::SimTime;
 
@@ -168,53 +167,6 @@ impl TimeWeighted {
     }
 }
 
-/// A monotone event counter.
-///
-/// ```
-/// use kooza_sim::{Counter, SimTime};
-/// let mut c = Counter::new();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.value(), 4);
-/// assert_eq!(c.rate_per_sec(SimTime::from_secs(2)), 2.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter { value: 0 }
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Events per simulated second over `[0, now]`; 0 at time zero.
-    pub fn rate_per_sec(&self, now: SimTime) -> f64 {
-        let secs = now.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.value as f64 / secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,13 +241,5 @@ mod tests {
         let mut w = TimeWeighted::new();
         w.record(SimTime::from_nanos(5), 7.0);
         assert_eq!(w.mean_until(SimTime::from_nanos(5), 7.0), 7.0);
-    }
-
-    #[test]
-    fn counter_rate() {
-        let mut c = Counter::new();
-        assert_eq!(c.rate_per_sec(SimTime::ZERO), 0.0);
-        c.add(10);
-        assert_eq!(c.rate_per_sec(SimTime::from_secs(5)), 2.0);
     }
 }

@@ -43,7 +43,7 @@ mod server;
 pub mod shard;
 mod time;
 
-pub use collect::{Counter, Tally, TimeWeighted};
+pub use collect::{Tally, TimeWeighted};
 pub use engine::{run, Engine, TimerHandle};
 pub use fabric::{Endpoint, Fabric};
 pub use server::ServerPool;

@@ -60,10 +60,20 @@ echo "== kbench: builds and smoke-runs every workload =="
 # kbench (BENCHMARK.json) is a workspace of its own, so neither the build
 # nor the test step above compiles it: a public-API break, or a change
 # that fails its per-seed byte and count checks, would show only when the
-# benchmark runs. One 1 s run per workload; its last line must report
-# "correct": true and "failed": 0. No step reads its timings.
+# benchmark runs. One 1 s run per workload that BENCHMARK.json declares;
+# its last line must report "correct": true and "failed": 0. No step reads
+# its timings.
 cargo build --release --offline --manifest-path kbench/Cargo.toml
-for workload in sim_ideal sim_fabric_faults sim_sharded model_pipeline; do
+workloads=$(awk -F'"' '
+    /"workloads"/ { inside = 1; next }
+    inside && /^[[:space:]]*\]/ { exit }
+    inside && $2 == "name" { print $4 }
+' BENCHMARK.json)
+if [ -z "$workloads" ]; then
+    echo "no workloads in BENCHMARK.json" >&2
+    exit 1
+fi
+for workload in $workloads; do
     last=$(cargo run --release --offline --quiet --manifest-path kbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
     if ! grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' <<<"$last"; then
@@ -108,16 +118,18 @@ echo "== fault determinism: outcomes and obs identical under a nonzero fault pla
 # byte-identical at 1/2/8 threads.
 KOOZA_THREADS=8 cargo test -q --offline --test fault_determinism
 
-echo "== shard determinism: sharded tables/logs/obs identical at KOOZA_THREADS=8 =="
-# The test sweeps 1/2/8 threads x 1/4 shards (healthy and fault-injected)
-# internally; the env var exercises the sizing path on top. Shards=1 also
-# pins the sharded entry point bit-identical to the one-shard hosting.
+echo "== shard determinism: sharded tables/obs identical at KOOZA_THREADS=8 =="
+# The test sweeps 1/2/8 threads x 1/4 shards of a fault-free, ideal-link
+# cluster internally; the env var exercises the sizing path on top.
+# Shards=1 also pins the sharded entry point bit-identical to the
+# one-shard hosting. Fault and rack runs always take one shard.
 KOOZA_THREADS=8 cargo test -q --offline --test shard_determinism
 
 echo "== fabric determinism: rack topology identical at KOOZA_THREADS=8, legacy path pinned to golden =="
-# Rack mode sweeps 1/2/8 threads x 1/4 shards internally; --topology none
-# is compared byte-for-byte against fixtures generated before the fabric
-# landed (tests/fixtures/pre_fabric_*.golden).
+# Rack mode, which runs on one shard, sweeps 1/2/8 threads internally;
+# --topology none is compared byte-for-byte against fixtures generated
+# before the fabric landed (tests/fixtures/pre_fabric_*.golden), healthy
+# tables at 1 and 4 shards and a fault log asked for on 1 and on 4.
 KOOZA_THREADS=8 cargo test -q --offline --test fabric_determinism
 
 echo "verify: OK"

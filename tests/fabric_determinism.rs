@@ -3,15 +3,17 @@
 //! 1. **Rack mode is deterministic.** With `--topology rack:4:2` enabled
 //!    the full Table-1/Table-2 pipeline, the fault-injected outcome log
 //!    and the stripped obs report are byte-identical across 1/2/8 exec
-//!    workers for each shard count in {1, 4} — the shared fabric
-//!    re-rates flows only at barrier-delivered event times, so thread
-//!    scheduling must not leak in.
+//!    workers — the shared fabric re-rates flows only at event times, so
+//!    thread scheduling must not leak in. Rack runs are hosted on one
+//!    shard whatever shard count is asked for, so there is no shard axis.
 //! 2. **`--topology none` is the pre-fabric simulator.** The same
 //!    pipeline with the default topology is compared byte-for-byte
 //!    against golden fixtures generated at the commit *before* the
-//!    fabric landed (`tests/fixtures/pre_fabric_*.golden`). Any drift in
-//!    the legacy path — however the fabric code is refactored — fails
-//!    this test.
+//!    fabric landed (`tests/fixtures/pre_fabric_*.golden`), healthy
+//!    tables at one and at four shards. Fault runs are hosted on one
+//!    shard too, so the fault log asked for on four shards must be the
+//!    one-shard golden. Any drift in the legacy path — however the fabric
+//!    code is refactored — fails this test.
 
 use kooza::class::assemble_observations;
 use kooza::crossexam::cross_examine;
@@ -178,61 +180,55 @@ fn fabric_runs_are_deterministic_and_legacy_path_matches_golden() {
         );
         assert_eq!(
             faulty_log(Topology::None, shards),
-            fixture(&format!("pre_fabric_faultlog_s{shards}.golden")),
-            "legacy fault log at {shards} shard(s) drifted from the pre-fabric simulator"
+            fixture("pre_fabric_faultlog_s1.golden"),
+            "legacy fault log asked for on {shards} shard(s) drifted from the one-shard golden"
         );
     }
 
-    // Half 1: rack mode across the threads x shards grid.
+    // Half 1: rack mode across thread counts.
     let mut outputs = Vec::new();
     for threads in [1usize, 2, 8] {
         kooza_exec::set_thread_override(Some(threads));
-        for shards in SHARD_COUNTS {
-            kooza_obs::global::enable();
-            let t = tables(RACK, shards);
-            let log = faulty_log(RACK, shards);
-            let raw = kooza_obs::global::report().expect("enabled").to_jsonl();
-            kooza_obs::global::disable();
-            let stripped = strip_nondeterministic(&raw).expect("well-formed JSONL");
-            outputs.push((threads, shards, t, log, stripped));
-        }
+        kooza_obs::global::enable();
+        let t = tables(RACK, 1);
+        let log = faulty_log(RACK, 1);
+        let raw = kooza_obs::global::report().expect("enabled").to_jsonl();
+        kooza_obs::global::disable();
+        let stripped = strip_nondeterministic(&raw).expect("well-formed JSONL");
+        outputs.push((threads, t, log, stripped));
     }
     kooza_exec::set_thread_override(None);
 
-    for &reference_shards in &SHARD_COUNTS {
-        let (_, _, tables_ref, log_ref, obs_ref) = outputs
-            .iter()
-            .find(|(t, s, ..)| *t == 1 && *s == reference_shards)
-            .expect("serial reference ran");
-        assert!(tables_ref.contains("table2") && tables_ref.contains("latency_ks"));
-        assert!(log_ref.contains("completed "), "outcome log lacks the summary line");
-        for needle in ["net.fabric.flows", "net.fabric.rerates", "net.fabric.link_utilization"] {
-            assert!(obs_ref.contains(needle), "stripped report lacks {needle}");
-        }
-
-        for (threads, shards, t, log, obs) in &outputs {
-            if *shards != reference_shards || *threads == 1 {
-                continue;
-            }
-            assert_eq!(
-                t, tables_ref,
-                "rack tables at {threads} threads, {shards} shards diverged from serial"
-            );
-            assert_eq!(
-                log, log_ref,
-                "rack fault log at {threads} threads, {shards} shards diverged from serial"
-            );
-            assert_eq!(
-                obs, obs_ref,
-                "rack obs at {threads} threads, {shards} shards diverged from serial"
-            );
-        }
+    let (_, rack_tables, rack_log, obs_ref) = &outputs[0];
+    assert!(rack_tables.contains("table2") && rack_tables.contains("latency_ks"));
+    assert!(
+        rack_log.contains("completed "),
+        "outcome log lacks the summary line"
+    );
+    for needle in [
+        "net.fabric.flows",
+        "net.fabric.rerates",
+        "net.fabric.link_utilization",
+    ] {
+        assert!(obs_ref.contains(needle), "stripped report lacks {needle}");
+    }
+    for (threads, t, log, obs) in &outputs[1..] {
+        assert_eq!(
+            t, rack_tables,
+            "rack tables at {threads} threads diverged from serial"
+        );
+        assert_eq!(
+            log, rack_log,
+            "rack fault log at {threads} threads diverged from serial"
+        );
+        assert_eq!(
+            obs, obs_ref,
+            "rack obs at {threads} threads diverged from serial"
+        );
     }
 
     // The fabric must actually change behavior: an oversubscribed rack
     // run cannot coincide with the ideal-link golden output.
-    let (_, _, rack_tables, rack_log, _) =
-        outputs.iter().find(|(t, s, ..)| *t == 1 && *s == 1).unwrap();
     assert_ne!(
         rack_tables,
         &fixture("pre_fabric_tables_s1.golden"),

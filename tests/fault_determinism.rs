@@ -9,7 +9,7 @@
 //! worker schedule.
 
 use kooza::fault_drift;
-use kooza_gfs::{Cluster, ClusterConfig, FaultSpec, Trial, WorkloadMix};
+use kooza_gfs::{Cluster, ClusterConfig, FaultSpec, WorkloadMix};
 use kooza_obs::strip_nondeterministic;
 
 const SEED: u64 = 4011;
@@ -33,21 +33,23 @@ fn faulty_config() -> ClusterConfig {
 fn instrumented_faulty_run() -> (String, String) {
     kooza_obs::global::enable();
 
+    // Three trials of (requests, seed), each on its own cluster in a pool
+    // worker.
     let config = faulty_config();
-    let trials = [
-        Trial { n_requests: 400, seed: SEED },
-        Trial { n_requests: 300, seed: SEED + 1 },
-        Trial { n_requests: 200, seed: SEED + 2 },
-    ];
-    let outcomes = Cluster::run_trials(&config, &trials).expect("valid config");
+    let trials = [(400, SEED), (300, SEED + 1), (200, SEED + 2)];
+    let outcomes = kooza_exec::par_map(&trials, |&(n_requests, seed)| {
+        Cluster::new(&config)
+            .expect("valid config")
+            .run(n_requests, seed)
+    });
 
     let mut log = String::new();
-    for (trial, outcome) in trials.iter().zip(&outcomes) {
+    for (&(_, seed), outcome) in trials.iter().zip(&outcomes) {
         for r in &outcome.requests {
             log += &format!(
                 "{{\"trial\":{},\"id\":{},\"read\":{},\"size\":{},\"latency\":{},\
                  \"cpu\":{},\"cache\":{},\"retries\":{},\"faulted\":{},\"failed\":{}}}\n",
-                trial.seed,
+                seed,
                 r.id,
                 r.is_read,
                 r.size,
@@ -61,7 +63,7 @@ fn instrumented_faulty_run() -> (String, String) {
         }
         log += &format!(
             "trial {}: completed {} faults {:?}\n",
-            trial.seed, outcome.stats.completed, outcome.stats.faults,
+            seed, outcome.stats.completed, outcome.stats.faults,
         );
     }
 
