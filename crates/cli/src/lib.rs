@@ -42,18 +42,13 @@ commands:
                train the KOOZA model and print its structure
   validate     --trace <path> [--n N] [--seed S]
                train, generate, and compare features/latency (Table 2)
-  validate     --faults <spec> [--requests N] [--servers K] [--seed S]
+  crossexam    --trace <path> [--n N] [--seed S]
+               score kooza vs in-breadth vs in-depth on this trace (Table 1)
+  drift        --faults <spec> [--requests N] [--servers K] [--seed S]
                [--workload read|write|mixed]
                simulate a healthy and a fault-injected cluster with the
                same workload, train KOOZA on both traces, and report the
                Table-2 error drift the faults cause
-  crossexam    --trace <path> [--n N] [--seed S]
-               score kooza vs in-breadth vs in-depth on this trace (Table 1)
-  crossexam    --faults <spec> [--requests N] [--servers K] [--seed S]
-               [--workload read|write|mixed] [--n N]
-               [--topology none|rack:<spr>:<oversub>]
-               the same, trained on an internally simulated fault-injected
-               trace instead of --trace
   trace convert --in <path> --out <path> [--in-format jsonl|ktc]
                [--out-format jsonl|ktc]
                convert a trace between JSONL text and KTC binary columnar
@@ -63,7 +58,7 @@ commands:
                meta/pool lines and wall-clock fields removed)
   help         print this message
 
-fault spec (comma-separated key=value; all keys optional):
+fault spec (simulate, drift; comma-separated key=value; all keys optional):
   mttf/mttr    mean secs between chunkserver crashes / to recovery
   slow         max disk slowdown factor while degraded
   degraded     secs a recovered disk stays degraded
@@ -78,7 +73,7 @@ trace formats (simulate, characterize, fit, validate, crossexam):
                otherwise reads sniff the KTC magic bytes (falling back to
                JSONL) and writes default to JSONL
 
-network topology (simulate, crossexam --faults):
+network topology (simulate):
   --topology   `none` (the default): every server owns an uncontended
                full-rate link in each direction, exactly as before.
                `rack:<spr>:<oversub>`: a rack/spine fabric with <spr>
@@ -192,12 +187,8 @@ fn command_keys(command: &str) -> Result<&'static [&'static str], CliError> {
             "out", "requests", "seed", "workload", "servers", "faults", "topology", "format",
         ],
         "characterize" | "fit" => &["trace", "format"],
-        "validate" => {
-            &["trace", "n", "seed", "format", "faults", "requests", "servers", "workload"]
-        }
-        "crossexam" => &[
-            "trace", "n", "seed", "format", "faults", "requests", "servers", "workload", "topology",
-        ],
+        "validate" | "crossexam" => &["trace", "n", "seed", "format"],
+        "drift" => &["faults", "requests", "servers", "workload", "seed"],
         "trace convert" => &["in", "out", "in-format", "out-format"],
         "obs" => &["report", "strip"],
         other => return Err(err(format!("unknown command `{other}`"))),
@@ -243,6 +234,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "fit" => fit(&opts),
         "validate" => validate_cmd(&opts),
         "crossexam" => crossexam(&opts),
+        "drift" => drift(&opts),
         "trace convert" => trace_convert(&opts),
         "obs" => obs_cmd(&opts),
         _ => unreachable!("command_keys rejects unknown commands"),
@@ -283,11 +275,9 @@ fn workload_by_name(name: &str) -> Result<WorkloadMix, CliError> {
     }
 }
 
-/// `--faults <spec>`, parsed; `None` when the option is absent.
-fn parse_faults(opts: &Options) -> Result<Option<FaultSpec>, CliError> {
-    opts.get("faults")
-        .map(|spec| FaultSpec::parse(spec).map_err(|e| err(format!("--faults: {e}"))))
-        .transpose()
+/// A `--faults` spec, parsed.
+fn parse_faults(spec: &str) -> Result<FaultSpec, CliError> {
+    FaultSpec::parse(spec).map_err(|e| err(format!("--faults: {e}")))
 }
 
 /// `--topology none|rack:<spr>:<oversub>`; `Topology::None` when absent,
@@ -338,20 +328,24 @@ fn trace_convert(opts: &Options) -> Result<String, CliError> {
     ))
 }
 
+/// The cluster `simulate` and `drift` run, `--servers` chunkservers under
+/// the `--workload` mix, and the number of `--requests` sent to it;
+/// `servers` and `requests` are the defaults.
+fn cluster_config(
+    opts: &Options,
+    servers: usize,
+    requests: usize,
+) -> Result<(ClusterConfig, u64), CliError> {
+    let mut config = ClusterConfig::cluster(opts.parse_count("servers", servers)?);
+    config.workload = workload_by_name(opts.get("workload").unwrap_or("mixed"))?;
+    Ok((config, opts.parse_count("requests", requests)? as u64))
+}
+
 fn simulate(opts: &Options) -> Result<String, CliError> {
     let out = opts.require("out")?;
-    let requests: u64 = opts.parse_num("requests", 1000)?;
     let seed: u64 = opts.parse_num("seed", 1)?;
-    let servers = opts.parse_count("servers", 1)?;
-    let workload = workload_by_name(opts.get("workload").unwrap_or("mixed"))?;
-
-    let mut config = if servers > 1 {
-        ClusterConfig::cluster(servers)
-    } else {
-        ClusterConfig::small()
-    };
-    config.workload = workload;
-    config.faults = parse_faults(opts)?;
+    let (mut config, requests) = cluster_config(opts, 1, 1000)?;
+    config.faults = opts.get("faults").map(parse_faults).transpose()?;
     config.topology = parse_topology(opts)?;
     let mut cluster = Cluster::new(&config).map_err(|e| err(e.to_string()))?;
     let outcome = cluster.run(requests, seed);
@@ -380,7 +374,7 @@ fn simulate(opts: &Options) -> Result<String, CliError> {
          throughput {:.1} req/s | mean latency {:.3} ms | cache hit {:.1}%\n\
          wrote {} records to {out}",
         outcome.stats.completed,
-        servers,
+        config.n_chunkservers,
         outcome.stats.throughput_per_sec(),
         outcome.stats.latency_secs.mean() * 1e3,
         hits as f64 / reads.max(1) as f64 * 100.0,
@@ -467,25 +461,13 @@ fn fit(opts: &Options) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The cluster a fault-mode command (validate/crossexam `--faults`)
-/// simulates internally: multi-server by default so replication and
-/// failover have somewhere to go.
-fn fault_mode_config(opts: &Options) -> Result<(ClusterConfig, u64), CliError> {
-    let servers = opts.parse_count("servers", 3)?;
-    let requests: u64 = opts.parse_num("requests", 800)?;
-    let mut config = if servers > 1 {
-        ClusterConfig::cluster(servers)
-    } else {
-        ClusterConfig::small()
-    };
-    config.workload = workload_by_name(opts.get("workload").unwrap_or("mixed"))?;
-    Ok((config, requests))
-}
-
-/// `kooza validate --faults`: healthy vs fault-injected training drift.
-fn validate_faults(opts: &Options, faults: FaultSpec) -> Result<String, CliError> {
+/// `kooza drift`: healthy vs fault-injected training drift.
+fn drift(opts: &Options) -> Result<String, CliError> {
+    let faults = parse_faults(opts.require("faults")?)?;
     let seed: u64 = opts.parse_num("seed", 1)?;
-    let (config, requests) = fault_mode_config(opts)?;
+    // Several servers by default, so failover and re-replication have
+    // somewhere to go.
+    let (config, requests) = cluster_config(opts, 3, 800)?;
     let report = fault_drift(&config, faults, requests, seed).map_err(|e| err(e.to_string()))?;
     Ok(format!(
         "fault drift over {requests} requests on {} server(s) (seed {seed})\n{}\
@@ -498,9 +480,6 @@ fn validate_faults(opts: &Options, faults: FaultSpec) -> Result<String, CliError
 }
 
 fn validate_cmd(opts: &Options) -> Result<String, CliError> {
-    if let Some(faults) = parse_faults(opts)? {
-        return validate_faults(opts, faults);
-    }
     let n = opts.parse_count("n", 1000)?;
     let seed: u64 = opts.parse_num("seed", 1)?;
     let (trace, path) = load_trace(opts)?;
@@ -522,20 +501,7 @@ fn validate_cmd(opts: &Options) -> Result<String, CliError> {
 fn crossexam(opts: &Options) -> Result<String, CliError> {
     let n = opts.parse_count("n", 1000)?;
     let seed: u64 = opts.parse_num("seed", 1)?;
-    let (trace, path) = if let Some(faults) = parse_faults(opts)? {
-        let (mut config, requests) = fault_mode_config(opts)?;
-        config.faults = Some(faults);
-        config.topology = parse_topology(opts)?;
-        let mut cluster = Cluster::new(&config).map_err(|e| err(e.to_string()))?;
-        let outcome = cluster.run(requests, seed);
-        let label = format!(
-            "fault-injected cluster ({} servers, {} requests, {} crashes)",
-            config.n_chunkservers, requests, outcome.stats.faults.crashes,
-        );
-        (outcome.trace, label)
-    } else {
-        load_trace(opts)?
-    };
+    let (trace, path) = load_trace(opts)?;
     let observations = assemble_observations(&trace).map_err(|e| err(e.to_string()))?;
     let kooza = Kooza::fit_observations(&observations, KoozaOptions::default())
         .map_err(|e| err(e.to_string()))?;
@@ -551,24 +517,22 @@ fn crossexam(opts: &Options) -> Result<String, CliError> {
     Ok(format!("cross-examination of {path}\n{}", table.render()))
 }
 
-/// Test helper: a writable temp-file path unique to the test.
-#[doc(hidden)]
-pub fn temp_path(tag: &str) -> String {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    dir.join(format!("kooza-cli-{tag}-{pid}.jsonl"))
-        .to_string_lossy()
-        .into_owned()
-}
-
-#[doc(hidden)]
-pub fn cleanup(path: &str) {
-    let _ = std::fs::remove_file(Path::new(path));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A writable temp-file path unique to the test.
+    fn temp_path(tag: &str) -> String {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        dir.join(format!("kooza-cli-{tag}-{pid}.jsonl"))
+            .to_string_lossy()
+            .into_owned()
+    }
+
+    fn cleanup(path: &str) {
+        let _ = std::fs::remove_file(Path::new(path));
+    }
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -739,9 +703,29 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_the_options_only_simulate_and_crossexam_read() {
-        let e = run(&args("validate --faults mttf=5 --topology rack:4:2")).unwrap_err();
-        assert_eq!(e.to_string(), "`kooza validate` does not take --topology");
+    fn each_command_rejects_the_options_of_the_others() {
+        // No trace exists at the path: the option is named before a trace
+        // is read or a cluster simulated.
+        for (cmd, error) in [
+            (
+                "validate --trace /nonexistent/t.jsonl --n 200 --servers 7",
+                "`kooza validate` does not take --servers",
+            ),
+            (
+                "validate --faults mttf=5 --topology rack:4:2",
+                "`kooza validate` does not take --faults",
+            ),
+            (
+                "crossexam --trace /nonexistent/t.jsonl --topology rack:4:2",
+                "`kooza crossexam` does not take --topology",
+            ),
+            (
+                "drift --faults mttf=3 --trace /nonexistent/t.jsonl",
+                "`kooza drift` does not take --trace",
+            ),
+        ] {
+            assert_eq!(run(&args(cmd)).unwrap_err().to_string(), error, "{cmd}");
+        }
     }
 
     #[test]
@@ -824,9 +808,9 @@ mod tests {
     }
 
     #[test]
-    fn validate_faults_reports_drift_without_a_trace() {
+    fn drift_reports_training_drift_without_a_trace() {
         let out = run(&args(
-            "validate --faults mttf=3,mttr=0.5,timeout=0.4,retries=10 \
+            "drift --faults mttf=3,mttr=0.5,timeout=0.4,retries=10 \
              --requests 500 --servers 4 --seed 7",
         ))
         .unwrap();
@@ -838,21 +822,40 @@ mod tests {
 
     #[test]
     fn crossexam_with_faults_trains_on_a_faulty_trace() {
-        let out = run(&args(
-            "crossexam --faults mttf=3,mttr=0.5,timeout=0.4,retries=10 \
-             --requests 400 --servers 4 --n 300 --seed 5",
-        ))
+        // A fault-injected rack-fabric run, through the file `simulate`
+        // writes, scores exactly as the same run cross-examined in memory.
+        let path = temp_path("crossexam-faults");
+        let spec = "mttf=20,mttr=2";
+        run(&args(&format!(
+            "simulate --out {path} --faults {spec} --topology rack:4:2 \
+             --servers 12 --requests 600 --seed 3"
+        )))
         .unwrap();
-        assert!(out.contains("fault-injected cluster"), "{out}");
-        assert!(out.contains("kooza"), "{out}");
-        assert!(out.contains("in-breadth"), "{out}");
+        let out = run(&args(&format!("crossexam --trace {path} --n 400 --seed 3"))).unwrap();
+        cleanup(&path);
+
+        let mut config = ClusterConfig::cluster(12);
+        config.workload = WorkloadMix::mixed();
+        config.faults = Some(FaultSpec::parse(spec).unwrap());
+        config.topology = Topology::parse("rack:4:2").unwrap();
+        let outcome = Cluster::new(&config).unwrap().run(600, 3);
+        assert!(outcome.stats.faults.crashes > 0);
+        let observations = assemble_observations(&outcome.trace).unwrap();
+        let kooza = Kooza::fit_observations(&observations, KoozaOptions::default()).unwrap();
+        let inb = InBreadthModel::fit_observations(&observations).unwrap();
+        let ind = InDepthModel::fit_observations(&observations).unwrap();
+        let table =
+            cross_examine(&[&inb, &ind, &kooza], &observations, ReplayConfig::default(), 400, 3);
+        assert_eq!(out, format!("cross-examination of {path}\n{}", table.render()));
     }
 
     #[test]
     fn bad_fault_specs_are_rejected() {
         assert!(run(&args("simulate --out /tmp/x --faults nonsense")).is_err());
         assert!(run(&args("simulate --out /tmp/x --faults mttf=-1")).is_err());
-        assert!(run(&args("validate --faults gibberish=1")).is_err());
+        assert!(run(&args("drift --faults gibberish=1")).is_err());
+        let e = run(&args("drift --servers 4")).unwrap_err();
+        assert_eq!(e.to_string(), "missing required option --faults");
     }
 
     #[test]
@@ -918,8 +921,8 @@ mod tests {
         .unwrap_err();
         assert_eq!(e.to_string(), "`kooza simulate` does not take --shards");
         assert!(!Path::new(&path).exists(), "simulate ran despite --shards");
-        let e = run(&args("crossexam --faults mttf=3 --servers 12 --shards 4")).unwrap_err();
-        assert_eq!(e.to_string(), "`kooza crossexam` does not take --shards");
+        let e = run(&args("drift --faults mttf=3 --servers 12 --shards 4")).unwrap_err();
+        assert_eq!(e.to_string(), "`kooza drift` does not take --shards");
     }
 
     #[test]
@@ -947,15 +950,19 @@ mod tests {
     }
 
     #[test]
-    fn validate_faults_rejects_zero_servers() {
-        let e = run(&args("validate --faults mttf=3 --servers 0")).unwrap_err();
+    fn drift_rejects_zero_servers() {
+        let e = run(&args("drift --faults mttf=3 --servers 0")).unwrap_err();
         assert_eq!(e.to_string(), "--servers must be at least 1");
     }
 
     #[test]
-    fn crossexam_faults_rejects_zero_servers() {
-        let e = run(&args("crossexam --faults mttf=3 --servers 0")).unwrap_err();
-        assert_eq!(e.to_string(), "--servers must be at least 1");
+    fn simulate_and_drift_reject_zero_requests() {
+        let path = temp_path("zero-requests");
+        let e = run(&args(&format!("simulate --out {path} --requests 0"))).unwrap_err();
+        assert_eq!(e.to_string(), "--requests must be at least 1");
+        assert!(!Path::new(&path).exists(), "simulate wrote a trace");
+        let e = run(&args("drift --faults mttf=3 --requests 0")).unwrap_err();
+        assert_eq!(e.to_string(), "--requests must be at least 1");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::hash::{BuildHasher, Hasher};
 use std::ops::Range;
 
 use kooza_trace::record::{Direction, IoOp};
-use kooza_trace::{Span, SpanName, TraceSet};
+use kooza_trace::{NameCache, Span, SpanName, TraceSet};
 
 use crate::{ModelError, Result};
 
@@ -566,40 +566,25 @@ impl TreeCheck {
     }
 }
 
-/// Slots in [`NameTable`]'s address cache: more than the simulator's nine
-/// span names.
-const NAME_CACHE_SLOTS: usize = 16;
-
-/// Interns the leaf names of one join. A decoded or simulated trace
-/// shares one allocation per name across all its spans, so a small cache
-/// keyed by the name's address and length answers nearly every lookup
-/// without hashing the string. A trace read from JSONL gives every span
-/// its own allocation; then every lookup misses the cache and goes to the
-/// string map. The table borrows the spans, so no cached address can be
-/// freed and reused while it lives.
+/// Interns the leaf names of one join. The string map sits behind a
+/// [`NameCache`], so a decoded or simulated trace, whose spans share one
+/// allocation per name, is interned without hashing each span's name.
 #[derive(Default)]
 struct NameTable<'a> {
     names: Vec<SpanName>,
-    ids: HashMap<&'a str, PhaseId>,
-    cache: [Option<(&'a str, PhaseId)>; NAME_CACHE_SLOTS],
-    /// The cache slot the next miss overwrites, round robin.
-    next: usize,
+    /// Each name's index in `names`.
+    ids: HashMap<&'a str, usize>,
+    cache: NameCache<'a, usize>,
 }
 
 impl<'a> NameTable<'a> {
     fn id(&mut self, name: &'a SpanName) -> PhaseId {
-        let name_str = name.as_str();
-        let mut cached = self.cache.iter().map_while(|slot| *slot);
-        if let Some((_, id)) = cached.find(|&(seen, _)| std::ptr::eq(seen, name_str)) {
-            return id;
-        }
-        let id = *self.ids.entry(name_str).or_insert_with(|| {
-            self.names.push(name.clone());
-            PhaseId(self.names.len() - 1)
-        });
-        self.cache[self.next] = Some((name_str, id));
-        self.next = (self.next + 1) % NAME_CACHE_SLOTS;
-        id
+        PhaseId(self.cache.get_or_insert_with(name, || {
+            *self.ids.entry(name).or_insert_with(|| {
+                self.names.push(name.clone());
+                self.names.len() - 1
+            })
+        }))
     }
 }
 

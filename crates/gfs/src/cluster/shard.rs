@@ -847,9 +847,9 @@ impl Control {
     }
 }
 
-/// A live replica of `chunk` for a `kind` request: a uniform pick (drawn
-/// from `rng`) for reads, the first live replica (acting primary) for
-/// writes. `None` when every replica is down.
+/// A live replica of `chunk` for a `kind` request: a uniform pick (one
+/// `next_bounded` draw from `rng`) for reads, the first live replica
+/// (acting primary) for writes. `None` when every replica is down.
 fn live_target(
     master: &Master,
     alive: &[bool],
@@ -859,39 +859,35 @@ fn live_target(
 ) -> Option<usize> {
     let mut live = master.replicas(chunk).iter().copied().filter(|&s| alive[s]);
     match kind {
-        Kind::Read => {
-            let live: Vec<usize> = live.collect();
-            (!live.is_empty()).then(|| *rng.choose(&live))
-        }
+        Kind::Read => match live.clone().count() {
+            0 => None,
+            n => live.nth(rng.next_bounded(n as u64) as usize),
+        },
         Kind::Write => live.next(),
     }
 }
 
 /// Where a write's primary forwards the payload: every live secondary in
-/// `placement`, plus, with faults armed, a live stand-in from the cluster
-/// for each dead one (pushed to `replacements`) so the write re-acks at
-/// full replication.
+/// `placement`, plus a live stand-in from the cluster for each dead one
+/// (pushed to `replacements`) so the write re-acks at full replication.
 fn write_fanout(
-    host: &Host,
+    alive: &[bool],
     placement: &[usize],
     server: usize,
     replacements: &mut Vec<(usize, usize)>,
 ) -> Vec<usize> {
-    let alive = &host.alive;
     let mut fanout: Vec<usize> = placement
         .iter()
         .copied()
         .filter(|&s| s != server && alive[s])
         .collect();
-    if host.plan.is_some() {
-        for &dead in placement.iter().filter(|&&s| s != server && !alive[s]) {
-            let stand_in = (0..alive.len()).find(|&s| {
-                alive[s] && s != server && !placement.contains(&s) && !fanout.contains(&s)
-            });
-            if let Some(stand_in) = stand_in {
-                replacements.push((dead, stand_in));
-                fanout.push(stand_in);
-            }
+    for &dead in placement.iter().filter(|&&s| s != server && !alive[s]) {
+        let stand_in = (0..alive.len()).find(|&s| {
+            alive[s] && s != server && !placement.contains(&s) && !fanout.contains(&s)
+        });
+        if let Some(stand_in) = stand_in {
+            replacements.push((dead, stand_in));
+            fanout.push(stand_in);
         }
     }
     fanout
@@ -1195,14 +1191,10 @@ impl Shard {
             Kind::Write => w.write_size,
         };
         let chunk = ChunkHandle(ctl.zipf.sample(&mut ctl.rng) - 1);
-        // With faults armed, only live replicas are candidate targets;
-        // `None` means every replica is down right now and the attempt
-        // waits for its timeout to retry.
-        let target = match (ctl.cfg.faults, kind) {
-            (None, Kind::Read) => Some(ctl.master.read_target(chunk, &mut ctl.rng)),
-            (None, Kind::Write) => Some(ctl.master.primary(chunk)),
-            (Some(_), _) => live_target(&ctl.master, &host.alive, kind, chunk, &mut ctl.rng),
-        };
+        // Only live replicas are candidate targets; `None` means every
+        // replica is down right now and the attempt waits for its timeout
+        // to retry.
+        let target = live_target(&ctl.master, &host.alive, kind, chunk, &mut ctl.rng);
         // Offset within the chunk, 512 B aligned, leaving room for the
         // access itself.
         let blocks = size.div_ceil(512).max(1);
@@ -1628,7 +1620,7 @@ impl Shard {
             Kind::Read => Vec::new(),
             Kind::Write => {
                 let placement = placement(&self.outbox, &self.control, st.chunk, &st.replicas);
-                write_fanout(&self.host, placement, server, &mut st.replacements)
+                write_fanout(&self.host.alive, placement, server, &mut st.replacements)
             }
         };
         if fanout.is_empty() {
@@ -1885,7 +1877,7 @@ mod tests {
             let stand_in = (0..6).find(|s| !snapshot.contains(s)).unwrap();
             ctl.master.replace_replica(chunk, snapshot[2], stand_in);
             let seen = placement(&shard.outbox, &shard.control, chunk, &snapshot);
-            let fanout = write_fanout(&shard.host, seen, snapshot[0], &mut Vec::new());
+            let fanout = write_fanout(&shard.host.alive, seen, snapshot[0], &mut Vec::new());
             if n_shards == 1 {
                 assert_eq!(fanout, [snapshot[1], stand_in]);
             } else {

@@ -139,15 +139,6 @@ impl Master {
         &self.placements[chunk.0 as usize]
     }
 
-    /// A read can be served by any replica; pick one uniformly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk is out of range.
-    pub fn read_target(&self, chunk: ChunkHandle, rng: &mut Rng64) -> usize {
-        *rng.choose(self.replicas(chunk))
-    }
-
     /// Chunks with a replica on `server`, in ascending chunk order — the
     /// re-replication worklist after that server crashes.
     pub fn chunks_on(&self, server: usize) -> Vec<ChunkHandle> {
@@ -221,17 +212,6 @@ mod tests {
         let max = *primaries.iter().max().unwrap() as f64;
         let mean = primaries.iter().sum::<u64>() as f64 / primaries.len() as f64;
         assert!(max / mean < 1.15, "imbalance {}", max / mean);
-    }
-
-    #[test]
-    fn read_target_is_a_replica() {
-        let mut rng = Rng64::new(1702);
-        let m = Master::place(50, 4, 2, &mut rng).unwrap();
-        for c in 0..50 {
-            let chunk = ChunkHandle(c);
-            let t = m.read_target(chunk, &mut rng);
-            assert!(m.replicas(chunk).contains(&t));
-        }
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //!
 //! # Determinism
 //!
-//! Only **commutative** registry operations are exposed for use from
-//! parallel tasks ([`counter_add`], [`gauge_max`], [`histogram_record`],
-//! and whatever a [`with_registry`] closure does with them): they commute,
-//! so the final registry state is the same at any thread count.
-//! [`gauge_set`] is *not* commutative and must only be called from the
-//! orchestration thread.
+//! Parallel tasks may only apply **commutative** registry operations:
+//! [`counter_add`], and in a [`with_registry`] closure counter adds,
+//! gauge maxima and histogram records. They commute, so the final
+//! registry state is the same at any thread count. Setting a gauge is
+//! *not* commutative and belongs on the orchestration thread.
 //!
 //! # Stage spans and worker threads
 //!
@@ -91,23 +90,6 @@ pub fn counter_add(name: &str, delta: u64) {
     with_registry(|reg| reg.counter_add(name, delta));
 }
 
-/// Sets a global gauge (no-op when disabled). **Orchestration thread
-/// only** — not commutative.
-pub fn gauge_set(name: &str, value: f64) {
-    with_registry(|reg| reg.gauge_set(name, value));
-}
-
-/// Raises a global gauge high-water mark (no-op when disabled).
-/// Commutative.
-pub fn gauge_max(name: &str, value: f64) {
-    with_registry(|reg| reg.gauge_max(name, value));
-}
-
-/// Records into a global histogram (no-op when disabled). Commutative.
-pub fn histogram_record(name: &str, bounds: &[u64], value: u64) {
-    with_registry(|reg| reg.histogram_record(name, bounds, value));
-}
-
 /// Runs `f` inside a stage span named `name`.
 ///
 /// Always runs `f` exactly once. The span is recorded only when
@@ -177,9 +159,11 @@ mod tests {
         assert!(is_enabled());
         counter_add("x", 2);
         counter_add("x", 3);
-        gauge_set("g", 1.5);
-        gauge_max("g", 9.0);
-        histogram_record("h", &[10, 100], 42);
+        with_registry(|reg| {
+            reg.gauge_set("g", 1.5);
+            reg.gauge_max("g", 9.0);
+            reg.histogram_record("h", &[10, 100], 42);
+        });
         let result = stage("outer", || {
             stage("inner", || ());
             stage("inner", || ());

@@ -2,9 +2,9 @@
 //! queueing networks, closed-network analysis and SQS-style sampled
 //! simulation.
 //!
-//! This crate is both KOOZA's network model (the paper uses "a simple
-//! queueing model to represent the arrival-rate of user-requests") and the
-//! in-depth baselines the cross-examination runs:
+//! No model depends on it: KOOZA and both baselines fit their network
+//! model with `kooza-stats`' `FitPipeline`. The extended experiments, the
+//! micro bench and the property tests use it:
 //!
 //! * [`arrival`] — Poisson, renewal, Markov-modulated (MMPP) and
 //!   SURGE-style user-equivalent arrival processes.

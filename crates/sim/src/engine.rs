@@ -68,7 +68,7 @@ struct Slot {
 /// A deterministic discrete-event engine over user-defined event values.
 ///
 /// The engine owns the clock and the pending-event queue. Models drive their
-/// own loop with [`Engine::next`], or hand a handler to [`run`].
+/// own loop with [`Engine::next`].
 ///
 /// ```
 /// use kooza_sim::{Engine, SimDuration};
@@ -331,33 +331,6 @@ impl<E> Engine<E> {
     }
 }
 
-/// Runs `engine` to completion (or until `handler` stops scheduling),
-/// passing each event to `handler` together with the engine so it can
-/// schedule follow-ups.
-///
-/// ```
-/// use kooza_sim::{run, Engine, SimDuration};
-///
-/// let mut eng = Engine::new();
-/// eng.schedule(SimDuration::from_nanos(1), 3u32);
-/// let mut total = 0;
-/// run(&mut eng, |eng, _t, n| {
-///     total += n;
-///     if n > 1 {
-///         eng.schedule(SimDuration::from_nanos(1), n - 1);
-///     }
-/// });
-/// assert_eq!(total, 3 + 2 + 1);
-/// ```
-pub fn run<E, F>(engine: &mut Engine<E>, mut handler: F)
-where
-    F: FnMut(&mut Engine<E>, SimTime, E),
-{
-    while let Some((t, ev)) = engine.next() {
-        handler(engine, t, ev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,21 +375,6 @@ mod tests {
         eng.schedule(SimDuration::from_nanos(10), ());
         let _ = eng.next();
         eng.schedule_at(SimTime::from_nanos(5), ());
-    }
-
-    #[test]
-    fn run_drains_and_allows_rescheduling() {
-        let mut eng = Engine::new();
-        eng.schedule(SimDuration::from_nanos(1), 5u32);
-        let mut seen = Vec::new();
-        run(&mut eng, |eng, _t, n| {
-            seen.push(n);
-            if n > 0 {
-                eng.schedule(SimDuration::from_nanos(1), n - 1);
-            }
-        });
-        assert_eq!(seen, vec![5, 4, 3, 2, 1, 0]);
-        assert_eq!(eng.pending(), 0);
     }
 
     #[test]

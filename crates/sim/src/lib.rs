@@ -44,7 +44,7 @@ pub mod shard;
 mod time;
 
 pub use collect::{Tally, TimeWeighted};
-pub use engine::{run, Engine, TimerHandle};
+pub use engine::{Engine, TimerHandle};
 pub use fabric::{Endpoint, Fabric};
 pub use server::ServerPool;
 pub use shard::{shard_ranges, Envelope, Outbox, ShardedEngine};

@@ -44,7 +44,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::record::{CpuRecord, Direction, IoOp, MemoryRecord, NetworkRecord, StorageRecord};
-use crate::span::{Span, SpanId, SpanName, TraceId};
+use crate::span::{NameCache, Span, SpanId, SpanName, TraceId};
 use crate::store::TraceSet;
 use crate::{Result, TraceError};
 
@@ -238,39 +238,6 @@ fn guarded_capacity(count: u64, payload_len: usize) -> usize {
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
-
-/// Slots in [`NameCache`]: more than the simulator's nine span names.
-const NAME_CACHE_SLOTS: usize = 16;
-
-/// Intern indices of the span names one [`KtcWriter::write_spans`] call
-/// has looked up, keyed by the name's address and length. A simulated
-/// trace shares one allocation per name across all its spans, so nearly
-/// every lookup hits here without hashing the string. A trace read from
-/// JSONL gives every span its own allocation; then every lookup misses,
-/// and the fixed slot count bounds what a miss costs. The cache borrows
-/// the span slice, so no cached address can be freed and reused by a
-/// different string while the cache lives.
-#[derive(Default)]
-struct NameCache<'a> {
-    slots: [Option<(&'a str, u64)>; NAME_CACHE_SLOTS],
-    /// The slot the next miss overwrites, round robin.
-    next: usize,
-}
-
-impl<'a> NameCache<'a> {
-    /// The intern index of `name`: the cached one if this call has seen
-    /// the same allocation, else the one `intern` returns, now cached.
-    fn index(&mut self, name: &'a str, intern: impl FnOnce() -> u64) -> u64 {
-        let mut cached = self.slots.iter().map_while(|slot| *slot);
-        if let Some((_, idx)) = cached.find(|&(seen, _)| std::ptr::eq(seen, name)) {
-            return idx;
-        }
-        let idx = intern();
-        self.slots[self.next] = Some((name, idx));
-        self.next = (self.next + 1) % NAME_CACHE_SLOTS;
-        idx
-    }
-}
 
 /// Streaming KTC encoder.
 ///
@@ -480,7 +447,7 @@ impl<W: Write> KtcWriter<W> {
                 }
             }
             for s in chunk {
-                let idx = names.index(&s.name, || self.intern(&s.name, &mut fresh));
+                let idx = names.get_or_insert_with(&s.name, || self.intern(&s.name, &mut fresh));
                 put_varint(&mut payload, idx);
             }
             let mut prev_start = 0u64;

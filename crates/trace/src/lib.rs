@@ -30,7 +30,7 @@ pub mod store;
 
 pub use ktc::{KtcBlock, KtcReader, KtcWriter, TraceFormat};
 pub use record::{CpuRecord, Direction, IoOp, MemoryRecord, NetworkRecord, StorageRecord};
-pub use span::{Span, SpanCollector, SpanId, SpanName, TraceId, TraceTree};
+pub use span::{NameCache, Span, SpanCollector, SpanId, SpanName, TraceId, TraceTree};
 pub use store::TraceSet;
 
 /// Errors from trace manipulation and persistence.

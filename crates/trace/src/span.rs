@@ -125,6 +125,39 @@ impl FromJson for SpanName {
     }
 }
 
+/// Slots in a [`NameCache`]: more than the simulator's nine span names.
+const NAME_CACHE_SLOTS: usize = 16;
+
+/// A value per span name, keyed by the name's address and length, for a
+/// pass that looks one up for every span. A simulated or decoded trace
+/// shares one allocation per name across all its spans, so nearly every
+/// lookup hits here without hashing the string. A trace read from JSONL
+/// gives every span its own allocation; then every lookup misses, and the
+/// fixed slot count bounds what a miss costs. The cache borrows the names,
+/// so no cached address can be freed and reused by a different string
+/// while it lives.
+#[derive(Debug, Default)]
+pub struct NameCache<'a, V> {
+    slots: [Option<(&'a str, V)>; NAME_CACHE_SLOTS],
+    /// The slot the next miss overwrites, round robin.
+    next: usize,
+}
+
+impl<'a, V: Copy> NameCache<'a, V> {
+    /// The value cached for this allocation of `name`, else the one `miss`
+    /// returns, now cached.
+    pub fn get_or_insert_with(&mut self, name: &'a str, miss: impl FnOnce() -> V) -> V {
+        let mut cached = self.slots.iter().map_while(|slot| *slot);
+        if let Some((_, value)) = cached.find(|&(seen, _)| std::ptr::eq(seen, name)) {
+            return value;
+        }
+        let value = miss();
+        self.slots[self.next] = Some((name, value));
+        self.next = (self.next + 1) % NAME_CACHE_SLOTS;
+        value
+    }
+}
+
 /// Globally unique request (trace) identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceId(pub u64);
