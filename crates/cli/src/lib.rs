@@ -25,7 +25,7 @@ use kooza::{fault_drift, InBreadthModel, InDepthModel, Kooza, ReplayConfig, Work
 use kooza_gfs::{Cluster, ClusterConfig, FaultSpec, Topology, WorkloadMix};
 use kooza_sim::rng::Rng64;
 use kooza_trace::characterize::{arrival_profile, cpu_profile, memory_profile, storage_profile};
-use kooza_trace::{TraceFormat, TraceSet};
+use kooza_trace::TraceSet;
 
 /// Usage text printed on errors.
 pub const USAGE: &str = "\
@@ -49,8 +49,7 @@ commands:
                simulate a healthy and a fault-injected cluster with the
                same workload, train KOOZA on both traces, and report the
                Table-2 error drift the faults cause
-  trace convert --in <path> --out <path> [--in-format jsonl|ktc]
-               [--out-format jsonl|ktc]
+  trace convert --in <path> --out <path>
                convert a trace between JSONL text and KTC binary columnar
   obs          --report <path> [--strip]
                pretty-print an observability report written by --obs
@@ -68,10 +67,9 @@ fault spec (simulate, drift; comma-separated key=value; all keys optional):
   batch/detect re-replication batch size / failure-detection delay (secs)
   seed         fault-plan RNG stream (independent of the workload seed)
 
-trace formats (simulate, characterize, fit, validate, crossexam):
-  --format     jsonl|ktc; when omitted, a .ktc extension selects KTC,
-               otherwise reads sniff the KTC magic bytes (falling back to
-               JSONL) and writes default to JSONL
+trace files (simulate, characterize, fit, validate, crossexam, trace convert):
+  a .ktc path holds KTC binary columnar, any other path JSONL; a read also
+  takes a KTC file under any other name, by its KTC1 magic bytes
 
 network topology (simulate):
   --topology   `none` (the default): every server owns an uncontended
@@ -86,7 +84,7 @@ does not list above is an error):
   --threads N  worker threads for the parallel pipeline stages; results
                are bit-identical at any thread count
                (precedence: --threads > KOOZA_THREADS env > detected cores)
-  --obs <path> self-instrument the run (metrics, stage spans, worker
+  --obs <path> self-instrument the run (metrics, stage spans, pool
                profiles) and write a JSONL report to <path>; inspect it
                with `kooza obs --report <path>`";
 
@@ -183,13 +181,11 @@ impl Options {
 /// The options each command reads, beyond the global ones.
 fn command_keys(command: &str) -> Result<&'static [&'static str], CliError> {
     Ok(match command {
-        "simulate" => &[
-            "out", "requests", "seed", "workload", "servers", "faults", "topology", "format",
-        ],
-        "characterize" | "fit" => &["trace", "format"],
-        "validate" | "crossexam" => &["trace", "n", "seed", "format"],
+        "simulate" => &["out", "requests", "seed", "workload", "servers", "faults", "topology"],
+        "characterize" | "fit" => &["trace"],
+        "validate" | "crossexam" => &["trace", "n", "seed"],
         "drift" => &["faults", "requests", "servers", "workload", "seed"],
-        "trace convert" => &["in", "out", "in-format", "out-format"],
+        "trace convert" => &["in", "out"],
         "obs" => &["report", "strip"],
         other => return Err(err(format!("unknown command `{other}`"))),
     })
@@ -289,21 +285,9 @@ fn parse_topology(opts: &Options) -> Result<Topology, CliError> {
     }
 }
 
-/// Parses a `--format`-style option into a trace format; `None` when the
-/// option is absent (callers fall back to extension/content detection).
-fn parse_format(opts: &Options, key: &str) -> Result<Option<TraceFormat>, CliError> {
-    opts.get(key)
-        .map(|v| {
-            TraceFormat::from_name(v)
-                .ok_or_else(|| err(format!("--{key} must be jsonl|ktc, got `{v}`")))
-        })
-        .transpose()
-}
-
 fn load_trace(opts: &Options) -> Result<(TraceSet, String), CliError> {
     let path = opts.require("trace")?;
-    let format = parse_format(opts, "format")?;
-    let trace = TraceSet::read_file(Path::new(path), format)
+    let trace = TraceSet::read_file(Path::new(path))
         .map_err(|e| err(format!("cannot read {path}: {e}")))?;
     Ok((trace, path.to_string()))
 }
@@ -312,20 +296,12 @@ fn load_trace(opts: &Options) -> Result<(TraceSet, String), CliError> {
 fn trace_convert(opts: &Options) -> Result<String, CliError> {
     let input = opts.require("in")?;
     let output = opts.require("out")?;
-    let in_format = parse_format(opts, "in-format")?;
-    let out_format = parse_format(opts, "out-format")?;
-    let trace = TraceSet::read_file(Path::new(input), in_format)
+    let trace = TraceSet::read_file(Path::new(input))
         .map_err(|e| err(format!("cannot read {input}: {e}")))?;
-    let resolved = out_format
-        .or_else(|| TraceFormat::from_extension(Path::new(output)))
-        .unwrap_or(TraceFormat::Jsonl);
     trace
-        .write_file(Path::new(output), Some(resolved))
+        .write_file(Path::new(output))
         .map_err(|e| err(format!("cannot write {output}: {e}")))?;
-    Ok(format!(
-        "converted {} records: {input} -> {output} ({resolved})",
-        trace.len()
-    ))
+    Ok(format!("converted {} records: {input} -> {output}", trace.len()))
 }
 
 /// The cluster `simulate` and `drift` run, `--servers` chunkservers under
@@ -349,11 +325,9 @@ fn simulate(opts: &Options) -> Result<String, CliError> {
     config.topology = parse_topology(opts)?;
     let mut cluster = Cluster::new(&config).map_err(|e| err(e.to_string()))?;
     let outcome = cluster.run(requests, seed);
-
-    let format = parse_format(opts, "format")?;
     outcome
         .trace
-        .write_file(Path::new(out), format)
+        .write_file(Path::new(out))
         .map_err(|e| err(format!("cannot write {out}: {e}")))?;
     let fabric_note = match config.topology {
         Topology::Rack {
@@ -616,6 +590,59 @@ mod tests {
         }
     }
 
+    /// Each command's `--option`s in the `commands:` section of [`USAGE`],
+    /// read from its synopsis, not from its description.
+    fn usage_options() -> Vec<(String, Vec<String>)> {
+        let section = USAGE.split("commands:\n").nth(1).unwrap();
+        let mut blocks: Vec<(String, Vec<String>)> = Vec::new();
+        for line in section.lines().take_while(|l| !l.is_empty()) {
+            let mut text = line.trim_start();
+            if line.len() - text.len() == 2 {
+                // A command's first line: its name, then its options.
+                let name_end = text.find(" --").or_else(|| text.find("  ")).unwrap();
+                blocks.push((text[..name_end].trim_end().to_string(), Vec::new()));
+                text = text[name_end..].trim_start();
+            }
+            // Synopsis lines begin with an option; description lines never do.
+            if text.starts_with(['-', '[']) {
+                let words = text.split(|c: char| !(c.is_ascii_lowercase() || c == '-'));
+                let options = words.filter_map(|w| w.strip_prefix("--")).map(String::from);
+                blocks.last_mut().unwrap().1.extend(options);
+            }
+        }
+        blocks
+    }
+
+    #[test]
+    fn help_lists_exactly_the_options_each_command_takes() {
+        let listed = usage_options();
+        let names: Vec<&str> = listed.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "simulate",
+                "characterize",
+                "fit",
+                "validate",
+                "crossexam",
+                "drift",
+                "trace convert",
+                "obs",
+                "help"
+            ]
+        );
+        for (name, options) in &listed {
+            let mut options: Vec<&str> = options.iter().map(String::as_str).collect();
+            let mut expected: Vec<&str> = match name.as_str() {
+                "help" => Vec::new(),
+                command => command_keys(command).unwrap().to_vec(),
+            };
+            options.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(options, expected, "usage of `{name}`");
+        }
+    }
+
     #[test]
     fn threads_flag_sets_override() {
         let path = temp_path("threads");
@@ -683,7 +710,6 @@ mod tests {
         assert!(run(&args("simulate --requests")).is_err()); // value missing
         assert!(run(&args("simulate --out /tmp/x --requests abc")).is_err());
         assert!(run(&args("simulate stray")).is_err());
-        assert!(run(&args("simulate --out /tmp/x --format nope")).is_err());
         assert!(run(&args("trace")).is_err()); // missing subcommand
         assert!(run(&args("trace frobnicate")).is_err());
         assert!(run(&args("trace convert --in /tmp/x")).is_err()); // missing --out
@@ -699,7 +725,41 @@ mod tests {
         let e = run(&args(&format!("simulate --out {path} --strip"))).unwrap_err();
         assert_eq!(e.to_string(), "`kooza simulate` does not take --strip");
         assert!(run(&args("obs --report /nonexistent --seed 1")).is_err());
-        assert!(run(&args("trace convert --in a --out b --format ktc")).is_err());
+        // A trace file names its own format, so no command takes one. No
+        // trace exists at the paths: the option is named before any read.
+        for (cmd, error) in [
+            (
+                format!("simulate --out {path} --requests 5 --format ktc"),
+                "`kooza simulate` does not take --format",
+            ),
+            (
+                "characterize --trace /nonexistent/t.ktc --format ktc".into(),
+                "`kooza characterize` does not take --format",
+            ),
+            (
+                "fit --trace /nonexistent/t.ktc --format ktc".into(),
+                "`kooza fit` does not take --format",
+            ),
+            (
+                "validate --trace /nonexistent/t.jsonl --format jsonl".into(),
+                "`kooza validate` does not take --format",
+            ),
+            (
+                "crossexam --trace /nonexistent/t.jsonl --format jsonl".into(),
+                "`kooza crossexam` does not take --format",
+            ),
+            (
+                format!("trace convert --in /nonexistent/t.jsonl --out {path} --in-format jsonl"),
+                "`kooza trace convert` does not take --in-format",
+            ),
+            (
+                format!("trace convert --in /nonexistent/t.jsonl --out {path} --out-format ktc"),
+                "`kooza trace convert` does not take --out-format",
+            ),
+        ] {
+            assert_eq!(run(&args(&cmd)).unwrap_err().to_string(), error, "{cmd}");
+        }
+        assert!(!Path::new(&path).exists(), "a command wrote {path}");
     }
 
     #[test]
@@ -737,7 +797,7 @@ mod tests {
         run(&args(&format!("simulate --out {jsonl} --requests 400 --seed 17"))).unwrap();
         let out =
             run(&args(&format!("trace convert --in {jsonl} --out {ktc}"))).unwrap();
-        assert!(out.contains("(ktc)"), "{out}");
+        assert!(out.ends_with(&format!(" records: {jsonl} -> {ktc}")), "{out}");
         let bytes = std::fs::read(&ktc).unwrap();
         assert_eq!(&bytes[..4], b"KTC1");
         assert!(bytes.len() < std::fs::metadata(&jsonl).unwrap().len() as usize);
@@ -752,10 +812,7 @@ mod tests {
         // Round trip back to JSONL reproduces the original bytes exactly
         // (both writers are canonical).
         let back = temp_path("ktc-back");
-        run(&args(&format!(
-            "trace convert --in {ktc} --out {back} --out-format jsonl"
-        )))
-        .unwrap();
+        run(&args(&format!("trace convert --in {ktc} --out {back}"))).unwrap();
         assert_eq!(std::fs::read(&jsonl).unwrap(), std::fs::read(&back).unwrap());
 
         cleanup(&jsonl);
@@ -764,17 +821,16 @@ mod tests {
     }
 
     #[test]
-    fn simulate_writes_ktc_with_explicit_format_and_sniffing_reads_it() {
-        // `--format ktc` wins over the .jsonl extension temp_path bakes in;
-        // the reader then identifies the file by magic, not name.
-        let path = temp_path("ktc-direct");
-        let out = run(&args(&format!(
-            "simulate --out {path} --requests 300 --seed 23 --format ktc"
-        )))
-        .unwrap();
+    fn simulate_writes_ktc_by_extension_and_sniffing_reads_it() {
+        // A .ktc path selects KTC; under the .jsonl name temp_path bakes
+        // in, the reader then identifies the file by magic, not name.
+        let ktc = format!("{}.ktc", temp_path("ktc-direct"));
+        let out = run(&args(&format!("simulate --out {ktc} --requests 300 --seed 23"))).unwrap();
         assert!(out.contains("simulated 300 requests"), "{out}");
-        let bytes = std::fs::read(&path).unwrap();
+        let bytes = std::fs::read(&ktc).unwrap();
         assert_eq!(&bytes[..4], b"KTC1");
+        let path = temp_path("ktc-renamed");
+        std::fs::rename(&ktc, &path).unwrap();
         let out = run(&args(&format!("validate --trace {path} --n 200 --seed 2"))).unwrap();
         assert!(out.contains("max feature variation"), "{out}");
         cleanup(&path);

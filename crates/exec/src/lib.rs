@@ -47,7 +47,7 @@ pub mod profile;
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -309,43 +309,21 @@ impl Pool {
         // the outer call holds the hub, and serial execution is
         // bit-identical anyway.
         if self.threads <= 1 || n <= 1 || in_par_map_tasks() {
-            if !profiling {
-                // The exact serial path: no pool, no chunking, no atomics.
-                let _tasks = TaskScope::enter();
-                return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
-            }
-            // Serial path with profiling: same iteration, plus one timer
-            // and a synthetic single-worker profile.
-            let started = Instant::now();
+            // The exact serial path: no pool, no chunking, no atomics.
+            let started = profiling.then(Instant::now);
             let out: Vec<R> = {
                 let _tasks = TaskScope::enter();
                 items.iter().enumerate().map(|(i, item)| f(i, item)).collect()
             };
-            let wall_nanos = started.elapsed().as_nanos() as u64;
-            let one_chunk = u64::from(n > 0);
-            profile::record(profile::PoolProfile {
-                threads: 1,
-                items: n as u64,
-                n_chunks: one_chunk,
-                wall_nanos,
-                workers: vec![profile::WorkerStats {
-                    worker: 0,
-                    chunks: one_chunk,
+            if let Some(t0) = started {
+                let wall_nanos = t0.elapsed().as_nanos() as u64;
+                profile::record(profile::PoolProfile {
+                    threads: 1,
                     items: n as u64,
+                    wall_nanos,
                     busy_nanos: wall_nanos,
-                }],
-                chunks: if n == 0 {
-                    Vec::new()
-                } else {
-                    vec![profile::ChunkStats {
-                        chunk: 0,
-                        worker: 0,
-                        items: n as u64,
-                        busy_nanos: wall_nanos,
-                        queue_depth_at_dispatch: 1,
-                    }]
-                },
-            });
+                });
+            }
             return out;
         }
         let workers = self.threads.min(n);
@@ -354,21 +332,14 @@ impl Pool {
         // decides merge order.
         let n_chunks = n.min(workers * 4);
         let chunk_size = n.div_ceil(n_chunks);
-        let started = Instant::now();
+        let started = profiling.then(Instant::now);
         let next_chunk = AtomicUsize::new(0);
         let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(n_chunks));
-        let worker_stats: Mutex<Vec<profile::WorkerStats>> = Mutex::new(Vec::new());
-        let chunk_stats: Mutex<Vec<profile::ChunkStats>> = Mutex::new(Vec::new());
+        let busy_nanos = AtomicU64::new(0);
         let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-        let task = |worker: usize| {
+        let task = |_slot: usize| {
             let _tasks = TaskScope::enter();
-            let mut my = profile::WorkerStats {
-                worker,
-                chunks: 0,
-                items: 0,
-                busy_nanos: 0,
-            };
-            let mut my_chunks: Vec<profile::ChunkStats> = Vec::new();
+            let claiming = profiling.then(Instant::now);
             // Catch task-body panics so a persistent worker survives them;
             // the submitter resumes the unwind on its own thread below.
             let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -381,21 +352,7 @@ impl Pool {
                     // when chunk_size * n_chunks > n; clamp to empty.
                     let lo = (chunk * chunk_size).min(n);
                     let hi = ((chunk + 1) * chunk_size).min(n);
-                    let chunk_start = profiling.then(Instant::now);
                     let results: Vec<R> = (lo..hi).map(|i| f(i, &items[i])).collect();
-                    if let Some(t0) = chunk_start {
-                        let busy_nanos = t0.elapsed().as_nanos() as u64;
-                        my.chunks += 1;
-                        my.items += (hi - lo) as u64;
-                        my.busy_nanos += busy_nanos;
-                        my_chunks.push(profile::ChunkStats {
-                            chunk,
-                            worker,
-                            items: (hi - lo) as u64,
-                            busy_nanos,
-                            queue_depth_at_dispatch: (n_chunks - chunk) as u64,
-                        });
-                    }
                     done.lock().expect("worker panicked holding results").push((chunk, results));
                 }
             }));
@@ -403,12 +360,8 @@ impl Pool {
                 let mut slot = panicked.lock().expect("pool panic slot poisoned");
                 slot.get_or_insert(payload);
             }
-            if profiling {
-                worker_stats.lock().expect("profile mutex poisoned").push(my);
-                chunk_stats
-                    .lock()
-                    .expect("profile mutex poisoned")
-                    .extend(my_chunks);
+            if let Some(t0) = claiming {
+                busy_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
         };
         // Slot 0 is this thread; slots 1..workers are persistent workers.
@@ -416,18 +369,12 @@ impl Pool {
         if let Some(payload) = panicked.into_inner().expect("pool panic slot poisoned") {
             resume_unwind(payload);
         }
-        if profiling {
-            let mut workers_v = worker_stats.into_inner().expect("profile mutex poisoned");
-            workers_v.sort_unstable_by_key(|w| w.worker);
-            let mut chunks_v = chunk_stats.into_inner().expect("profile mutex poisoned");
-            chunks_v.sort_unstable_by_key(|c| c.chunk);
+        if let Some(t0) = started {
             profile::record(profile::PoolProfile {
                 threads: self.threads,
                 items: n as u64,
-                n_chunks: n_chunks as u64,
-                wall_nanos: started.elapsed().as_nanos() as u64,
-                workers: workers_v,
-                chunks: chunks_v,
+                wall_nanos: t0.elapsed().as_nanos() as u64,
+                busy_nanos: busy_nanos.into_inner(),
             });
         }
         // Ordered reduction: merge by chunk id = submission order.

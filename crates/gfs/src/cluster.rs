@@ -76,8 +76,6 @@ pub struct FaultStats {
     pub requests_failed: u64,
     /// In-service and queued station jobs destroyed by crashes.
     pub jobs_lost: u64,
-    /// Completed requests that retried or touched a degraded disk.
-    pub degraded_requests: u64,
 }
 
 /// Aggregate simulation statistics.

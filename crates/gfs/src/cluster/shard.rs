@@ -1813,7 +1813,6 @@ pub(super) fn finish(cluster: &Cluster, mut shards: Vec<Shard>) -> ClusterOutcom
         }
     }
     let outcomes = ctl.outcomes;
-    fstats.degraded_requests = outcomes.iter().filter(|o| o.faulted && !o.failed).count() as u64;
     let stats = ClusterStats {
         completed: outcomes.iter().filter(|o| !o.failed).count() as u64,
         latency_secs: ctl.latency,

@@ -3,8 +3,8 @@
 //! `kooza-obs` watches the pipeline from the inside: a metrics registry
 //! (counters, gauges, fixed-boundary histograms), scoped stage-span
 //! timers that build a tree of pipeline phases (train → generate →
-//! replay → validate), and per-worker execution profiles surfaced from
-//! the `kooza-exec` pool. Everything exports as kooza-json JSONL and
+//! replay → validate), and per-call pool profiles surfaced from the
+//! `kooza-exec` pool. Everything exports as kooza-json JSONL and
 //! renders as a human-readable report (`kooza obs`).
 //!
 //! # Determinism
@@ -18,8 +18,8 @@
 //!   to parallel tasks are commutative (adds, maxima, integer records),
 //!   so interleaving cannot change the final state; histogram values are
 //!   `u64`, so no float-summation order leaks in.
-//! * **environmental** — wall-clock durations, core counts, chunk→worker
-//!   assignments. These live only in `"wall"` sub-objects and
+//! * **environmental** — wall-clock durations, core counts, pool busy
+//!   times. These live only in `"wall"` sub-objects and
 //!   whole-`"kind"` `meta`/`pool` lines, and
 //!   [`report::strip_nondeterministic`] removes exactly that set. The
 //!   committed determinism test pins that a stripped report is

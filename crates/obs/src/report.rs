@@ -16,7 +16,7 @@
 //! determinism test pins that the stripped text is byte-identical across
 //! thread counts.
 
-use kooza_exec::profile::{ChunkStats, PoolProfile, WorkerStats};
+use kooza_exec::profile::PoolProfile;
 use kooza_json::{FromJson, Json, JsonError, ToJson};
 
 use crate::metrics::MetricsSnapshot;
@@ -101,8 +101,8 @@ impl ObsReport {
             }
             push(Json::Object(fields));
         }
-        for (index, pool) in self.pools.iter().enumerate() {
-            push(pool_to_json(index, pool));
+        for pool in &self.pools {
+            push(pool_to_json(pool));
         }
         out
     }
@@ -220,12 +220,7 @@ impl ObsReport {
         }
         if !self.pools.is_empty() {
             let items: u64 = self.pools.iter().map(|p| p.items).sum();
-            let busy: u64 = self
-                .pools
-                .iter()
-                .flat_map(|p| &p.workers)
-                .map(|w| w.busy_nanos)
-                .sum();
+            let busy: u64 = self.pools.iter().map(|p| p.busy_nanos).sum();
             out.push_str("\npools\n");
             out.push_str(&format!(
                 "  {} par_map call{}, {} items, {} busy across workers\n",
@@ -305,44 +300,16 @@ fn tree_from_flat(flat: Vec<(usize, StageNode)>) -> Vec<StageNode> {
 
 /// `PoolProfile` → JSONL `pool` line. A free function (not a `ToJson`
 /// impl) because both the trait and the type live in other crates.
-fn pool_to_json(index: usize, pool: &PoolProfile) -> Json {
-    let workers = pool
-        .workers
-        .iter()
-        .map(|w| {
-            Json::Object(vec![
-                ("worker".into(), Json::U64(w.worker as u64)),
-                ("chunks".into(), Json::U64(w.chunks)),
-                ("items".into(), Json::U64(w.items)),
-                ("busy_nanos".into(), Json::U64(w.busy_nanos)),
-            ])
-        })
-        .collect();
-    let chunks = pool
-        .chunks
-        .iter()
-        .map(|c| {
-            Json::Object(vec![
-                ("chunk".into(), Json::U64(c.chunk as u64)),
-                ("worker".into(), Json::U64(c.worker as u64)),
-                ("items".into(), Json::U64(c.items)),
-                ("busy_nanos".into(), Json::U64(c.busy_nanos)),
-                ("queue_depth_at_dispatch".into(), Json::U64(c.queue_depth_at_dispatch)),
-            ])
-        })
-        .collect();
+fn pool_to_json(pool: &PoolProfile) -> Json {
     Json::Object(vec![
         ("kind".into(), Json::str("pool")),
-        ("index".into(), Json::U64(index as u64)),
         ("items".into(), Json::U64(pool.items)),
         (
             "wall".into(),
             Json::Object(vec![
                 ("threads".into(), Json::U64(pool.threads as u64)),
-                ("n_chunks".into(), Json::U64(pool.n_chunks)),
                 ("nanos".into(), Json::U64(pool.wall_nanos)),
-                ("workers".into(), Json::Array(workers)),
-                ("chunks".into(), Json::Array(chunks)),
+                ("busy_nanos".into(), Json::U64(pool.busy_nanos)),
             ]),
         ),
     ])
@@ -350,42 +317,11 @@ fn pool_to_json(index: usize, pool: &PoolProfile) -> Json {
 
 fn pool_from_json(value: &Json) -> kooza_json::Result<PoolProfile> {
     let wall = value.field("wall")?;
-    let workers = wall
-        .field("workers")?
-        .as_array()
-        .ok_or_else(|| JsonError::conversion("pool workers must be an array"))?
-        .iter()
-        .map(|w| {
-            Ok(WorkerStats {
-                worker: u64::from_json(w.field("worker")?)? as usize,
-                chunks: u64::from_json(w.field("chunks")?)?,
-                items: u64::from_json(w.field("items")?)?,
-                busy_nanos: u64::from_json(w.field("busy_nanos")?)?,
-            })
-        })
-        .collect::<kooza_json::Result<Vec<_>>>()?;
-    let chunks = wall
-        .field("chunks")?
-        .as_array()
-        .ok_or_else(|| JsonError::conversion("pool chunks must be an array"))?
-        .iter()
-        .map(|c| {
-            Ok(ChunkStats {
-                chunk: u64::from_json(c.field("chunk")?)? as usize,
-                worker: u64::from_json(c.field("worker")?)? as usize,
-                items: u64::from_json(c.field("items")?)?,
-                busy_nanos: u64::from_json(c.field("busy_nanos")?)?,
-                queue_depth_at_dispatch: u64::from_json(c.field("queue_depth_at_dispatch")?)?,
-            })
-        })
-        .collect::<kooza_json::Result<Vec<_>>>()?;
     Ok(PoolProfile {
         threads: u64::from_json(wall.field("threads")?)? as usize,
         items: u64::from_json(value.field("items")?)?,
-        n_chunks: u64::from_json(wall.field("n_chunks")?)?,
         wall_nanos: u64::from_json(wall.field("nanos")?)?,
-        workers,
-        chunks,
+        busy_nanos: u64::from_json(wall.field("busy_nanos")?)?,
     })
 }
 
@@ -410,20 +346,7 @@ mod tests {
             resolved_threads: 4,
             metrics: reg.snapshot(),
             stages: stages.roots(),
-            pools: vec![PoolProfile {
-                threads: 4,
-                items: 100,
-                n_chunks: 16,
-                wall_nanos: 5_000,
-                workers: vec![WorkerStats { worker: 0, chunks: 16, items: 100, busy_nanos: 4_000 }],
-                chunks: vec![ChunkStats {
-                    chunk: 0,
-                    worker: 0,
-                    items: 7,
-                    busy_nanos: 250,
-                    queue_depth_at_dispatch: 16,
-                }],
-            }],
+            pools: vec![PoolProfile { threads: 4, items: 100, wall_nanos: 5_000, busy_nanos: 4_000 }],
         }
     }
 
@@ -480,7 +403,7 @@ mod tests {
         assert!(rendered.contains("replay.requests"));
         assert!(rendered.contains("gauges"));
         assert!(rendered.contains("histograms"));
-        assert!(rendered.contains("pools"));
+        assert!(rendered.contains("\npools\n  1 par_map call, 100 items, 4.0µs busy across workers\n"));
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! million-request trace is gigabytes of text parsed span-by-span. KTC is
 //! the columnar alternative: per-field column arrays, delta+varint-encoded
 //! timestamps and string-interned span names inside a length-prefixed
-//! block container, streamed by [`KtcWriter`]/[`KtcReader`] and decoded
-//! straight into the owned [`TraceSet`] every model trains on. JSONL
-//! stays the interchange format and the *golden oracle*: every KTC round
-//! trip must be span-for-span identical to the JSONL round trip (pinned
-//! by `tests/ktc_properties.rs`).
+//! block container, written by [`TraceSet::write_ktc`] and decoded block
+//! by block straight into the owned [`TraceSet`] every model trains on
+//! ([`TraceSet::read_ktc`]). JSONL stays the interchange format and the
+//! *golden oracle*: every KTC round trip must be span-for-span identical
+//! to the JSONL round trip (pinned by `tests/ktc_properties.rs`). A file's
+//! name or leading bytes say which of the two it holds
+//! ([`TraceSet::read_file`], [`TraceSet::write_file`]).
 //!
 //! # Container layout
 //!
@@ -40,7 +42,7 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, Write};
 use std::path::Path;
 
 use crate::record::{CpuRecord, Direction, IoOp, MemoryRecord, NetworkRecord, StorageRecord};
@@ -49,14 +51,14 @@ use crate::store::TraceSet;
 use crate::{Result, TraceError};
 
 /// The four magic bytes opening every KTC stream.
-pub const MAGIC: [u8; 4] = *b"KTC1";
+const MAGIC: [u8; 4] = *b"KTC1";
 
 /// Container version this build writes and understands.
-pub const VERSION: u16 = 1;
+const VERSION: u16 = 1;
 
 /// Rows per emitted block: large enough to amortize per-block headers,
-/// small enough that streaming readers stay memory-proportional.
-pub const BLOCK_ROWS: usize = 4096;
+/// small enough that one block's decode buffers stay small.
+const BLOCK_ROWS: usize = 4096;
 
 const TAG_STRINGS: u8 = 0;
 const TAG_STORAGE: u8 = 1;
@@ -65,56 +67,6 @@ const TAG_MEMORY: u8 = 3;
 const TAG_NETWORK: u8 = 4;
 const TAG_SPANS: u8 = 5;
 const TAG_END: u8 = 0xFF;
-
-/// Serialization format of a trace file: the text interchange format or
-/// the binary columnar one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// Line-delimited JSON (the golden-oracle interchange format).
-    Jsonl,
-    /// KTC binary columnar.
-    Ktc,
-}
-
-impl std::fmt::Display for TraceFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TraceFormat::Jsonl => "jsonl",
-            TraceFormat::Ktc => "ktc",
-        })
-    }
-}
-
-impl TraceFormat {
-    /// Parses a `--format` style name (`jsonl`/`json` or `ktc`).
-    pub fn from_name(name: &str) -> Option<TraceFormat> {
-        match name {
-            "jsonl" | "json" => Some(TraceFormat::Jsonl),
-            "ktc" => Some(TraceFormat::Ktc),
-            _ => None,
-        }
-    }
-
-    /// Infers the format from a path extension (`.ktc` → KTC,
-    /// `.jsonl`/`.json` → JSONL, anything else → unknown).
-    pub fn from_extension(path: &Path) -> Option<TraceFormat> {
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("ktc") => Some(TraceFormat::Ktc),
-            Some("jsonl") | Some("json") => Some(TraceFormat::Jsonl),
-            _ => None,
-        }
-    }
-
-    /// Classifies leading file bytes: the KTC magic means KTC, anything
-    /// else is treated as JSONL text.
-    pub fn sniff(head: &[u8]) -> TraceFormat {
-        if head.len() >= 4 && head[..4] == MAGIC {
-            TraceFormat::Ktc
-        } else {
-            TraceFormat::Jsonl
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Primitive encoders
@@ -239,39 +191,24 @@ fn guarded_capacity(count: u64, payload_len: usize) -> usize {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Streaming KTC encoder.
-///
-/// Call the per-stream `write_*` methods in any order (each call emits one
-/// or more blocks), then [`finish`](KtcWriter::finish) to write the end
-/// marker. [`TraceSet::write_ktc`] wraps the common whole-set case.
-#[derive(Debug)]
-pub struct KtcWriter<W: Write> {
+/// KTC encoder behind [`TraceSet::write_ktc`]: the per-stream `write_*`
+/// methods each emit one or more blocks, then [`finish`](KtcWriter::finish)
+/// writes the end marker.
+struct KtcWriter<W: Write> {
     w: W,
     /// Cumulative intern table: string → index, in first-appearance order.
     intern: HashMap<String, u64>,
     n_interned: u64,
-    bytes_written: u64,
-    blocks_written: u64,
 }
 
 impl<W: Write> KtcWriter<W> {
     /// Creates a writer and emits the header.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn new(mut w: W) -> Result<Self> {
+    fn new(mut w: W) -> Result<Self> {
         w.write_all(&MAGIC)?;
         w.write_all(&VERSION.to_le_bytes())?;
         w.write_all(&0u16.to_le_bytes())?;
         kooza_obs::global::counter_add("trace.ktc.write_bytes", 8);
-        Ok(KtcWriter {
-            w,
-            intern: HashMap::new(),
-            n_interned: 0,
-            bytes_written: 8,
-            blocks_written: 0,
-        })
+        Ok(KtcWriter { w, intern: HashMap::new(), n_interned: 0 })
     }
 
     fn write_block(&mut self, tag: u8, count: usize, payload: &[u8]) -> Result<()> {
@@ -281,8 +218,6 @@ impl<W: Write> KtcWriter<W> {
         put_varint(&mut head, payload.len() as u64);
         self.w.write_all(&head)?;
         self.w.write_all(payload)?;
-        self.bytes_written += (head.len() + payload.len()) as u64;
-        self.blocks_written += 1;
         kooza_obs::global::counter_add("trace.ktc.write_blocks", 1);
         kooza_obs::global::counter_add(
             "trace.ktc.write_bytes",
@@ -292,11 +227,7 @@ impl<W: Write> KtcWriter<W> {
     }
 
     /// Writes storage records as columnar blocks of [`BLOCK_ROWS`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_storage(&mut self, rows: &[StorageRecord]) -> Result<()> {
+    fn write_storage(&mut self, rows: &[StorageRecord]) -> Result<()> {
         for chunk in rows.chunks(BLOCK_ROWS) {
             let mut payload = Vec::with_capacity(chunk.len() * 6);
             let mut prev = 0u64;
@@ -321,11 +252,7 @@ impl<W: Write> KtcWriter<W> {
     }
 
     /// Writes CPU records as columnar blocks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_cpu(&mut self, rows: &[CpuRecord]) -> Result<()> {
+    fn write_cpu(&mut self, rows: &[CpuRecord]) -> Result<()> {
         for chunk in rows.chunks(BLOCK_ROWS) {
             let mut payload = Vec::with_capacity(chunk.len() * 12);
             let mut prev = 0u64;
@@ -347,11 +274,7 @@ impl<W: Write> KtcWriter<W> {
     }
 
     /// Writes memory records as columnar blocks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_memory(&mut self, rows: &[MemoryRecord]) -> Result<()> {
+    fn write_memory(&mut self, rows: &[MemoryRecord]) -> Result<()> {
         for chunk in rows.chunks(BLOCK_ROWS) {
             let mut payload = Vec::with_capacity(chunk.len() * 6);
             let mut prev = 0u64;
@@ -376,11 +299,7 @@ impl<W: Write> KtcWriter<W> {
     }
 
     /// Writes network records as columnar blocks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_network(&mut self, rows: &[NetworkRecord]) -> Result<()> {
+    fn write_network(&mut self, rows: &[NetworkRecord]) -> Result<()> {
         for chunk in rows.chunks(BLOCK_ROWS) {
             let mut payload = Vec::with_capacity(chunk.len() * 5);
             let mut prev = 0u64;
@@ -419,11 +338,7 @@ impl<W: Write> KtcWriter<W> {
 
     /// Writes spans as columnar blocks, each preceded (when needed) by a
     /// string-table block interning the names first seen in it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_spans(&mut self, rows: &[Span]) -> Result<()> {
+    fn write_spans(&mut self, rows: &[Span]) -> Result<()> {
         // Fresh for every call: the cache compares name addresses, which
         // only `rows` keeps from being reused by other strings.
         let mut names = NameCache::default();
@@ -486,42 +401,12 @@ impl<W: Write> KtcWriter<W> {
         Ok(())
     }
 
-    /// Writes every stream of `set` (storage, cpu, memory, network, spans —
-    /// the same order the JSONL writer uses).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_set(&mut self, set: &TraceSet) -> Result<()> {
-        self.write_storage(&set.storage)?;
-        self.write_cpu(&set.cpu)?;
-        self.write_memory(&set.memory)?;
-        self.write_network(&set.network)?;
-        self.write_spans(&set.spans)?;
-        Ok(())
-    }
-
-    /// Writes the end marker and returns the inner writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn finish(mut self) -> Result<W> {
+    /// Writes the end marker and flushes.
+    fn finish(mut self) -> Result<()> {
         self.w.write_all(&[TAG_END, 0, 0])?;
-        self.bytes_written += 3;
         kooza_obs::global::counter_add("trace.ktc.write_bytes", 3);
         self.w.flush()?;
-        Ok(self.w)
-    }
-
-    /// Bytes emitted so far (header and block framing included).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Blocks emitted so far (string tables included).
-    pub fn blocks_written(&self) -> u64 {
-        self.blocks_written
+        Ok(())
     }
 }
 
@@ -544,45 +429,23 @@ fn io_op_from(code: u8, cur: &Cursor<'_>) -> Result<IoOp> {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// One decoded KTC block (string tables are consumed internally and never
-/// surfaced).
-#[derive(Debug, Clone, PartialEq)]
-pub enum KtcBlock {
-    /// A block of storage records.
-    Storage(Vec<StorageRecord>),
-    /// A block of CPU records.
-    Cpu(Vec<CpuRecord>),
-    /// A block of memory records.
-    Memory(Vec<MemoryRecord>),
-    /// A block of network records.
-    Network(Vec<NetworkRecord>),
-    /// A block of spans.
-    Spans(Vec<Span>),
-}
-
-/// Streaming KTC decoder: validates the header up front, then yields one
-/// decoded block at a time so memory stays proportional to
-/// [`BLOCK_ROWS`], not the trace.
-#[derive(Debug)]
-pub struct KtcReader<R: Read> {
+/// KTC decoder behind [`TraceSet::read_ktc`]: validates the header, then
+/// decodes one block at a time and appends its rows to the set.
+struct KtcReader<R: Read> {
     r: R,
     /// Cumulative intern table as shared [`SpanName`]s: each distinct
     /// string is allocated once when its table block arrives; span decode
     /// then builds names by index with a refcount bump, never copying.
     strings: Vec<SpanName>,
     offset: u64,
-    done: bool,
 }
 
 impl<R: Read> KtcReader<R> {
-    /// Opens a KTC stream, reading and validating the header.
-    ///
-    /// # Errors
-    ///
+    /// Opens a KTC stream, reading and validating the header:
     /// [`TraceError::BadMagic`] if the stream does not start with `KTC1`,
     /// [`TraceError::UnsupportedVersion`] on a newer container version,
     /// [`TraceError::Truncated`] if the header itself is cut short.
-    pub fn new(mut r: R) -> Result<Self> {
+    fn new(mut r: R) -> Result<Self> {
         let mut header = [0u8; 8];
         read_exact_at(&mut r, &mut header, 0, "header")?;
         let mut magic = [0u8; 4];
@@ -594,22 +457,17 @@ impl<R: Read> KtcReader<R> {
         if version != VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
-        Ok(KtcReader { r, strings: Vec::new(), offset: 8, done: false })
+        Ok(KtcReader { r, strings: Vec::new(), offset: 8 })
     }
 
-    /// Decodes the next record block, or `Ok(None)` after the end marker.
-    ///
-    /// # Errors
-    ///
+    /// Decodes every block through the end marker into one set:
     /// [`TraceError::Truncated`] when the stream ends mid-block or before
     /// the end marker; [`TraceError::Corrupt`] on structural violations
     /// (unknown tags, over-long varints, bad intern indices, trailing
     /// data after the end marker).
-    pub fn next_block(&mut self) -> Result<Option<KtcBlock>> {
+    fn read_set(mut self) -> Result<TraceSet> {
+        let mut out = TraceSet::new();
         loop {
-            if self.done {
-                return Ok(None);
-            }
             let mut tag = [0u8; 1];
             read_exact_at(&mut self.r, &mut tag, self.offset, "block tag")?;
             self.offset += 1;
@@ -636,8 +494,7 @@ impl<R: Read> KtcReader<R> {
                     }
                     Err(e) => return Err(TraceError::Io(e)),
                 }
-                self.done = true;
-                return Ok(None);
+                return Ok(out);
             }
             let count = self.stream_varint("block count")?;
             let payload_len = self.stream_varint("block payload length")?;
@@ -665,55 +522,34 @@ impl<R: Read> KtcReader<R> {
             kooza_obs::global::counter_add("trace.ktc.read_blocks", 1);
             kooza_obs::global::counter_add("trace.ktc.read_bytes", payload_len);
             let mut cur = Cursor::new(&payload, base);
-            let block = match tag {
+            match tag {
                 TAG_STRINGS => {
                     self.decode_strings(&mut cur, count)?;
                     continue;
                 }
-                TAG_STORAGE => KtcBlock::Storage(decode_storage(&mut cur, count)?),
-                TAG_CPU => KtcBlock::Cpu(decode_cpu(&mut cur, count)?),
-                TAG_MEMORY => KtcBlock::Memory(decode_memory(&mut cur, count)?),
-                TAG_NETWORK => KtcBlock::Network(decode_network(&mut cur, count)?),
-                TAG_SPANS => KtcBlock::Spans(decode_spans(&mut cur, count, &self.strings)?),
+                TAG_STORAGE => out.storage.append(&mut decode_storage(&mut cur, count)?),
+                TAG_CPU => out.cpu.append(&mut decode_cpu(&mut cur, count)?),
+                TAG_MEMORY => out.memory.append(&mut decode_memory(&mut cur, count)?),
+                TAG_NETWORK => out.network.append(&mut decode_network(&mut cur, count)?),
+                TAG_SPANS => out.spans.append(&mut decode_spans(&mut cur, count, &self.strings)?),
                 other => {
                     return Err(TraceError::Corrupt {
                         offset: base - 1,
                         message: format!("unknown block tag {other:#04x}"),
                     })
                 }
-            };
+            }
             if !cur.finished() {
                 return Err(cur.corrupt(format!(
                     "{} unread byte(s) at end of block payload",
                     payload.len() - cur.pos
                 )));
             }
-            let rows = count;
-            kooza_obs::global::counter_add("trace.ktc.read_records", rows);
-            if matches!(block, KtcBlock::Spans(_)) {
-                kooza_obs::global::counter_add("trace.ktc.read_spans", rows);
-            }
-            return Ok(Some(block));
-        }
-    }
-
-    /// Drains the stream into an owned [`TraceSet`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`next_block`](KtcReader::next_block) failure.
-    pub fn read_to_set(mut self) -> Result<TraceSet> {
-        let mut out = TraceSet::new();
-        while let Some(block) = self.next_block()? {
-            match block {
-                KtcBlock::Storage(mut v) => out.storage.append(&mut v),
-                KtcBlock::Cpu(mut v) => out.cpu.append(&mut v),
-                KtcBlock::Memory(mut v) => out.memory.append(&mut v),
-                KtcBlock::Network(mut v) => out.network.append(&mut v),
-                KtcBlock::Spans(mut v) => out.spans.append(&mut v),
+            kooza_obs::global::counter_add("trace.ktc.read_records", count);
+            if tag == TAG_SPANS {
+                kooza_obs::global::counter_add("trace.ktc.read_spans", count);
             }
         }
-        Ok(out)
     }
 
     /// Reads one varint directly from the stream (block framing, not
@@ -981,87 +817,77 @@ fn checked_count(cur: &Cursor<'_>, count: u64) -> Result<usize> {
 // ---------------------------------------------------------------------------
 
 impl TraceSet {
-    /// Serializes this set as KTC to any writer.
+    /// Serializes this set as KTC to any writer, its streams in the JSONL
+    /// writer's order: storage, cpu, memory, network, spans.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn write_ktc<W: Write>(&self, w: W) -> Result<()> {
         let mut writer = KtcWriter::new(w)?;
-        writer.write_set(self)?;
-        writer.finish()?;
-        Ok(())
+        writer.write_storage(&self.storage)?;
+        writer.write_cpu(&self.cpu)?;
+        writer.write_memory(&self.memory)?;
+        writer.write_network(&self.network)?;
+        writer.write_spans(&self.spans)?;
+        writer.finish()
     }
 
     /// Reads a KTC trace from any reader.
     ///
     /// # Errors
     ///
-    /// See [`KtcReader::new`] and [`KtcReader::next_block`].
+    /// A typed [`TraceError`] with the stream offset on a bad header, a
+    /// cut-short stream or a format violation; never a panic.
     pub fn read_ktc<R: Read>(r: R) -> Result<TraceSet> {
-        KtcReader::new(r)?.read_to_set()
+        KtcReader::new(r)?.read_set()
     }
 
-    /// Reads a trace file in either format. With `format = None`, a
-    /// `.ktc` extension selects KTC; any other name is classified by
-    /// sniffing the leading magic bytes (so a KTC file with a misleading
-    /// extension still reads, and JSONL — which can never start with the
-    /// magic — is the fallback).
+    /// Reads a trace file in either format: a `.ktc` extension means KTC;
+    /// any other name is classified by its leading bytes, the KTC magic
+    /// or else JSONL (which can never start with the magic), so a KTC
+    /// file with a misleading name still reads.
     ///
     /// # Errors
     ///
-    /// Propagates open/parse failures of the resolved format.
-    pub fn read_file(path: &Path, format: Option<TraceFormat>) -> Result<TraceSet> {
+    /// Propagates open/parse failures of the format found.
+    pub fn read_file(path: &Path) -> Result<TraceSet> {
         let mut file = File::open(path)?;
-        let format = match format {
-            Some(f) => f,
-            None if TraceFormat::from_extension(path) == Some(TraceFormat::Ktc) => {
-                TraceFormat::Ktc
-            }
-            None => {
-                let mut head = [0u8; 4];
-                let got = read_head(&mut file, &mut head)?;
-                file.seek(SeekFrom::Start(0))?;
-                TraceFormat::sniff(&head[..got])
-            }
+        let ktc = is_ktc_path(path) || {
+            let mut head = Vec::with_capacity(MAGIC.len());
+            (&mut file).take(MAGIC.len() as u64).read_to_end(&mut head)?;
+            file.rewind()?;
+            head == MAGIC
         };
-        match format {
-            TraceFormat::Jsonl => TraceSet::read_jsonl(std::io::BufReader::new(file)),
-            TraceFormat::Ktc => TraceSet::read_ktc(std::io::BufReader::new(file)),
+        let file = BufReader::new(file);
+        if ktc {
+            TraceSet::read_ktc(file)
+        } else {
+            TraceSet::read_jsonl(file)
         }
     }
 
-    /// Writes a trace file in either format. With `format = None` the
-    /// format is inferred from the extension, defaulting to JSONL.
+    /// Writes a trace file: KTC when the path has a `.ktc` extension,
+    /// JSONL otherwise.
     ///
     /// # Errors
     ///
     /// Propagates create/write failures.
-    pub fn write_file(&self, path: &Path, format: Option<TraceFormat>) -> Result<()> {
-        let format = format
-            .or_else(|| TraceFormat::from_extension(path))
-            .unwrap_or(TraceFormat::Jsonl);
-        let file = File::create(path)?;
-        let mut buf = std::io::BufWriter::new(file);
-        match format {
-            TraceFormat::Jsonl => self.write_jsonl(&mut buf)?,
-            TraceFormat::Ktc => self.write_ktc(&mut buf)?,
+    pub fn write_file(&self, path: &Path) -> Result<()> {
+        let mut buf = BufWriter::new(File::create(path)?);
+        if is_ktc_path(path) {
+            self.write_ktc(&mut buf)?;
+        } else {
+            self.write_jsonl(&mut buf)?;
         }
         buf.flush()?;
         Ok(())
     }
 }
 
-/// Reads up to 4 leading bytes without failing on shorter files.
-fn read_head(r: &mut impl Read, head: &mut [u8; 4]) -> Result<usize> {
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut head[got..])? {
-            0 => break,
-            n => got += n,
-        }
-    }
-    Ok(got)
+/// Whether a path names a KTC file: a `.ktc` extension.
+fn is_ktc_path(path: &Path) -> bool {
+    path.extension().is_some_and(|e| e == "ktc")
 }
 
 #[cfg(test)]
@@ -1188,11 +1014,9 @@ mod tests {
             ts.spans.push(Span::new(TraceId(i), SpanId(0), None, "request", i, i + 1));
         }
         let mut buf = Vec::new();
-        let mut w = KtcWriter::new(&mut buf).unwrap();
-        w.write_spans(&ts.spans).unwrap();
+        ts.write_ktc(&mut buf).unwrap();
         // Two span blocks, but only the first carries a string table.
-        assert_eq!(w.blocks_written(), 3);
-        w.finish().unwrap();
+        assert_eq!(block_tags(&buf), [TAG_STRINGS, TAG_SPANS, TAG_SPANS, TAG_END]);
         let back = TraceSet::read_ktc(buf.as_slice()).unwrap();
         assert_eq!(ts.spans, back.spans);
     }
@@ -1276,23 +1100,24 @@ mod tests {
 
     #[test]
     fn format_detection() {
-        assert_eq!(TraceFormat::from_name("ktc"), Some(TraceFormat::Ktc));
-        assert_eq!(TraceFormat::from_name("jsonl"), Some(TraceFormat::Jsonl));
-        assert_eq!(TraceFormat::from_name("json"), Some(TraceFormat::Jsonl));
-        assert_eq!(TraceFormat::from_name("csv"), None);
-        assert_eq!(
-            TraceFormat::from_extension(Path::new("/tmp/a.ktc")),
-            Some(TraceFormat::Ktc)
-        );
-        assert_eq!(
-            TraceFormat::from_extension(Path::new("/tmp/a.jsonl")),
-            Some(TraceFormat::Jsonl)
-        );
-        assert_eq!(TraceFormat::from_extension(Path::new("/tmp/a.bin")), None);
-        assert_eq!(TraceFormat::sniff(&MAGIC), TraceFormat::Ktc);
-        assert_eq!(TraceFormat::sniff(b"{\"ki"), TraceFormat::Jsonl);
-        assert_eq!(TraceFormat::sniff(b""), TraceFormat::Jsonl);
-        assert_eq!(format!("{}/{}", TraceFormat::Jsonl, TraceFormat::Ktc), "jsonl/ktc");
+        assert!(is_ktc_path(Path::new("/tmp/a.ktc")));
+        assert!(!is_ktc_path(Path::new("/tmp/a.jsonl")));
+        assert!(!is_ktc_path(Path::new("/tmp/a.bin")));
+        assert!(!is_ktc_path(Path::new("/tmp/ktc")));
+        // Under any other name the leading bytes decide: the magic means
+        // KTC (here cut short after the version), anything else JSONL,
+        // an empty file included.
+        let pid = std::process::id();
+        let path = std::env::temp_dir().join(format!("kooza-ktc-sniff-{pid}.trace"));
+        std::fs::write(&path, b"KTC1\x01\x00").unwrap();
+        let read = TraceSet::read_file(&path);
+        assert!(matches!(read, Err(TraceError::Truncated { .. })), "{read:?}");
+        std::fs::write(&path, b"KTC").unwrap();
+        let read = TraceSet::read_file(&path);
+        assert!(matches!(read, Err(TraceError::Parse { line: 1, .. })), "{read:?}");
+        std::fs::write(&path, b"").unwrap();
+        assert!(TraceSet::read_file(&path).unwrap().is_empty());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1301,21 +1126,21 @@ mod tests {
         let pid = std::process::id();
         let ts = sample_set();
 
-        // Extension-driven: .ktc writes binary, read back without a hint.
+        // Extension-driven: .ktc writes binary and reads it back.
         let ktc_path = dir.join(format!("kooza-ktc-test-{pid}.ktc"));
-        ts.write_file(&ktc_path, None).unwrap();
-        let back = TraceSet::read_file(&ktc_path, None).unwrap();
+        ts.write_file(&ktc_path).unwrap();
+        let back = TraceSet::read_file(&ktc_path).unwrap();
         assert_eq!(ts, back);
 
         // Misleading extension: content sniffing still finds KTC.
         let disguised = dir.join(format!("kooza-ktc-test-{pid}.trace"));
-        ts.write_file(&disguised, Some(TraceFormat::Ktc)).unwrap();
-        let back = TraceSet::read_file(&disguised, None).unwrap();
+        std::fs::copy(&ktc_path, &disguised).unwrap();
+        let back = TraceSet::read_file(&disguised).unwrap();
         assert_eq!(ts, back);
 
-        // Default format is JSONL.
+        // Any other name writes JSONL.
         let plain = dir.join(format!("kooza-ktc-test-{pid}.out"));
-        ts.write_file(&plain, None).unwrap();
+        ts.write_file(&plain).unwrap();
         let text = std::fs::read_to_string(&plain).unwrap();
         assert!(text.starts_with('{'), "expected JSONL, got {}", &text[..20.min(text.len())]);
 
@@ -1324,18 +1149,45 @@ mod tests {
         }
     }
 
+    /// The tag of every block of a KTC stream, end marker included; the
+    /// framing must account for every byte after the header.
+    fn block_tags(buf: &[u8]) -> Vec<u8> {
+        let mut cur = Cursor::new(&buf[8..], 8);
+        let mut tags = Vec::new();
+        while !cur.finished() {
+            tags.push(cur.u8("block tag").unwrap());
+            cur.varint("block count").unwrap();
+            let len = cur.varint("block payload length").unwrap();
+            cur.bytes(len as usize, "block payload").unwrap();
+        }
+        tags
+    }
+
     #[test]
     fn writer_reports_bytes_and_blocks() {
+        let mut buf = Vec::new();
+        sample_set().write_ktc(&mut buf).unwrap();
+        let tags = block_tags(&buf);
+        // storage + cpu + memory + network + strings + spans.
+        assert_eq!(tags.iter().filter(|&&t| t != TAG_END).count(), 6);
+        // The 3-byte end marker closes the stream and nothing follows it.
+        assert_eq!(tags.last(), Some(&TAG_END));
+        assert!(buf.ends_with(&[TAG_END, 0, 0]));
+    }
+
+    #[test]
+    fn streaming_reader_yields_blocks_in_order() {
         let ts = sample_set();
         let mut buf = Vec::new();
-        let mut w = KtcWriter::new(&mut buf).unwrap();
-        w.write_set(&ts).unwrap();
-        let blocks = w.blocks_written();
-        let bytes = w.bytes_written();
-        // storage + cpu + memory + network + strings + spans.
-        assert_eq!(blocks, 6);
-        w.finish().unwrap();
-        assert_eq!(bytes as usize + 3, buf.len());
+        ts.write_ktc(&mut buf).unwrap();
+        // The JSONL stream order, with the spans' string table first.
+        assert_eq!(
+            block_tags(&buf),
+            [TAG_STORAGE, TAG_CPU, TAG_MEMORY, TAG_NETWORK, TAG_STRINGS, TAG_SPANS, TAG_END]
+        );
+        // The reader appends each block to its stream in that order.
+        let back = KtcReader::new(buf.as_slice()).unwrap().read_set().unwrap();
+        assert_eq!(back, ts);
     }
 
     #[test]
@@ -1359,26 +1211,5 @@ mod tests {
         // 10 rows in each of 4 record streams plus 20 spans.
         assert!(counter("trace.ktc.read_records") >= 60, "read_records");
         assert!(counter("trace.ktc.read_spans") >= 20, "read_spans");
-    }
-
-    #[test]
-    fn streaming_reader_yields_blocks_in_order() {
-        let ts = sample_set();
-        let mut buf = Vec::new();
-        ts.write_ktc(&mut buf).unwrap();
-        let mut reader = KtcReader::new(buf.as_slice()).unwrap();
-        let mut kinds = Vec::new();
-        while let Some(block) = reader.next_block().unwrap() {
-            kinds.push(match block {
-                KtcBlock::Storage(_) => "storage",
-                KtcBlock::Cpu(_) => "cpu",
-                KtcBlock::Memory(_) => "memory",
-                KtcBlock::Network(_) => "network",
-                KtcBlock::Spans(_) => "spans",
-            });
-        }
-        assert_eq!(kinds, ["storage", "cpu", "memory", "network", "spans"]);
-        // Exhausted readers keep returning None.
-        assert!(reader.next_block().unwrap().is_none());
     }
 }

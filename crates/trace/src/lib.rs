@@ -14,9 +14,10 @@
 //! * [`characterize`] — per-subsystem workload characterization (read/write
 //!   mix, seek distances, inter-arrivals, burstiness, CPU pattern
 //!   classification per Abrahao et al.).
-//! * [`ktc`] — the KTC binary columnar format ([`KtcReader`],
-//!   [`KtcWriter`]) for traces too large for JSONL text, with JSONL kept
-//!   as the golden round-trip oracle.
+//! * [`ktc`] — the KTC binary columnar format for traces too large for
+//!   JSONL text, with JSONL kept as the golden round-trip oracle. A trace
+//!   file names its own format ([`TraceSet::read_file`],
+//!   [`TraceSet::write_file`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -28,9 +29,8 @@ pub mod sampler;
 pub mod span;
 pub mod store;
 
-pub use ktc::{KtcBlock, KtcReader, KtcWriter, TraceFormat};
 pub use record::{CpuRecord, Direction, IoOp, MemoryRecord, NetworkRecord, StorageRecord};
-pub use span::{NameCache, Span, SpanCollector, SpanId, SpanName, TraceId, TraceTree};
+pub use span::{NameCache, Span, SpanId, SpanName, TraceId, TraceTree};
 pub use store::TraceSet;
 
 /// Errors from trace manipulation and persistence.

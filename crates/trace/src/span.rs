@@ -4,7 +4,7 @@
 //! annotations" to associate all work with the request that initiated it.
 //! A [`Span`] is one timed section of work; [`TraceTree`] reassembles the
 //! spans of one request into the tree and answers the structural questions
-//! the in-depth models need (phase order, critical depth, total latency).
+//! the in-depth models need (phase order, total latency).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -384,19 +384,6 @@ impl TraceTree {
         self.root().duration_nanos()
     }
 
-    /// Maximum nesting depth (root = 1).
-    pub fn depth(&self) -> usize {
-        fn walk(tree: &TraceTree, id: SpanId) -> usize {
-            1 + tree
-                .children(id)
-                .iter()
-                .map(|&c| walk(tree, c))
-                .max()
-                .unwrap_or(0)
-        }
-        walk(self, self.root)
-    }
-
     /// The *phase sequence*: leaf-span names in start-time order. This is
     /// exactly the application-structure information KOOZA's
     /// time-dependency queue is trained on.
@@ -417,37 +404,6 @@ impl TraceTree {
             .filter(|s| s.name == name && self.children(s.span_id).is_empty())
             .map(Span::duration_nanos)
             .sum()
-    }
-}
-
-/// Collects spans from many requests and groups them into [`TraceTree`]s.
-#[derive(Debug, Default)]
-pub struct SpanCollector {
-    spans: Vec<Span>,
-}
-
-impl SpanCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        SpanCollector::default()
-    }
-
-    /// Adds a span.
-    pub fn record(&mut self, span: Span) {
-        self.spans.push(span);
-    }
-
-    /// Groups recorded spans into one tree per trace, skipping traces whose
-    /// spans do not form a valid tree.
-    pub fn into_trees(self) -> Vec<TraceTree> {
-        let mut by_trace: BTreeMap<TraceId, Vec<Span>> = BTreeMap::new();
-        for span in self.spans {
-            by_trace.entry(span.trace_id).or_default().push(span);
-        }
-        by_trace
-            .into_values()
-            .filter_map(|spans| TraceTree::build(spans).ok())
-            .collect()
     }
 }
 
@@ -474,7 +430,6 @@ mod tests {
         assert_eq!(tree.len(), 7);
         assert_eq!(tree.root().name, "request");
         assert_eq!(tree.total_latency_nanos(), 1000);
-        assert_eq!(tree.depth(), 3); // request → cpu → memory
         assert_eq!(tree.children(SpanId(0)).len(), 5);
     }
 
@@ -544,18 +499,6 @@ mod tests {
     #[should_panic(expected = "ends before it starts")]
     fn inverted_span_panics() {
         Span::new(TraceId(1), SpanId(0), None, "x", 10, 5);
-    }
-
-    #[test]
-    fn collector_without_sampling_keeps_all() {
-        let mut c = SpanCollector::new();
-        for tid in 0..10 {
-            for span in gfs_like_trace(tid) {
-                c.record(span);
-            }
-        }
-        let trees = c.into_trees();
-        assert_eq!(trees.len(), 10);
     }
 
     #[test]

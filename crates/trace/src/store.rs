@@ -6,12 +6,13 @@
 //! stream through ordinary readers/writers and survive partial writes
 //! (parse errors carry line numbers).
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 
 use kooza_json::{FromJson, Json, JsonError, ToJson};
 
 use crate::record::{CpuRecord, MemoryRecord, NetworkRecord, StorageRecord};
-use crate::span::{Span, TraceTree};
+use crate::span::{Span, TraceId, TraceTree};
 use crate::{Result, TraceError};
 
 /// One line of a serialized trace, internally tagged by a `kind` field —
@@ -112,14 +113,17 @@ impl TraceSet {
         self.spans.sort_by_key(|s| (s.start_nanos, s.span_id));
     }
 
-    /// Groups the stored spans into per-request trees, skipping malformed
-    /// groups.
+    /// Groups the stored spans into one tree per request, in trace-id
+    /// order, skipping requests whose spans do not form a valid tree.
     pub fn span_trees(&self) -> Vec<TraceTree> {
-        let mut collector = crate::span::SpanCollector::new();
+        let mut by_trace: BTreeMap<TraceId, Vec<Span>> = BTreeMap::new();
         for span in &self.spans {
-            collector.record(span.clone());
+            by_trace.entry(span.trace_id).or_default().push(span.clone());
         }
-        collector.into_trees()
+        by_trace
+            .into_values()
+            .filter_map(|spans| TraceTree::build(spans).ok())
+            .collect()
     }
 
     /// Serializes as JSONL to any writer.
@@ -196,7 +200,7 @@ impl TraceSet {
 mod tests {
     use super::*;
     use crate::record::{Direction, IoOp};
-    use crate::span::{SpanId, TraceId};
+    use crate::span::SpanId;
 
     fn sample_set() -> TraceSet {
         let mut ts = TraceSet::new();
@@ -308,6 +312,24 @@ mod tests {
         assert_eq!(trees.len(), 1);
         assert_eq!(trees[0].len(), 2);
         assert_eq!(trees[0].total_latency_nanos(), 100);
+    }
+
+    #[test]
+    fn span_trees_group_spans_by_trace() {
+        let mut ts = TraceSet::new();
+        for tid in (0..10).rev() {
+            let t = TraceId(tid);
+            ts.spans.push(Span::new(t, SpanId(0), None, "request", 0, 100));
+            ts.spans.push(Span::new(t, SpanId(1), Some(SpanId(0)), "cpu", 10, 50));
+            ts.spans.push(Span::new(t, SpanId(2), Some(SpanId(1)), "memory", 20, 40));
+        }
+        // A trace with two roots forms no tree and is skipped.
+        ts.spans.push(Span::new(TraceId(20), SpanId(0), None, "a", 0, 1));
+        ts.spans.push(Span::new(TraceId(20), SpanId(1), None, "b", 0, 1));
+        let trees = ts.span_trees();
+        let ids: Vec<u64> = trees.iter().map(|t| t.trace_id().0).collect();
+        assert_eq!(ids, (0..10).collect::<Vec<_>>());
+        assert!(trees.iter().all(|t| t.len() == 3));
     }
 
     #[test]

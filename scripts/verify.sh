@@ -33,6 +33,28 @@ echo "ok: all dependencies are path dependencies"
 echo "== tier-1: offline release build =="
 cargo build --release --offline --workspace
 
+echo "== CLI: the release kooza binary round-trips a trace and rejects --format =="
+# No test runs main.rs, its exit code or its stderr. A KTC trace converted
+# to JSONL and back must come back byte-identical (the encoding is
+# canonical, DESIGN.md §10), and an option a command does not take must
+# fail the process with the option named on stderr.
+kooza="${CARGO_TARGET_DIR:-target}/release/kooza"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+"$kooza" simulate --out "$tmp/t.ktc" --requests 300 >/dev/null
+"$kooza" trace convert --in "$tmp/t.ktc" --out "$tmp/t.jsonl" >/dev/null
+"$kooza" trace convert --in "$tmp/t.jsonl" --out "$tmp/back.ktc" >/dev/null
+cmp "$tmp/t.ktc" "$tmp/back.ktc"
+if "$kooza" fit --trace "$tmp/t.ktc" --format ktc >/dev/null 2>"$tmp/err"; then
+    echo "kooza fit accepted --format" >&2
+    exit 1
+fi
+if ! grep -q 'does not take --format' "$tmp/err"; then
+    echo "kooza fit --format did not name the option:" >&2
+    cat "$tmp/err" >&2
+    exit 1
+fi
+
 echo "== tier-1: full test suite =="
 # Also runs the KTC property, corruption and golden-fixture suites, the
 # trace round trip and the fabric property suite.

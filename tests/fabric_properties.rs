@@ -8,17 +8,27 @@
 //! 3. an uncontended flow completes exactly when `LinkModel::transfer`
 //!    says it should (the degenerate single-link topology).
 //!
+//! Two more pin bookkeeping: every flow completes exactly once, and every
+//! link carries exactly the bytes its flows moved, including flows that
+//! were cancelled or dropped by a host failure partway through.
+//!
 //! Runs on the in-repo `kooza-check` harness: deterministic seeded case
 //! streams, configurable via `KOOZA_CHECK_CASES` / `KOOZA_CHECK_SEED`.
 
 use kooza_check::gen::{f64_range, u64_range, usize_range, vec_of, zip2, zip3, zip4};
-use kooza_check::{checker, ensure};
+use kooza_check::{checker, ensure, CaseResult, PropResult};
 use kooza_gfs::{LinkModel, LinkParams};
 use kooza_sim::rng::Rng64;
 use kooza_sim::{Endpoint, Fabric, SimDuration, SimTime};
 
 const BW: f64 = 125e6;
 const LAT: SimDuration = SimDuration::from_micros(100);
+
+/// How far a link's carried bytes may miss its flows' bytes, per flow
+/// crossing it. A flow completes with up to 1.5 ns of its rate
+/// undelivered (`drained`), and its finish estimate rounds up by up to
+/// 1 ns; rates never exceed the host link's `BW`.
+const SLACK_PER_FLOW: f64 = BW * 2.5e-9 + 1e-6;
 
 /// Mirror of the fabric's documented link layout (host up, host down,
 /// rack up, rack down) and routing, used to audit rates from outside.
@@ -202,11 +212,6 @@ fn lone_flow_matches_legacy_link_model() {
 /// every link has carried exactly the bytes of the flows routed over it.
 #[test]
 fn all_flows_complete_exactly_once() {
-    // A flow completes with up to 1.5 ns of its rate undelivered
-    // (`drained`), and its finish estimate rounds up by up to 1 ns, so a
-    // link's carried bytes may miss its flows' total by this much per
-    // flow: rates never exceed the host link's `BW`.
-    const SLACK_PER_FLOW: f64 = BW * 2.5e-9 + 1e-6;
     checker("all_flows_complete_exactly_once").run(
         zip2(
             usize_range(1, 16), // hosts
@@ -254,6 +259,176 @@ fn all_flows_complete_exactly_once() {
                     (carried - requested[l]).abs() <= slack,
                     "link {l} carried {carried} B of {} B requested by {} flows",
                     requested[l],
+                    crossing[l]
+                );
+            }
+            Ok(())
+        },
+    );
+}
+
+/// What became of a flow the conservation property started.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fate {
+    Live,
+    Completed,
+    /// Cancelled, or dropped by a host failure.
+    Removed,
+}
+
+/// A flow as the conservation property sees it from outside the fabric.
+struct Tracked {
+    links: Vec<usize>,
+    bytes: u64,
+    /// Bytes moved so far: `rate_of` integrated over every step.
+    moved: f64,
+    fate: Fate,
+}
+
+/// Advances `fabric` from `now` to `target`, never past its next internal
+/// change, so the rates read before a step hold throughout it: each live
+/// flow (index = id) is credited its rate times the step, and the flows
+/// the step completes are marked.
+fn advance_tracked(
+    fabric: &mut Fabric,
+    now: &mut SimTime,
+    target: SimTime,
+    flows: &mut [Tracked],
+) -> PropResult {
+    for _ in 0..10_000 {
+        if *now >= target {
+            return Ok(());
+        }
+        let next = fabric.next_change().map_or(target, |t| t.min(target));
+        let dt = (next - *now).as_secs_f64();
+        for (id, flow) in flows.iter_mut().enumerate() {
+            if flow.fate == Fate::Live {
+                let rate = fabric.rate_of(id as u64);
+                ensure!(rate.is_some(), "live flow {id} is unknown to the fabric");
+                flow.moved += rate.unwrap() * dt;
+            }
+        }
+        for id in fabric.advance(next) {
+            let flow = &mut flows[id as usize];
+            ensure!(flow.fate == Fate::Live, "flow {id} completed after it ended");
+            flow.fate = Fate::Completed;
+        }
+        *now = next;
+    }
+    Err(CaseResult::Fail(format!("{target} not reached in 10,000 steps")))
+}
+
+/// Bytes are conserved when flows leave early: under random starts,
+/// cancels, host failures and advances, every link carries its completed
+/// flows' bytes plus whatever its cancelled and dropped flows moved
+/// before removal, and every completed flow moved its bytes.
+#[test]
+fn cancelled_and_dropped_flows_conserve_bytes() {
+    checker("cancelled_and_dropped_flows_conserve_bytes").run(
+        zip3(
+            usize_range(1, 16),         // hosts
+            u64_range(0, u64::MAX / 2), // op-stream seed
+            usize_range(10, 60),        // operations
+        ),
+        |&(hosts, seed, ops)| {
+            let spr = 4.min(hosts);
+            let oversub = 1.5f64.min(spr as f64);
+            let mut fabric = Fabric::new(hosts, spr, oversub, BW, LAT);
+            let mut rng = Rng64::new(seed);
+            let mut now = SimTime::ZERO;
+            let mut flows: Vec<Tracked> = Vec::new();
+            let ep = |v: u64| match v as usize % (hosts + 1) {
+                0 => Endpoint::Client,
+                h => Endpoint::Host(h - 1),
+            };
+            for _ in 0..ops {
+                let live: Vec<u64> = (0..flows.len() as u64)
+                    .filter(|&id| flows[id as usize].fate == Fate::Live)
+                    .collect();
+                match rng.next_u64() % 10 {
+                    0..=3 => {
+                        let (from, to) = (ep(rng.next_u64()), ep(rng.next_u64()));
+                        let bytes = 1 + rng.next_u64() % (1 << 24);
+                        let id = fabric.start_flow(from, to, bytes);
+                        ensure!(id == flows.len() as u64, "flow ids are not dense");
+                        let links = path(hosts, spr, from, to);
+                        flows.push(Tracked { links, bytes, moved: 0.0, fate: Fate::Live });
+                    }
+                    4 | 5 if !live.is_empty() => {
+                        let id = live[(rng.next_u64() % live.len() as u64) as usize];
+                        ensure!(fabric.cancel_flow(id), "cancel({id}) of a live flow failed");
+                        flows[id as usize].fate = Fate::Removed;
+                    }
+                    6 => {
+                        let h = (rng.next_u64() % hosts as u64) as usize;
+                        let expected: Vec<u64> = live
+                            .iter()
+                            .copied()
+                            .filter(|&id| {
+                                let links = &flows[id as usize].links;
+                                links.contains(&h) || links.contains(&(hosts + h))
+                            })
+                            .collect();
+                        let dropped = fabric.fail_host(h);
+                        ensure!(
+                            dropped == expected,
+                            "fail_host({h}) dropped {dropped:?}, expected {expected:?}"
+                        );
+                        for id in dropped {
+                            flows[id as usize].fate = Fate::Removed;
+                        }
+                    }
+                    _ => {
+                        let dt = SimDuration::from_nanos(1 + rng.next_u64() % 2_000_000);
+                        let target = match fabric.next_change() {
+                            Some(t) if rng.next_u64().is_multiple_of(2) => t,
+                            _ => now + dt,
+                        };
+                        advance_tracked(&mut fabric, &mut now, target, &mut flows)?;
+                    }
+                }
+            }
+            // Drain what is left.
+            for _ in 0..10_000 {
+                let Some(t) = fabric.next_change() else { break };
+                advance_tracked(&mut fabric, &mut now, t, &mut flows)?;
+            }
+            ensure!(fabric.in_flight() == 0, "fabric still holds flows at quiescence");
+            let mut expected = vec![0.0f64; fabric.link_count()];
+            let mut crossing = vec![0usize; fabric.link_count()];
+            for (id, flow) in flows.iter().enumerate() {
+                ensure!(flow.fate != Fate::Live, "flow {id} never ended");
+                let share = if flow.fate == Fate::Removed {
+                    ensure!(
+                        flow.moved <= flow.bytes as f64 + SLACK_PER_FLOW,
+                        "removed flow {id} moved {} of its {} B",
+                        flow.moved,
+                        flow.bytes
+                    );
+                    flow.moved
+                } else if flow.links.is_empty() {
+                    0.0 // A loopback flow completes at its gate, moving nothing.
+                } else {
+                    ensure!(
+                        (flow.moved - flow.bytes as f64).abs() <= SLACK_PER_FLOW,
+                        "completed flow {id} moved {} of its {} B",
+                        flow.moved,
+                        flow.bytes
+                    );
+                    flow.bytes as f64
+                };
+                for &l in &flow.links {
+                    expected[l] += share;
+                    crossing[l] += 1;
+                }
+            }
+            for (l, util) in fabric.link_utilization(now).into_iter().enumerate() {
+                let carried = util * capacity(hosts, spr, oversub, l) * now.as_secs_f64();
+                let slack = crossing[l] as f64 * SLACK_PER_FLOW;
+                ensure!(
+                    (carried - expected[l]).abs() <= slack,
+                    "link {l} carried {carried} B, expected {} B from {} flows",
+                    expected[l],
                     crossing[l]
                 );
             }
