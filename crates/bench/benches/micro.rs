@@ -122,6 +122,22 @@ fn bench_markov_train_generate(h: &mut Harness) {
         let mut rng = Rng64::new(5);
         b.iter(|| black_box(chain.generate(10_000, &mut rng)))
     });
+    // The cost a model step pays: a freshly fitted chain of the storage
+    // model's shape (64 LBN buckets, smoothing 0.02) builds each row's
+    // sampling table on its first draw. `markov_generate_10k` reuses warm
+    // tables, so it never shows this.
+    let walk: Vec<usize> = (0..4_000).map(|_| rng.next_bounded(64) as usize).collect();
+    h.bench_function("markov_cold_generate_64", |b| {
+        let mut rng = Rng64::new(6);
+        b.iter(|| {
+            let mut builder = MarkovChainBuilder::new(64).with_smoothing(0.02);
+            builder.record_start(walk[0]);
+            for w in walk.windows(2) {
+                builder.record_transition(w[0], w[1]);
+            }
+            black_box(builder.build().unwrap().generate(2_000, &mut rng))
+        })
+    });
 }
 
 fn bench_hmm_baum_welch(h: &mut Harness) {

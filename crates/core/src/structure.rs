@@ -7,7 +7,7 @@
 //! class-conditional feature distributions that tie the four subsystem
 //! models together per request.
 
-use kooza_sim::rng::Rng64;
+use kooza_sim::rng::{Rng64, WeightedIndex};
 use kooza_stats::dist::Empirical;
 use kooza_trace::record::IoOp;
 
@@ -119,9 +119,9 @@ impl ClassModel {
 #[derive(Debug)]
 pub struct StructureModel {
     classes: Vec<ClassModel>,
-    /// The classes' probabilities, in class order: what
-    /// [`sample_class`](Self::sample_class) draws from.
-    weights: Vec<f64>,
+    /// A sampling table over the classes' probabilities, in class order:
+    /// what [`sample_class`](Self::sample_class) draws from.
+    class_table: WeightedIndex,
 }
 
 impl StructureModel {
@@ -140,8 +140,9 @@ impl StructureModel {
             .into_iter()
             .map(|(sig, members)| ClassModel::fit(sig, observations, &members, total))
             .collect::<Result<Vec<ClassModel>>>()?;
-        let weights = classes.iter().map(|c| c.probability).collect();
-        Ok(StructureModel { classes, weights })
+        let weights: Vec<f64> = classes.iter().map(|c| c.probability).collect();
+        let class_table = WeightedIndex::new(&weights);
+        Ok(StructureModel { classes, class_table })
     }
 
     /// The trained classes, most frequent first.
@@ -156,7 +157,7 @@ impl StructureModel {
 
     /// Samples a class according to the observed frequencies.
     pub fn sample_class(&self, rng: &mut Rng64) -> &ClassModel {
-        &self.classes[rng.choose_weighted(&self.weights)]
+        &self.classes[self.class_table.sample(rng)]
     }
 
     /// Free-parameter count: class probabilities plus the per-class

@@ -16,10 +16,10 @@ use crate::{MarkovError, Result};
 /// [`MarkovChain::next_state`] is one uniform plus an O(log n) binary
 /// search instead of a linear CDF scan — and bit-identical to the scan it
 /// replaced (see `WeightedIndex`'s equivalence contract in `kooza-sim`).
-/// Row tables are built lazily on first sample: the exact-threshold
-/// construction is O(n²) per row, and training pipelines build many chains
-/// (one per subsystem) whose rows are mostly never sampled, so paying at
-/// `build()` time would tax every fit for work only generation needs.
+/// Row tables are built lazily on first sample, each in one O(n) pass:
+/// training pipelines build many chains (one per subsystem) whose rows are
+/// mostly never sampled, and the fits that are never generated from would
+/// otherwise pay for every row's table.
 #[derive(Debug)]
 pub struct MarkovChain {
     n_states: usize,

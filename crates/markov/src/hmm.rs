@@ -331,8 +331,9 @@ impl GaussianHmm {
         if len == 0 {
             return (states, values);
         }
-        // Cumulative tables amortize the per-step linear CDF scans over the
-        // whole walk (bit-identical draws; see `WeightedIndex`).
+        // One O(n) sampling table per row replaces the per-step linear CDF
+        // scans for the whole walk (bit-identical draws; see
+        // `WeightedIndex`).
         let pi_cum = WeightedIndex::new(&self.pi);
         let a_cum: Vec<WeightedIndex> = self.a.iter().map(|r| WeightedIndex::new(r)).collect();
         let mut s = pi_cum.sample(rng);

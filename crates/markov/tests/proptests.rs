@@ -1,7 +1,7 @@
 //! Property-based tests for the Markov substrate, on the deterministic
 //! in-repo `kooza-check` harness.
 
-use kooza_check::gen::{f64_range, u64_range, usize_range, vec_of, zip2, zip3};
+use kooza_check::gen::{choice, f64_range, u64_range, usize_range, vec_of, zip2, zip3};
 use kooza_check::{checker, ensure, ensure_eq};
 
 use kooza_markov::{GaussianHmm, MarkovChainBuilder};
@@ -87,11 +87,13 @@ fn em_monotone() {
 
 /// The chain's binary-search sampling (precomputed cumulative rows) picks
 /// exactly the state the linear CDF scan (`Rng64::choose_weighted`) picks,
-/// drawing the same single uniform — for random stochastic rows.
+/// drawing the same single uniform — for random stochastic rows of 1–12
+/// states, and of 64 and 256, the default and fine storage-chain sizes.
 #[test]
 fn next_state_matches_linear_scan_random_rows() {
+    let sizes: Vec<usize> = (1..=12).chain([64, 256]).collect();
     checker("next_state_matches_linear_scan_random_rows").run(
-        zip3(u64_range(0, 500), usize_range(1, 12), u64_range(0, 1000)),
+        zip3(u64_range(0, 500), choice(sizes), u64_range(0, 1000)),
         |&(seed, n_states, draw_seed)| {
             // Random row-stochastic matrix from raw positive weights.
             let mut rng = Rng64::new(seed);

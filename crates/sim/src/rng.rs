@@ -168,14 +168,7 @@ impl Rng64 {
             })
             .sum();
         assert!(total > 0.0, "weights must not all be zero");
-        let mut u = self.next_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if u < w {
-                return i;
-            }
-            u -= w;
-        }
-        weights.len() - 1 // floating-point slack: attribute to the last bucket
+        scan(weights, self.next_f64() * total)
     }
 
     /// Fisher–Yates shuffles a slice in place.
@@ -187,20 +180,37 @@ impl Rng64 {
     }
 }
 
+/// The linear CDF scan behind [`Rng64::choose_weighted`]: subtracts the
+/// weights from the scaled uniform `u` in slice order and returns the
+/// first index whose weight exceeds what is left.
+fn scan(weights: &[f64], mut u: f64) -> usize {
+    for (i, &w) in weights.iter().enumerate() {
+        if u < w {
+            return i;
+        }
+        u -= w;
+    }
+    weights.len() - 1 // floating-point slack: attribute to the last bucket
+}
+
 /// A precomputed weighted-sampling table for repeated draws from the same
-/// weights: [`Rng64::choose_weighted`]'s per-call validation, summation and
-/// linear CDF scan are paid once at construction, and every draw is one
+/// weights: [`Rng64::choose_weighted`]'s per-call validation and summation
+/// are paid once, in one O(n) pass at construction, and every draw is one
 /// uniform plus an O(log n) binary search.
 ///
 /// The table is **bit-equivalent** to the linear scan: for any generator
 /// state, `WeightedIndex::new(w).sample(rng)` returns exactly the index
 /// `rng.choose_weighted(w)` would have, consuming the same single uniform.
-/// The equivalence is by construction, not by accident: the scan's chosen
-/// index is a monotone step function of the uniform `u`, and the table
-/// stores the exact `f64` step boundaries — computed by inverting the
-/// scan's own floating-point subtraction chain one subtraction at a time —
-/// so the binary search lands in the same step even at values where a
-/// naive prefix-sum comparison would round the other way.
+/// The scan's remainder `fl(fl(u−w₀)−w₁)…` and the running sums
+/// `fl(fl(w₀+w₁)+w₂)…` round differently, so a plain search over the sums
+/// can disagree with the scan for a uniform next to a step boundary. Both
+/// rounding errors are bounded by the guard band `β = 2n·ulp(2·total)`:
+/// a uniform farther than `β` from every running sum lands in the step
+/// the binary search finds, and a uniform inside the band (or any uniform,
+/// when `β` is not finite) is handed to the scan itself over the stored
+/// weights. For weights summing to about 1 the band is at most
+/// `2n·2⁻⁵¹` wide (`5.7e-14` for 64 weights), so random draws practically
+/// never scan.
 ///
 /// ```
 /// use kooza_sim::rng::{Rng64, WeightedIndex};
@@ -215,10 +225,14 @@ impl Rng64 {
 pub struct WeightedIndex {
     /// Sum of the weights, folded in slice order (the scan's scale factor).
     total: f64,
-    /// `thresholds[i]` is the smallest scaled uniform that carries the
-    /// linear scan *past* index `i`; the sampled index for `u` is the
-    /// number of thresholds `<= u`. Non-decreasing, length `n - 1`.
-    thresholds: Vec<f64>,
+    /// The running sums `c_0..=c_{n-2}` of the weights, folded in slice
+    /// order, between a `-∞` and a `+∞` sentinel: `sums[i + 1] = c_i`.
+    /// Non-decreasing, length `n + 1`.
+    sums: Vec<f64>,
+    /// The guard band `2n·ulp(2·total)`, or `+∞` when that is not finite.
+    band: f64,
+    /// The weights, for the exact scan inside the band.
+    weights: Vec<f64>,
 }
 
 impl WeightedIndex {
@@ -230,34 +244,31 @@ impl WeightedIndex {
     /// a negative or non-finite weight, or an all-zero sum.
     pub fn new(weights: &[f64]) -> Self {
         assert!(!weights.is_empty(), "cannot choose from empty weights");
-        let total: f64 = weights
-            .iter()
-            .map(|&w| {
-                assert!(w >= 0.0 && w.is_finite(), "weights must be finite and non-negative");
-                w
-            })
-            .sum();
-        assert!(total > 0.0, "weights must not all be zero");
         let n = weights.len();
-        let mut thresholds = Vec::with_capacity(n.saturating_sub(1));
-        for i in 0..n - 1 {
-            // The scan passes index i iff its running remainder survives
-            // every subtraction up to and including w[i]. Invert that chain
-            // right-to-left: the remainder entering step i must be >= w[i],
-            // and the remainder entering step k must map, under the scan's
-            // own `fl(x - w[k])`, to at least the step-(k+1) requirement.
-            let mut t = weights[i];
-            for k in (0..i).rev() {
-                t = smallest_surviving(weights[k], t);
-            }
-            thresholds.push(t);
+        let mut sums = Vec::with_capacity(n + 1);
+        sums.push(f64::NEG_INFINITY);
+        let mut total = 0.0;
+        for &w in weights {
+            assert!(w >= 0.0 && w.is_finite(), "weights must be finite and non-negative");
+            total += w;
+            sums.push(total);
         }
-        WeightedIndex { total, thresholds }
+        assert!(total > 0.0, "weights must not all be zero");
+        // The last running sum is the total; the +∞ sentinel takes its slot.
+        sums[n] = f64::INFINITY;
+        let twice = 2.0 * total;
+        let band = 2.0 * n as f64 * (twice.next_up() - twice);
+        WeightedIndex {
+            total,
+            sums,
+            band: if band.is_finite() { band } else { f64::INFINITY },
+            weights: weights.to_vec(),
+        }
     }
 
     /// Number of weights the table was built from.
     pub fn len(&self) -> usize {
-        self.thresholds.len() + 1
+        self.weights.len()
     }
 
     /// Whether the table is empty (never: construction requires weights).
@@ -278,31 +289,25 @@ impl WeightedIndex {
 
     /// The index the linear scan would pick for scaled uniform `u`.
     fn index_for(&self, u: f64) -> usize {
-        self.thresholds.partition_point(|&t| t <= u)
+        self.search(u).unwrap_or_else(|| scan(&self.weights, u))
     }
-}
 
-/// Smallest `x >= 0` with `x - w >= t` under IEEE-754 round-to-nearest
-/// (`w`, `t` finite and non-negative). Starts from the rounded candidate
-/// `w + t` and walks the few ULPs to the exact boundary.
-fn smallest_surviving(w: f64, t: f64) -> f64 {
-    let mut x = w + t;
-    while x - w < t {
-        x = x.next_up();
-    }
-    loop {
-        let down = x.next_down();
-        if down >= 0.0 && down - w >= t {
-            x = down;
-        } else {
-            return x;
-        }
+    /// The number of running sums `<= u`, or `None` when `u` lies within
+    /// the guard band of the sum below or above it, where the scan's
+    /// rounding may pick the neighbouring step instead.
+    fn search(&self, u: f64) -> Option<usize> {
+        let n = self.weights.len();
+        let j = self.sums[1..n].partition_point(|&c| c <= u);
+        let (below, above) = (self.sums[j], self.sums[j + 1]);
+        (u - below >= self.band && above - u > self.band).then_some(j)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kooza_check::gen::{u64_range, usize_range, zip3};
+    use kooza_check::{checker, ensure};
 
     #[test]
     fn deterministic_per_seed() {
@@ -451,6 +456,95 @@ mod tests {
         weights.len() - 1
     }
 
+    /// Smallest `x >= 0` with `x - w >= t` under IEEE-754 round-to-nearest
+    /// (`w`, `t` non-negative). Starts from the rounded candidate `w + t`
+    /// and walks the few ULPs to the exact boundary.
+    fn smallest_surviving(w: f64, t: f64) -> f64 {
+        let mut x = w + t;
+        while x - w < t {
+            x = x.next_up();
+        }
+        loop {
+            let down = x.next_down();
+            if down >= 0.0 && down - w >= t {
+                x = down;
+            } else {
+                return x;
+            }
+        }
+    }
+
+    /// The oracle: the scan's exact step boundaries. `boundaries[i]` is the
+    /// smallest scaled uniform that carries the scan past index `i`, found
+    /// by inverting its subtraction chain right to left: the remainder
+    /// entering step `i` must be `>= w[i]`, and the remainder entering
+    /// step `k` must map, under the scan's own `fl(x - w[k])`, to at least
+    /// the step-`(k + 1)` requirement. O(n²) in the number of weights.
+    fn exact_boundaries(weights: &[f64]) -> Vec<f64> {
+        (0..weights.len() - 1)
+            .map(|i| {
+                let mut t = weights[i];
+                for k in (0..i).rev() {
+                    t = smallest_surviving(weights[k], t);
+                }
+                t
+            })
+            .collect()
+    }
+
+    /// The running sums `c_0..=c_{n-1}` of the weights, folded in order.
+    fn running_sums(weights: &[f64]) -> Vec<f64> {
+        let mut sum = 0.0;
+        weights
+            .iter()
+            .map(|&w| {
+                sum += w;
+                sum
+            })
+            .collect()
+    }
+
+    /// A weight vector of `len` weights drawn from `seed`, in one of six
+    /// shapes: uniform on (0, 1); 2^U(−40, 20); 30% exact zeros; equal
+    /// thirds or tenths; a smoothed count row as `MarkovChainBuilder`
+    /// normalizes it, `(count + 0.02) / total`; and two weights whose sum
+    /// overflows to +∞ (at least two weights).
+    fn weights_of(shape: usize, len: usize, seed: u64) -> Vec<f64> {
+        let mut rng = Rng64::new(seed);
+        let mut weights: Vec<f64> = match shape {
+            0 => (0..len).map(|_| rng.next_f64()).collect(),
+            1 => (0..len).map(|_| (60.0 * rng.next_f64() - 40.0).exp2()).collect(),
+            2 => (0..len)
+                .map(|_| if rng.chance(0.3) { 0.0 } else { rng.next_f64() })
+                .collect(),
+            3 => vec![if seed.is_multiple_of(2) { 1.0 / 3.0 } else { 0.1 }; len],
+            4 => {
+                // A few hot states and a long tail of unseen ones.
+                let mut counts = vec![0.0f64; len];
+                let hot = 1 + rng.next_bounded(len as u64) as usize;
+                for _ in 0..rng.next_bounded(40 * len as u64) {
+                    counts[rng.next_bounded(hot as u64) as usize] += 1.0;
+                }
+                let total: f64 = counts.iter().sum::<f64>() + 0.02 * len as f64;
+                counts.iter().map(|c| (c + 0.02) / total).collect()
+            }
+            _ => {
+                let n = len.max(2);
+                let mut w: Vec<f64> = (0..n).map(|_| rng.next_f64()).collect();
+                let a = rng.next_bounded(n as u64) as usize;
+                let b = (a + 1 + rng.next_bounded(n as u64 - 1) as usize) % n;
+                w[a] = 0.75 * f64::MAX;
+                w[b] = 0.75 * f64::MAX;
+                w
+            }
+        };
+        if weights.iter().all(|&w| w == 0.0) {
+            let mid = weights.len() / 2;
+            weights[mid] = 1.0;
+        }
+        weights
+    }
+
     #[test]
     fn weighted_index_matches_choose_weighted_streams() {
         let cases: Vec<Vec<f64>> = vec![
@@ -460,6 +554,8 @@ mod tests {
             vec![1e-12, 0.5, 1e-12, 0.5],
             vec![3.0, 0.0, 0.0, 2.0],
             (1..=33).map(|i| 1.0 / i as f64).collect(),
+            // Finite weights whose sum overflows: every draw scans.
+            vec![0.75 * f64::MAX, 1.0, 0.75 * f64::MAX, 2.0],
         ];
         for (case, weights) in cases.iter().enumerate() {
             let table = WeightedIndex::new(weights);
@@ -480,9 +576,9 @@ mod tests {
 
     #[test]
     fn weighted_index_exact_at_step_boundaries() {
-        // The scan's index is a step function of u; the table stores the
-        // exact boundaries. Probe each boundary and its ULP neighbours —
-        // the values where a naive prefix-sum comparison can disagree.
+        // The scan's index is a step function of u. Probe each of the
+        // oracle's exact boundaries and its ULP neighbours — the values
+        // where a naive prefix-sum comparison can disagree.
         let cases: Vec<Vec<f64>> = vec![
             vec![0.1, 0.2, 0.3, 0.4],
             vec![1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
@@ -492,8 +588,7 @@ mod tests {
         ];
         for weights in &cases {
             let table = WeightedIndex::new(weights);
-            let probes: Vec<f64> = table
-                .thresholds
+            let probes: Vec<f64> = exact_boundaries(weights)
                 .iter()
                 .flat_map(|&t| [t.next_down(), t, t.next_up()])
                 .chain([0.0, table.total() * 0.5, table.total().next_down()])
@@ -507,6 +602,82 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The table picks the scan's index for every probe that can tell
+    /// them apart: a zero uniform scaled by the total (NaN when the total
+    /// is +∞), the total and the value below it, every exact boundary and
+    /// every running sum ±8 ULPs, and 200 seeded uniforms —
+    /// over weight vectors of every shape `weights_of` draws. The exact
+    /// boundaries all lie within the guard band of their running sums,
+    /// and the probes next to them reach the exact scan, so both branches
+    /// of a draw are checked.
+    #[test]
+    fn weighted_index_matches_scan_on_any_weights() {
+        checker("weighted_index_matches_scan_on_any_weights").run(
+            zip3(usize_range(0, 6), usize_range(1, 301), u64_range(0, 1 << 32)),
+            |&(shape, len, seed)| {
+                let weights = weights_of(shape, len, seed);
+                let table = WeightedIndex::new(&weights);
+                let total = table.total();
+                let boundaries = exact_boundaries(&weights);
+                let sums = running_sums(&weights);
+                let mut probes = vec![0.0 * total, total, total.next_down()];
+                for &x in boundaries.iter().chain(&sums) {
+                    let (mut below, mut above) = (x, x);
+                    probes.push(x);
+                    for _ in 0..8 {
+                        below = below.next_down();
+                        above = above.next_up();
+                        probes.extend([below, above]);
+                    }
+                }
+                let mut rng = Rng64::new(seed);
+                probes.extend((0..200).map(|_| rng.next_f64() * total));
+                let mut scanned = 0;
+                for &u in &probes {
+                    let (fast, slow) = (table.index_for(u), linear_scan(&weights, u));
+                    ensure!(fast == slow, "index {fast} != scan {slow} at u = {u:e}");
+                    scanned += usize::from(table.search(u).is_none());
+                }
+                if table.band.is_finite() {
+                    for (i, (&t, &c)) in boundaries.iter().zip(&sums).enumerate() {
+                        ensure!(
+                            (t - c).abs() <= table.band,
+                            "boundary {i} at {t:e} lies outside the band {:e} of {c:e}",
+                            table.band
+                        );
+                    }
+                }
+                ensure!(
+                    weights.len() == 1 || scanned > 0,
+                    "no probe of {} weights reached the exact scan",
+                    weights.len()
+                );
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn weighted_index_draws_from_a_smoothed_row_never_scan() {
+        // A 64-state storage-chain row as `MarkovChainBuilder` normalizes
+        // it (smoothing 0.02), from a seeded sequence with locality: the
+        // band is at most 5.7e-14 wide, so no seeded draw falls in it.
+        let mut rng = Rng64::new(64);
+        let mut counts = [0.0f64; 64];
+        let mut state = 0u64;
+        for _ in 0..2_000 {
+            state = (state + rng.next_bounded(5)) % 64;
+            counts[state as usize] += 1.0;
+        }
+        let total: f64 = counts.iter().sum::<f64>() + 0.02 * 64.0;
+        let row: Vec<f64> = counts.iter().map(|c| (c + 0.02) / total).collect();
+        let table = WeightedIndex::new(&row);
+        let scanned = (0..100_000)
+            .filter(|_| table.search(rng.next_f64() * table.total()).is_none())
+            .count();
+        assert_eq!(scanned, 0);
     }
 
     #[test]

@@ -220,17 +220,8 @@ fn fit_weibull_with(data: &[f64], m: &SampleMoments) -> Result<Weibull> {
 }
 
 /// MLE fit of a gamma distribution (Minka's initializer plus Newton steps on
-/// the digamma equation).
-///
-/// # Errors
-///
-/// Errors unless the data are strictly positive with at least two points.
-pub fn fit_gamma(data: &[f64]) -> Result<Gamma> {
-    ensure_len(data, 2)?;
-    ensure_finite(data)?;
-    fit_gamma_with(data, &SampleMoments::compute(data))
-}
-
+/// the digamma equation). Errors unless the data are strictly positive with
+/// at least two points.
 fn fit_gamma_with(data: &[f64], m: &SampleMoments) -> Result<Gamma> {
     ensure_len(data, 2)?;
     logs_or_reject(m)?;
@@ -263,17 +254,8 @@ fn fit_gamma_with(data: &[f64], m: &SampleMoments) -> Result<Gamma> {
 }
 
 /// Fit of a uniform distribution (`lo = min`, `hi = max` widened by half a
-/// ULP-scale margin so the maximum stays inside the support).
-///
-/// # Errors
-///
-/// Errors on degenerate (constant) data.
-pub fn fit_uniform(data: &[f64]) -> Result<Uniform> {
-    ensure_len(data, 2)?;
-    ensure_finite(data)?;
-    fit_uniform_with(&SampleMoments::compute(data))
-}
-
+/// ULP-scale margin so the maximum stays inside the support). Errors on
+/// degenerate (constant) data.
 fn fit_uniform_with(m: &SampleMoments) -> Result<Uniform> {
     if m.n() < 2 {
         return Err(StatsError::InsufficientData { needed: 2, got: m.n() });
@@ -493,7 +475,8 @@ mod tests {
     #[test]
     fn gamma_fit_recovers_params() {
         let d = Gamma::new(4.0, 0.5).unwrap();
-        let fitted = fit_gamma(&sample(&d, 20_000, 6)).unwrap();
+        let data = sample(&d, 20_000, 6);
+        let fitted = fit_gamma_with(&data, &SampleMoments::compute(&data)).unwrap();
         assert!((fitted.shape() - 4.0).abs() < 0.3, "shape {}", fitted.shape());
         assert!((fitted.scale() - 0.5).abs() < 0.05, "scale {}", fitted.scale());
     }
@@ -501,7 +484,7 @@ mod tests {
     #[test]
     fn uniform_fit_covers_range() {
         let d = Uniform::new(5.0, 9.0).unwrap();
-        let fitted = fit_uniform(&sample(&d, 10_000, 7)).unwrap();
+        let fitted = fit_uniform_with(&SampleMoments::compute(&sample(&d, 10_000, 7))).unwrap();
         assert!((fitted.lo() - 5.0).abs() < 0.01);
         assert!((fitted.hi() - 9.0).abs() < 0.01);
     }
@@ -511,12 +494,12 @@ mod tests {
         assert!(fit_lognormal(&[1.0, -2.0, 3.0]).is_err());
         assert!(fit_pareto(&[0.0, 1.0]).is_err());
         assert!(fit_weibull(&[-1.0, 1.0]).is_err());
-        assert!(fit_gamma(&[0.0, 1.0]).is_err());
+        assert!(fit_gamma_with(&[0.0, 1.0], &SampleMoments::compute(&[0.0, 1.0])).is_err());
     }
 
     #[test]
     fn degenerate_data_rejected() {
-        assert!(fit_uniform(&[2.0, 2.0, 2.0]).is_err());
+        assert!(fit_uniform_with(&SampleMoments::compute(&[2.0, 2.0, 2.0])).is_err());
         assert!(fit_pareto(&[3.0, 3.0, 3.0]).is_err());
     }
 

@@ -20,7 +20,7 @@
 //! * [`cluster`] — k-means and Gaussian-mixture model-based clustering.
 //! * [`regression`] — the least-squares line fit behind [`hurst`].
 //! * [`matrix`] — a small dense linear-algebra kernel backing the above.
-//! * [`summary`] — percentiles, burstiness and dispersion measures.
+//! * [`summary`] — percentiles, coefficient of variation and burstiness.
 //!
 //! # Example: identify an arrival-time distribution
 //!

@@ -69,21 +69,6 @@ impl Matrix {
         })
     }
 
-    /// Builds a matrix from a flat row-major vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidInput`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols || rows == 0 || cols == 0 {
-            return Err(StatsError::InvalidInput(format!(
-                "shape {rows}x{cols} incompatible with {} elements",
-                data.len()
-            )));
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -274,12 +259,6 @@ mod tests {
             Matrix::from_rows(&[&[1.0], &[1.0, 2.0]]),
             Err(StatsError::InvalidInput(_))
         ));
-    }
-
-    #[test]
-    fn from_vec_shape_check() {
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
     }
 
     #[test]

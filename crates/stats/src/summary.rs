@@ -1,5 +1,5 @@
 //! Descriptive summaries used throughout workload characterization:
-//! percentiles, coefficient of variation, burstiness and dispersion indices.
+//! percentiles, coefficient of variation and burstiness.
 
 use crate::{ensure_finite, ensure_len, Result};
 
@@ -107,43 +107,6 @@ pub fn burstiness_cv2(interarrivals: &[f64]) -> Result<f64> {
     Ok(cv * cv)
 }
 
-/// Index of dispersion for counts (IDC) at a given window size: variance of
-/// per-window event counts divided by their mean. IDC ≈ 1 for Poisson,
-/// grows with window size for self-similar traffic.
-///
-/// `events` are event timestamps (seconds, monotone); `window` is the bin
-/// width in the same unit.
-///
-/// # Errors
-///
-/// Errors if fewer than 2 windows are covered.
-pub fn index_of_dispersion(events: &[f64], window: f64) -> Result<f64> {
-    ensure_len(events, 2)?;
-    ensure_finite(events)?;
-    if window <= 0.0 {
-        return Err(crate::StatsError::InvalidInput("window must be positive".into()));
-    }
-    let start = events[0];
-    let end = events[events.len() - 1];
-    let n_windows = ((end - start) / window).floor() as usize;
-    if n_windows < 2 {
-        return Err(crate::StatsError::InsufficientData { needed: 2, got: n_windows });
-    }
-    let mut counts = vec![0.0f64; n_windows];
-    for &t in events {
-        let idx = ((t - start) / window) as usize;
-        if idx < n_windows {
-            counts[idx] += 1.0;
-        }
-    }
-    let mean = counts.iter().sum::<f64>() / counts.len() as f64;
-    if mean == 0.0 {
-        return Ok(0.0);
-    }
-    let var = counts.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / (counts.len() - 1) as f64;
-    Ok(var / mean)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,23 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn idc_poisson_near_one() {
-        let d = Exponential::new(100.0).unwrap();
-        let mut rng = Rng64::new(202);
-        let mut t = 0.0;
-        let events: Vec<f64> = (0..50_000)
-            .map(|_| {
-                t += d.sample(&mut rng);
-                t
-            })
-            .collect();
-        let idc = index_of_dispersion(&events, 1.0).unwrap();
-        assert!((idc - 1.0).abs() < 0.3, "IDC {idc}");
-    }
-
-    #[test]
     fn errors_on_tiny_input() {
         assert!(burstiness_cv2(&[1.0]).is_err());
-        assert!(index_of_dispersion(&[0.0, 0.5], 1.0).is_err());
     }
 }

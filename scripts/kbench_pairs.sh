@@ -15,6 +15,8 @@
 # BENCHMARK.json (its direction and bound are read from there):
 #
 # - each side's median and quartiles (linear interpolation);
+# - the change's median as a signed percentage of the parent's median
+#   (negative: the change's median is lower);
 # - how many pairs the change won (strictly better than the parent run
 #   of the same pair);
 # - gain: yes when the change won at least 9 pairs in 10 and its median
@@ -104,8 +106,8 @@ for ((i = 0; i < pairs; i++)); do
 done
 
 echo
-printf '%-14s %-6s %-5s %-32s %-32s %-7s %-5s %s\n' \
-    metric better bound "parent median [q1, q3]" "change median [q1, q3]" wins gain no-regression
+printf '%-14s %-6s %-5s %-32s %-32s %-8s %-7s %-5s %s\n' \
+    metric better bound "parent median [q1, q3]" "change median [q1, q3]" change wins gain no-regression
 while read -r name better bound; do
     paste "$work/values/$name.parent" "$work/values/$name.change" | awk \
         -v name="$name" -v better="$better" -v bound="$bound" '
@@ -136,9 +138,10 @@ while read -r name better bound; do
             held = gain(cm, pm) >= -limit ? "yes" : "no"
             wide = spread > limit || quantile(c, n, 0.75) - quantile(c, n, 0.25) > limit
             if (wide && !(better == "lower" ? c[n] < p[1] : c[1] > p[n])) held = "unresolved"
-            printf "%-14s %-6s %-5s %-32s %-32s %-7s %-5s %s\n", name, better, bound,
+            printf "%-14s %-6s %-5s %-32s %-32s %-8s %-7s %-5s %s\n", name, better, bound,
                 sprintf("%.6g [%.6g, %.6g]", pm, quantile(p, n, 0.25), quantile(p, n, 0.75)),
                 sprintf("%.6g [%.6g, %.6g]", cm, quantile(c, n, 0.25), quantile(c, n, 0.75)),
+                pm == 0 ? "n/a" : sprintf("%+.1f%%", 100 * (cm - pm) / (pm < 0 ? -pm : pm)),
                 sprintf("%d/%d", wins, n), won ? "yes" : "no", held
         }'
 done <<<"$metrics"
